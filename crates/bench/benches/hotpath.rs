@@ -226,9 +226,7 @@ fn main() {
     );
 
     // The victim scan in isolation: the RLR per-way key computation over
-    // LLC-shaped sets, scalar reference vs lane-parallel backend. Both
-    // backends stay compiled in every build, so the bench always compares
-    // them directly regardless of the `scalar-scan` feature.
+    // LLC-shaped sets, scalar reference vs lane-parallel backend.
     let (params, age_stamps, rec_stamps, metas) = scan_fixture(&config);
     let sets = config.llc.sets as usize;
     let ways = usize::from(config.llc.ways);

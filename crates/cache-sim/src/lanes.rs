@@ -9,9 +9,8 @@
 //! unsigned 64-bit vector min, as independent scalar chains that still
 //! break the serial dependency of a one-accumulator loop).
 //!
-//! The `scalar-scan` cargo feature swaps [`min_key`] to the one-accumulator
-//! reference loop at build time; `scripts/ci.sh` runs the differential
-//! walls against both builds so the two backends stay interchangeable.
+//! Scans call [`min_key_lanes`]; [`min_key_scalar`] is the one-accumulator
+//! reference the unit tests and the differential walls compare it with.
 
 /// Accumulator lanes in the vectorized reduction.
 pub const LANES: usize = 4;
@@ -74,23 +73,6 @@ fn min_key_lanes_portable(keys: &[u64]) -> u64 {
     best
 }
 
-/// The build-selected reduction backend ([`min_key_lanes`] by default, the
-/// scalar reference under the `scalar-scan` feature).
-#[inline]
-pub fn min_key(keys: &[u64]) -> u64 {
-    if cfg!(feature = "scalar-scan") {
-        min_key_scalar(keys)
-    } else {
-        min_key_lanes(keys)
-    }
-}
-
-/// `true` when [`min_key`] resolves to the lane backend in this build.
-#[must_use]
-pub const fn lanes_enabled() -> bool {
-    !cfg!(feature = "scalar-scan")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,7 +85,6 @@ mod tests {
                     (0..n).map(|i| if i == min_at { 7 } else { 1000 + i as u64 }).collect();
                 assert_eq!(min_key_scalar(&keys), 7);
                 assert_eq!(min_key_lanes(&keys), 7);
-                assert_eq!(min_key(&keys), 7);
             }
         }
     }
@@ -118,6 +99,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty set")]
     fn empty_scan_panics() {
-        let _ = min_key(&[]);
+        let _ = min_key_lanes(&[]);
     }
 }

@@ -186,7 +186,7 @@ impl ReplacementPolicy for TrueLru {
             debug_assert!(stamp < 1 << 58, "LRU clock exceeds the packed-key range");
             *key = (stamp << 6) | way as u64;
         }
-        Decision::Evict((crate::lanes::min_key(&keys[..stamps.len()]) & 0x3F) as u16)
+        Decision::Evict((crate::lanes::min_key_lanes(&keys[..stamps.len()]) & 0x3F) as u16)
     }
 
     fn on_hit(&mut self, set: u32, way: u16, _access: &Access) {

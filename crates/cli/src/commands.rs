@@ -5,9 +5,9 @@ use std::io::{BufReader, BufWriter};
 use std::path::Path;
 
 use cache_sim::{LlcTrace, SingleCoreSystem, SystemConfig, TimingMode};
-use experiments::checkpoint::{self, write_atomic};
+use experiments::checkpoint::{run_checkpointed_sweep, write_atomic, Cell as _};
 use experiments::fault::FaultWriter;
-use experiments::runner::{replay_llc_reader, run_tasks_resilient, RunOptions};
+use experiments::runner::{replay_llc_reader, SingleCoreCell, SweepOptions};
 use experiments::{PolicyKind, Table};
 use rl::{Agent, AgentConfig, FeatureSet, LlcModel, Mlp, Trainer};
 use trace_io::{TraceFormat, TraceReader, TraceWriter};
@@ -128,7 +128,6 @@ pub fn compare(args: &Args) -> Result<(), ArgError> {
     let instructions = args.get_num("instructions", 10_000_000u64)?;
     let warmup = args.get_num("warmup", 2_000_000u64)?;
     let jobs = args.get_num("jobs", 0usize)?;
-    let jobs = experiments::runner::resolve_jobs((jobs > 0).then_some(jobs));
     let timing = timing_by_args(args)?;
     let config = SystemConfig::paper_single_core().with_timing(timing);
 
@@ -140,42 +139,29 @@ pub fn compare(args: &Args) -> Result<(), ArgError> {
         .collect::<Result<_, _>>()?;
     let mut all_kinds = vec![PolicyKind::Lru];
     all_kinds.extend_from_slice(&kinds);
-    let tasks: Vec<(usize, usize)> = (0..workloads.len())
-        .flat_map(|b| (0..all_kinds.len()).map(move |k| (b, k)))
+    let benches = args.positional();
+    let cells: Vec<SingleCoreCell> = benches
+        .iter()
+        .zip(&workloads)
+        .flat_map(|(bench, workload)| {
+            all_kinds.iter().map(|&policy| SingleCoreCell {
+                bench,
+                workload,
+                policy,
+                config: &config,
+                warmup,
+                instructions,
+                origin: "cli",
+            })
+        })
         .collect();
     // Failure handling and per-cell resume: a crashing cell is retried
     // (RLR_RETRIES), then reported as `failed` without aborting the rest;
     // completed cells are checkpointed so a killed run resumes where it
     // stopped (disable with RLR_CHECKPOINT=0).
-    let run_opts = RunOptions::from_env();
-    let cache_dir = checkpoint::checkpointing_enabled().then(checkpoint::sweep_cache_dir);
-    if let Some(dir) = &cache_dir {
-        // Reap crash residue (orphaned scratch files) on checkpoint-dir open.
-        checkpoint::sweep_orphans(dir);
-    }
-    // Timing mode is part of the checkpoint key: analytic and event cells
-    // of the same sweep must never satisfy each other.
-    let params = format!("cli|i{instructions}|w{warmup}|t{timing}");
-    let benches = args.positional();
-    let cells = run_tasks_resilient(&tasks, jobs, &run_opts, |_, &(b, k)| {
-        let kind = all_kinds[k];
-        let key = cache_dir
-            .is_some()
-            .then(|| checkpoint::cell_key(&benches[b], kind.name(), &params));
-        if let (Some(dir), Some(key)) = (&cache_dir, &key) {
-            if let Some(cached) = checkpoint::load_cell(dir, key) {
-                return cached;
-            }
-        }
-        let mut system = SingleCoreSystem::new(&config, kind.build(&config.llc, None));
-        let mut stream = workloads[b].stream();
-        system.warm_up(&mut stream, warmup);
-        let out = system.run(stream, instructions);
-        if let (Some(dir), Some(key)) = (&cache_dir, &key) {
-            checkpoint::store_cell(dir, key, &out);
-        }
-        out
-    });
+    let mut opts = SweepOptions::from_env(SingleCoreCell::FAMILY);
+    opts.jobs = (jobs > 0).then_some(jobs);
+    let results = run_checkpointed_sweep(&cells, &opts);
 
     let mut headers = vec!["benchmark".to_owned(), "LRU IPC".to_owned()];
     headers.extend(kinds.iter().map(|k| k.name().to_owned()));
@@ -184,7 +170,7 @@ pub fn compare(args: &Args) -> Result<(), ArgError> {
     for (b, bench) in benches.iter().enumerate() {
         let base = b * all_kinds.len();
         let mut row = vec![bench.clone()];
-        match &cells[base] {
+        match &results[base] {
             Err(e) => {
                 failures.push(format!("{bench}/LRU: {}", e.kind));
                 row.extend(std::iter::repeat("n/a".to_owned()).take(all_kinds.len()));
@@ -192,7 +178,7 @@ pub fn compare(args: &Args) -> Result<(), ArgError> {
             Ok(lru) => {
                 row.push(format!("{:.4}", lru.ipc()));
                 for k in 1..all_kinds.len() {
-                    match &cells[base + k] {
+                    match &results[base + k] {
                         Ok(stats) => row.push(Table::fmt(stats.speedup_pct_over(lru))),
                         Err(e) => {
                             failures.push(format!("{bench}/{}: {}", all_kinds[k].name(), e.kind));
@@ -899,7 +885,7 @@ fn objcache_compare(args: &Args) -> Result<(), ArgError> {
             .collect::<Result<_, _>>()?,
     };
     let jobs = args.get_num("jobs", 0usize)?;
-    let mut opts = experiments::runner::SweepOptions::from_env_for("objcache");
+    let mut opts = SweepOptions::from_env(experiments::objects::ObjCell::FAMILY);
     opts.jobs = (jobs > 0).then_some(jobs);
     let results = experiments::objects::run_object_sweep(&traffic, requests, cfg, &policies, &opts);
     let table = experiments::objects::compare_table(&traffic, requests, &cfg, &results);
@@ -1056,7 +1042,7 @@ fn tenancy_compare(args: &Args) -> Result<(), ArgError> {
     let ranks = tenancy_ranks(args, mix.tenants.len(), vec![4, 1, 0])?;
     let scale = experiments::Scale::from_env();
     let jobs = args.get_num("jobs", 0usize)?;
-    let mut opts = experiments::runner::SweepOptions::from_env_for("tenancy");
+    let mut opts = SweepOptions::from_env(experiments::tenancy::TenancyCell::FAMILY);
     opts.jobs = (jobs > 0).then_some(jobs);
     let modes = experiments::tenancy::standard_modes(&mix, &llc, ranks);
     let results = experiments::tenancy::run_tenancy_sweep(&mix, &modes, &llc, accesses, scale, &opts);

@@ -215,10 +215,10 @@ impl ReplacementPolicy for RlrPolicy {
         // The victim scan is the policy's hot loop: every set-wide value
         // (clock/epoch, RD, the configuration knobs, the slice bases) is
         // hoisted here, and the per-way argmin over the packed
-        // `(priority | staleness | way)` key runs in [`crate::scan`] —
-        // lane-parallel by default, scalar under the `scalar-scan`
-        // feature, bit-identical either way (see the module docs for the
-        // key layout and the order-insensitivity argument).
+        // `(priority | staleness | way)` key runs in the lane-parallel
+        // [`crate::scan`] kernel, bit-identical to its scalar reference
+        // (see the module docs for the key layout and the
+        // order-insensitivity argument).
         let ways = usize::from(self.ways);
         let base = self.idx(set, 0);
         let unit = self.config.age_unit;
@@ -246,7 +246,7 @@ impl ReplacementPolicy for RlrPolicy {
             cores: if self.line_core.is_empty() { &[] } else { &self.line_core[base..base + ways] },
             core_rank: &self.core_priority,
         };
-        let outcome = scan::scan(&params, &scan_ways);
+        let outcome = scan::scan_lanes(&params, &scan_ways);
         if self.config.bypass && !outcome.any_past_rd {
             return Decision::Bypass;
         }

@@ -17,13 +17,10 @@
 //! ([`scan_lanes`]): four independent accumulator lanes consume the ways
 //! in stripes, then a horizontal min merges the lanes; any non-multiple-of-
 //! four remainder folds in scalarly. [`scan_scalar`] is the one-accumulator
-//! reference, kept compiled in every build for the differential property
-//! suite (`tests/simd_scan_equivalence.rs`).
-//!
-//! [`scan`] picks the backend at build time: lanes by default, the scalar
-//! reference under the `scalar-scan` cargo feature (which also switches
-//! cache-sim's own lane scans). Both backends are bit-identical by
-//! construction and oracle-checked twice per commit by `scripts/ci.sh`.
+//! reference, kept compiled beside it as the oracle of the differential
+//! property suite (`tests/simd_scan_equivalence.rs`). The masked variants
+//! ([`scan_masked_lanes`], [`scan_masked_scalar`]) restrict the argmin to
+//! a way mask and share the same kernels.
 
 use crate::packed::LineMeta;
 
@@ -141,16 +138,38 @@ pub fn scan_scalar(params: &ScanParams, ways: &ScanWays) -> ScanOutcome {
 /// the keys are unique, so the min is reduction-order-insensitive, and the
 /// bypass flag is an `or`, which is too.
 pub fn scan_lanes(params: &ScanParams, ways: &ScanWays) -> ScanOutcome {
+    by_core_mode::<false>(params, ways, 0)
+}
+
+/// Lane-parallel masked scan: the same stripe kernel as [`scan_lanes`],
+/// with ineligible lanes forced to `u64::MAX` keys (so they can never win
+/// the argmin) and their bypass votes suppressed. Identical result to
+/// [`scan_masked_scalar`] for any input.
+///
+/// Ineligible ways' stamps are still *read* (then discarded), which is
+/// sound because every stamp in a set is written from the same per-set
+/// clock and therefore never exceeds `now`/`clock`.
+pub fn scan_masked_lanes(params: &ScanParams, ways: &ScanWays, mask: u32) -> ScanOutcome {
+    by_core_mode::<true>(params, ways, mask)
+}
+
+/// Picks the P_core mode of one scan from the shape of its rank table.
+#[inline(always)]
+fn by_core_mode<const MASKED: bool>(
+    params: &ScanParams,
+    ways: &ScanWays,
+    mask: u32,
+) -> ScanOutcome {
     if ways.core_rank.is_empty() {
-        dispatch::<CORE_OFF>(params, ways)
+        dispatch::<CORE_OFF, MASKED>(params, ways, mask)
     } else if ways.core_rank.len() <= 8 && ways.core_rank.iter().all(|&r| r <= 0xFF) {
         // The common multicore shape (≤ 8 cores, tiny rank values): the
         // whole rank table packs into one u64 and the per-way lookup
         // becomes a variable shift, which vectorizes where a gather
         // cannot.
-        dispatch::<CORE_PACKED>(params, ways)
+        dispatch::<CORE_PACKED, MASKED>(params, ways, mask)
     } else {
-        dispatch::<CORE_GATHER>(params, ways)
+        dispatch::<CORE_GATHER, MASKED>(params, ways, mask)
     }
 }
 
@@ -163,39 +182,49 @@ const CORE_PACKED: u8 = 1;
 const CORE_GATHER: u8 = 2;
 
 /// Routes one scan to the widest kernel this machine can run. Every
-/// candidate compiles the *same* `#[inline(always)]` body
-/// ([`scan_lanes_impl`]) — the `#[target_feature]` wrappers only let the
+/// portable candidate compiles the *same* `#[inline(always)]` body
+/// ([`scan_lanes_impl`]) — the `#[target_feature]` wrapper only lets the
 /// compiler use wider registers for it — so the result is bit-identical
 /// across targets by construction, and the differential wall only ever
 /// has to compare two schedules (scalar vs lanes), not one per ISA.
 #[inline]
-fn dispatch<const MODE: u8>(params: &ScanParams, ways: &ScanWays) -> ScanOutcome {
+fn dispatch<const MODE: u8, const MASKED: bool>(
+    params: &ScanParams,
+    ways: &ScanWays,
+    mask: u32,
+) -> ScanOutcome {
     #[cfg(target_arch = "x86_64")]
     {
         // Detection results are cached by std; steady state is one
         // predictable load+branch per scan. The hand-vectorized kernel
-        // does not implement the (rare) gather fallback — that shape
-        // stays on the portable body.
-        if MODE != CORE_GATHER
+        // implements neither way masks nor the (rare) gather fallback —
+        // those shapes stay on the portable body, and masked gather scans
+        // skip the AVX2 wrapper too.
+        if !MASKED
+            && MODE != CORE_GATHER
             && std::arch::is_x86_feature_detected!("avx512f")
             && std::arch::is_x86_feature_detected!("avx512vl")
         {
             // SAFETY: feature presence was just verified at runtime.
             return unsafe { avx512::scan::<MODE>(params, ways) };
         }
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if (!MASKED || MODE != CORE_GATHER) && std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: feature presence was just verified at runtime.
-            return unsafe { scan_lanes_avx2::<MODE>(params, ways) };
+            return unsafe { scan_lanes_avx2::<MODE, MASKED>(params, ways, mask) };
         }
     }
-    scan_lanes_impl::<MODE>(params, ways)
+    scan_lanes_impl::<MODE, MASKED>(params, ways, mask)
 }
 
 /// [`scan_lanes_impl`] compiled with 256-bit vectors available.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn scan_lanes_avx2<const MODE: u8>(params: &ScanParams, ways: &ScanWays) -> ScanOutcome {
-    scan_lanes_impl::<MODE>(params, ways)
+unsafe fn scan_lanes_avx2<const MODE: u8, const MASKED: bool>(
+    params: &ScanParams,
+    ways: &ScanWays,
+    mask: u32,
+) -> ScanOutcome {
+    scan_lanes_impl::<MODE, MASKED>(params, ways, mask)
 }
 
 /// The hand-vectorized stripe kernel: AVX-512VL gives unsigned 64-bit
@@ -312,16 +341,25 @@ mod avx512 {
     }
 }
 
-/// The lane kernel, monomorphized on the P_core mode. The stripe body is
-/// branch-free u64 arithmetic over fixed-size array views, so the compiler
-/// sees no bounds checks and no data-dependent control flow; every term
-/// matches [`way_key`] bit for bit (priority sums stay < 1024, so widening
-/// the math to u64 cannot change a result, and in `CORE_PACKED` mode the
-/// byte extracted by the shift equals the table entry the gather would
-/// load, with out-of-range cores masked to the same 0).
+/// The lane kernel, monomorphized on the P_core mode and on whether a way
+/// mask applies. The stripe body is branch-free u64 arithmetic over
+/// fixed-size array views, so the compiler sees no bounds checks and no
+/// data-dependent control flow; every term matches [`way_key`] bit for bit
+/// (priority sums stay < 1024, so widening the math to u64 cannot change a
+/// result, and in `CORE_PACKED` mode the byte extracted by the shift
+/// equals the table entry the gather would load, with out-of-range cores
+/// masked to the same 0). Masked scans add a per-lane keep word from the
+/// mask bit: `key | !keep` is `key` for eligible lanes and `u64::MAX` for
+/// ineligible ones, and `past & keep` drops ineligible bypass votes —
+/// unmasked scans keep every lane, and the select folds away.
 #[inline(always)]
-fn scan_lanes_impl<const MODE: u8>(params: &ScanParams, ways: &ScanWays) -> ScanOutcome {
+fn scan_lanes_impl<const MODE: u8, const MASKED: bool>(
+    params: &ScanParams,
+    ways: &ScanWays,
+    mask: u32,
+) -> ScanOutcome {
     let n = check_shape(ways);
+    let mask = if MASKED { check_mask(mask, n) } else { 0 };
     let p = *params;
     let weight = u64::from(p.age_weight);
     let type_on = u64::from(p.use_type);
@@ -351,6 +389,11 @@ fn scan_lanes_impl<const MODE: u8>(params: &ScanParams, ways: &ScanWays) -> Scan
             ways.cores[stripe.clone()].try_into().expect("stripe")
         };
         for lane in 0..LANES {
+            let keep = if MASKED {
+                u64::from((mask >> (way + lane)) & 1).wrapping_neg()
+            } else {
+                u64::MAX
+            };
             let age = (p.now - age_s[lane]).min(p.max_age);
             let meta = metas[lane];
             let mut prio = u64::from(age <= p.rd) * weight
@@ -358,8 +401,8 @@ fn scan_lanes_impl<const MODE: u8>(params: &ScanParams, ways: &ScanWays) -> Scan
                 + (hit_on & u64::from(meta.hit_count() > 0));
             if MODE == CORE_PACKED {
                 let core = u64::from(cores[lane]);
-                let keep = ((core < rank_len) as u64).wrapping_neg();
-                prio += (rank_table >> ((core & 7) * 8)) & 0xFF & keep;
+                let in_table = ((core < rank_len) as u64).wrapping_neg();
+                prio += (rank_table >> ((core & 7) * 8)) & 0xFF & in_table;
             } else if MODE == CORE_GATHER {
                 let core = usize::from(cores[lane]);
                 prio += u64::from(ways.core_rank.get(core).copied().unwrap_or(0));
@@ -368,31 +411,22 @@ fn scan_lanes_impl<const MODE: u8>(params: &ScanParams, ways: &ScanWays) -> Scan
             // kept) when `exact` selects it, and then rec ≤ clock holds.
             let staleness = (exact & p.clock.wrapping_sub(rec_s[lane])) | (!exact & age);
             let key = (prio << 54) | (staleness.min(REC_MASK) << 16) | (way + lane) as u64;
-            best[lane] = best[lane].min(key);
-            past[lane] |= u64::from(age > p.rd);
+            best[lane] = best[lane].min(key | !keep);
+            past[lane] |= u64::from(age > p.rd) & keep;
         }
         way += LANES;
     }
     let mut best_key = best.into_iter().fold(u64::MAX, u64::min);
     let mut any_past_rd = past.into_iter().fold(0, |a, b| a | b) != 0;
     while way < n {
-        let (key, past_rd) = way_key(params, ways, way);
-        best_key = best_key.min(key);
-        any_past_rd |= past_rd;
+        if !MASKED || mask & (1 << way) != 0 {
+            let (key, past_rd) = way_key(params, ways, way);
+            best_key = best_key.min(key);
+            any_past_rd |= past_rd;
+        }
         way += 1;
     }
     ScanOutcome { best_key, any_past_rd }
-}
-
-/// The build-selected backend: [`scan_lanes`] by default, [`scan_scalar`]
-/// under the `scalar-scan` feature.
-#[inline]
-pub fn scan(params: &ScanParams, ways: &ScanWays) -> ScanOutcome {
-    if cfg!(feature = "scalar-scan") {
-        scan_scalar(params, ways)
-    } else {
-        scan_lanes(params, ways)
-    }
 }
 
 /// Validates a way mask for the masked scan: at least one eligible way,
@@ -423,139 +457,6 @@ pub fn scan_masked_scalar(params: &ScanParams, ways: &ScanWays, mask: u32) -> Sc
         any_past_rd |= past_rd;
     }
     ScanOutcome { best_key, any_past_rd }
-}
-
-/// Lane-parallel masked scan: the same stripe kernel as [`scan_lanes`],
-/// with ineligible lanes forced to `u64::MAX` keys (so they can never win
-/// the argmin) and their bypass votes suppressed. The mask select is
-/// branch-free — a per-lane all-ones/all-zeros keep word — so the stripe
-/// body stays straight-line and reaches 256-bit registers through the same
-/// `#[target_feature]` wrapper as the unmasked kernel.
-///
-/// Ineligible ways' stamps are still *read* (then discarded), which is
-/// sound because every stamp in a set is written from the same per-set
-/// clock and therefore never exceeds `now`/`clock`.
-pub fn scan_masked_lanes(params: &ScanParams, ways: &ScanWays, mask: u32) -> ScanOutcome {
-    if ways.core_rank.is_empty() {
-        dispatch_masked::<CORE_OFF>(params, ways, mask)
-    } else if ways.core_rank.len() <= 8 && ways.core_rank.iter().all(|&r| r <= 0xFF) {
-        dispatch_masked::<CORE_PACKED>(params, ways, mask)
-    } else {
-        dispatch_masked::<CORE_GATHER>(params, ways, mask)
-    }
-}
-
-#[inline]
-fn dispatch_masked<const MODE: u8>(params: &ScanParams, ways: &ScanWays, mask: u32) -> ScanOutcome {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if MODE != CORE_GATHER && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: feature presence was just verified at runtime.
-            return unsafe { scan_masked_lanes_avx2::<MODE>(params, ways, mask) };
-        }
-    }
-    scan_masked_lanes_impl::<MODE>(params, ways, mask)
-}
-
-/// [`scan_masked_lanes_impl`] compiled with 256-bit vectors available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn scan_masked_lanes_avx2<const MODE: u8>(
-    params: &ScanParams,
-    ways: &ScanWays,
-    mask: u32,
-) -> ScanOutcome {
-    scan_masked_lanes_impl::<MODE>(params, ways, mask)
-}
-
-/// The masked stripe kernel: [`scan_lanes_impl`] plus a per-lane keep word
-/// derived from the mask bit. `key | !keep` is `key` for eligible lanes and
-/// `u64::MAX` for ineligible ones, and `past & keep` drops ineligible
-/// bypass votes — both branch-free.
-#[inline(always)]
-fn scan_masked_lanes_impl<const MODE: u8>(
-    params: &ScanParams,
-    ways: &ScanWays,
-    mask: u32,
-) -> ScanOutcome {
-    let n = check_shape(ways);
-    let mask = check_mask(mask, n);
-    let p = *params;
-    let weight = u64::from(p.age_weight);
-    let type_on = u64::from(p.use_type);
-    let hit_on = u64::from(p.use_hit);
-    let exact = (p.exact_recency as u64).wrapping_neg();
-    let rank_table = if MODE == CORE_PACKED {
-        ways.core_rank.iter().enumerate().fold(0u64, |t, (c, &r)| t | (u64::from(r) << (8 * c)))
-    } else {
-        0
-    };
-    let rank_len = ways.core_rank.len() as u64;
-    let mut best = [u64::MAX; LANES];
-    let mut past = [0u64; LANES];
-    let mut way = 0;
-    while way + LANES <= n {
-        let stripe = way..way + LANES;
-        let age_s: &[u64; LANES] = ways.age_stamps[stripe.clone()].try_into().expect("stripe");
-        let rec_s: &[u64; LANES] = ways.rec_stamps[stripe.clone()].try_into().expect("stripe");
-        let metas: &[LineMeta; LANES] = ways.metas[stripe.clone()].try_into().expect("stripe");
-        let cores: &[u8; LANES] = if MODE == CORE_OFF {
-            &[0; LANES]
-        } else {
-            ways.cores[stripe.clone()].try_into().expect("stripe")
-        };
-        for lane in 0..LANES {
-            let keep = (u64::from((mask >> (way + lane)) & 1)).wrapping_neg();
-            let age = (p.now - age_s[lane]).min(p.max_age);
-            let meta = metas[lane];
-            let mut prio = u64::from(age <= p.rd) * weight
-                + (type_on & u64::from(!meta.last_prefetch()))
-                + (hit_on & u64::from(meta.hit_count() > 0));
-            if MODE == CORE_PACKED {
-                let core = u64::from(cores[lane]);
-                let in_table = ((core < rank_len) as u64).wrapping_neg();
-                prio += (rank_table >> ((core & 7) * 8)) & 0xFF & in_table;
-            } else if MODE == CORE_GATHER {
-                let core = usize::from(cores[lane]);
-                prio += u64::from(ways.core_rank.get(core).copied().unwrap_or(0));
-            }
-            let staleness = (exact & p.clock.wrapping_sub(rec_s[lane])) | (!exact & age);
-            let key = (prio << 54) | (staleness.min(REC_MASK) << 16) | (way + lane) as u64;
-            best[lane] = best[lane].min(key | !keep);
-            past[lane] |= u64::from(age > p.rd) & keep;
-        }
-        way += LANES;
-    }
-    let mut best_key = best.into_iter().fold(u64::MAX, u64::min);
-    let mut any_past_rd = past.into_iter().fold(0, |a, b| a | b) != 0;
-    while way < n {
-        if mask & (1 << way) != 0 {
-            let (key, past_rd) = way_key(params, ways, way);
-            best_key = best_key.min(key);
-            any_past_rd |= past_rd;
-        }
-        way += 1;
-    }
-    ScanOutcome { best_key, any_past_rd }
-}
-
-/// The build-selected masked backend: [`scan_masked_lanes`] by default,
-/// [`scan_masked_scalar`] under the `scalar-scan` feature — the same
-/// selection rule as [`scan`], so the dual-build differential walls cover
-/// the masked kernel too.
-#[inline]
-pub fn scan_masked(params: &ScanParams, ways: &ScanWays, mask: u32) -> ScanOutcome {
-    if cfg!(feature = "scalar-scan") {
-        scan_masked_scalar(params, ways, mask)
-    } else {
-        scan_masked_lanes(params, ways, mask)
-    }
-}
-
-/// `true` when [`scan`] resolves to the lane backend in this build.
-#[must_use]
-pub const fn lanes_enabled() -> bool {
-    !cfg!(feature = "scalar-scan")
 }
 
 #[cfg(test)]
@@ -598,7 +499,7 @@ mod tests {
         };
         let p = params();
         assert_eq!(scan_scalar(&p, &ways), scan_lanes(&p, &ways));
-        assert_eq!(scan(&p, &ways), scan_scalar(&p, &ways));
+        assert_eq!(scan_lanes(&p, &ways), scan_scalar(&p, &ways));
     }
 
     #[test]
@@ -642,7 +543,7 @@ mod tests {
             core_rank: &[],
         };
         let p = params();
-        assert_eq!(scan_masked(&p, &ways, u32::MAX), scan(&p, &ways));
+        assert_eq!(scan_masked_lanes(&p, &ways, u32::MAX), scan_lanes(&p, &ways));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Differential wall between the victim-scan backends: the lane-parallel
-//! reduction ([`rlr::scan::scan_lanes`]) against the one-accumulator
-//! scalar reference ([`rlr::scan::scan_scalar`]), which stays compiled in
-//! every build exactly so this suite can cross-check whichever backend
-//! [`rlr::scan::scan`] resolves to.
+//! reduction ([`rlr::scan::scan_lanes`], which every policy scan calls)
+//! against the one-accumulator scalar reference
+//! ([`rlr::scan::scan_scalar`]), which stays compiled exactly so this
+//! suite can cross-check it.
 //!
 //! The property sweeps randomized way counts (1..=32, deliberately
 //! including non-multiples of the lane width), stamp distributions from
@@ -101,7 +101,7 @@ fn run_case((inputs, knobs): &Case) -> Result<(), String> {
     };
     let scalar = scan::scan_scalar(&params, &ways);
     let lanes = scan::scan_lanes(&params, &ways);
-    let selected = scan::scan(&params, &ways);
+    let selected = scan::scan_lanes(&params, &ways);
     prop_assert_eq!(
         scalar,
         lanes,
@@ -110,7 +110,7 @@ fn run_case((inputs, knobs): &Case) -> Result<(), String> {
         scalar,
         lanes
     );
-    prop_assert_eq!(selected, scalar, "build-selected backend disagrees with the reference");
+    prop_assert_eq!(selected, scalar, "the policies' backend disagrees with the reference");
     prop_assert!(
         usize::from(scalar.victim()) < inputs.len(),
         "victim {} out of range for {} ways",

@@ -1,12 +1,18 @@
-//! Atomic per-cell result checkpoints for experiment sweeps.
-//!
-//! Every completed (workload, policy, config) cell of a sweep is persisted
-//! as a small JSON file under a cache directory, keyed by a fingerprint of
+//! The checkpointed sweep: every experiment grid (benchmark × policy,
+//! trace × object-cache policy, mix × isolation mode) runs through
+//! [`run_checkpointed_sweep`], which persists each completed [`Cell`] as a
+//! small JSON file under a cache directory, keyed by a fingerprint of
 //! everything that determines its value. Re-running the sweep loads
 //! finished cells instead of recomputing them, so an interrupted run
-//! resumes where it stopped — and because [`cache_sim::RunStats`] is all
-//! `u64`s and the codec is exact ([`crate::json`]), a resumed sweep is
-//! byte-identical to an uninterrupted one.
+//! resumes where it stopped — and because every cell result is all `u64`s
+//! and the codec is exact ([`CellCodec`], [`crate::json`]), a resumed sweep
+//! is byte-identical to an uninterrupted one.
+//!
+//! The on-disk format is one decision made here: a JSON object holding the
+//! cell's `key` string plus the result's exact-u64 fields, stored as
+//! `{fnv1a(key):016x}.json`. [`encode_cell`]/[`decode_cell`] and
+//! [`store_cell`]/[`load_cell`] are generic over the result type, so the
+//! LLC, object-cache and tenancy families differ only in their fields.
 //!
 //! # Durability contract
 //!
@@ -36,11 +42,11 @@ use std::fs;
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
-use crate::fault::{FaultReader, FaultWriter};
-
 use cache_sim::{CacheStats, KindCounts, RunStats};
 
+use crate::fault::{FaultReader, FaultWriter};
 use crate::json::Json;
+use crate::runner::{resolve_jobs, run_tasks_resilient, SweepOptions, TaskFailure};
 
 /// Version prefix baked into every cell key; bump to invalidate all
 /// existing checkpoints when the simulator's semantics change.
@@ -56,6 +62,12 @@ pub struct CellKey {
 }
 
 impl CellKey {
+    /// Wraps a full key string, e.g. one read back from a cell file.
+    pub fn new(key: String) -> Self {
+        let hash = trace_io::fnv1a(key.as_bytes());
+        Self { key, hash }
+    }
+
     /// File name for this cell's checkpoint.
     pub fn file_name(&self) -> String {
         format!("{:016x}.json", self.hash)
@@ -66,20 +78,92 @@ impl CellKey {
 /// `params` string capturing everything else that affects the result
 /// (scale, instruction counts, config knobs).
 pub fn cell_key(bench: &str, policy: &str, params: &str) -> CellKey {
-    let key = format!("{KEY_VERSION}|{bench}|{policy}|{params}");
-    let hash = fnv1a(key.as_bytes());
-    CellKey { key, hash }
+    CellKey::new(format!("{KEY_VERSION}|{bench}|{policy}|{params}"))
 }
 
-/// 64-bit FNV-1a. Inlined because this crate deliberately has no hashing
-/// dependency and `DefaultHasher` is not stable across releases.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// One unit of a checkpointed sweep: a deterministic computation plus
+/// everything [`run_checkpointed_sweep`] needs to cache it.
+pub trait Cell: Sync {
+    /// Checkpoint family: the `results/cache/<family>/` directory the
+    /// cells live in by default and the tag of their progress lines.
+    const FAMILY: &'static str;
+    /// The cell's result, persisted through its exact codec.
+    type Out: CellCodec + Send;
+    /// Everything that determines [`Cell::run`]'s result.
+    fn key(&self) -> CellKey;
+    /// Human-readable name for progress lines (`[family] label done`).
+    fn label(&self) -> String;
+    /// Computes the cell. Must be a pure function of [`Cell::key`].
+    fn run(&self) -> Self::Out;
+}
+
+/// The exact on-disk form of a cell result or one of its parts: a `u64`,
+/// or objects and fixed-length arrays built from them, so
+/// decode(encode(x)) == x. A cell result ([`Cell::Out`]) encodes as an
+/// object, into which [`encode_cell`] adds the `key` field.
+pub trait CellCodec: Sized {
+    /// The value as JSON.
+    fn to_json(&self) -> Json;
+    /// Rebuilds the value, or `None` if any part is missing or malformed.
+    fn from_json(v: &Json) -> Option<Self>;
+}
+
+/// Implements [`CellCodec`] for a struct as a JSON object holding each
+/// listed field under its own name. The one field list serves both
+/// directions, and the struct literal makes the compiler reject a list
+/// that misses a field.
+macro_rules! cell_object {
+    ($ty:ty { $($field:ident),+ $(,)? }) => {
+        impl $crate::checkpoint::CellCodec for $ty {
+            fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::obj([$((stringify!($field), self.$field.to_json())),+])
+            }
+
+            fn from_json(v: &$crate::json::Json) -> Option<Self> {
+                use $crate::checkpoint::CellCodec;
+                Some(Self { $($field: CellCodec::from_json(v.get(stringify!($field))?)?),+ })
+            }
+        }
+    };
+}
+pub(crate) use cell_object;
+
+/// Runs `cells` on the worker pool with failure isolation and per-cell
+/// resume. The one implementation of the sweep loop for every family.
+///
+/// Opening `opts.cache_dir` first reaps crash residue ([`sweep_orphans`]).
+/// Each cell is then looked up there (a hit skips the computation — this
+/// is what makes interrupted sweeps resumable) and stored there atomically
+/// on completion; a `[family] label cached|done` line goes to stderr
+/// either way. Failed cells surface as `Err(TaskFailure)` in their slot
+/// after [`crate::runner::RunOptions::retries`]; results match `cells`
+/// order independent of scheduling.
+pub fn run_checkpointed_sweep<C: Cell>(
+    cells: &[C],
+    opts: &SweepOptions,
+) -> Vec<Result<C::Out, TaskFailure>> {
+    if let Some(dir) = &opts.cache_dir {
+        let swept = sweep_orphans(dir);
+        if swept > 0 {
+            let dir = dir.display();
+            eprintln!("[{}] removed {swept} orphaned scratch file(s) from {dir}", C::FAMILY);
+        }
     }
-    h
+    run_tasks_resilient(cells, resolve_jobs(opts.jobs), &opts.run, |_, cell| {
+        let slot = opts.cache_dir.as_deref().map(|dir| (dir, cell.key()));
+        if let Some((dir, key)) = &slot {
+            if let Some(cached) = load_cell(dir, key) {
+                eprintln!("[{}] {} cached", C::FAMILY, cell.label());
+                return cached;
+            }
+        }
+        let out = cell.run();
+        if let Some((dir, key)) = &slot {
+            store_cell(dir, key, &out);
+        }
+        eprintln!("[{}] {} done", C::FAMILY, cell.label());
+        out
+    })
 }
 
 /// Writes `contents` to `path` atomically and durably: scratch file,
@@ -131,6 +215,12 @@ fn sync_dir(dir: &Path) {
     let _ = dir;
 }
 
+/// `true` for the scratch-file names [`write_atomic`] uses
+/// (`.{name}.tmp.{pid}`), i.e. the residue of a killed or failed write.
+pub(crate) fn is_scratch_name(name: &str) -> bool {
+    name.starts_with('.') && name.contains(".tmp.")
+}
+
 /// Deletes orphaned scratch files (`.{name}.tmp.{pid}` leftovers from
 /// killed or fault-injected runs) in `dir`, returning how many were
 /// removed. Final-name checkpoints are never touched. Called when a sweep
@@ -141,9 +231,8 @@ pub fn sweep_orphans(dir: &Path) -> usize {
     let Ok(entries) = fs::read_dir(dir) else { return 0 };
     let mut removed = 0;
     for entry in entries.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name.starts_with('.') && name.contains(".tmp.") && fs::remove_file(entry.path()).is_ok()
+        if is_scratch_name(&entry.file_name().to_string_lossy())
+            && fs::remove_file(entry.path()).is_ok()
         {
             removed += 1;
         }
@@ -151,88 +240,83 @@ pub fn sweep_orphans(dir: &Path) -> usize {
     removed
 }
 
-fn kind_counts_to_json(k: &KindCounts) -> Json {
-    Json::Arr(vec![Json::U64(k.accesses), Json::U64(k.hits)])
+impl CellCodec for u64 {
+    fn to_json(&self) -> Json {
+        Json::U64(*self)
+    }
+
+    fn from_json(v: &Json) -> Option<Self> {
+        v.as_u64()
+    }
 }
 
-fn kind_counts_from_json(v: &Json) -> Option<KindCounts> {
-    let arr = v.as_arr()?;
-    if arr.len() != 2 {
-        return None;
+/// A fixed-length array, rejected unless exactly `N` elements long.
+impl<T: CellCodec + Copy + Default, const N: usize> CellCodec for [T; N] {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json).collect())
     }
-    let accesses = arr[0].as_u64()?;
-    let hits = arr[1].as_u64()?;
-    if hits > accesses {
-        return None;
+
+    fn from_json(v: &Json) -> Option<Self> {
+        let arr = v.as_arr()?;
+        if arr.len() != N {
+            return None;
+        }
+        let mut out = [T::default(); N];
+        for (slot, x) in out.iter_mut().zip(arr) {
+            *slot = T::from_json(x)?;
+        }
+        Some(out)
     }
-    Some(KindCounts { accesses, hits })
 }
 
-fn cache_stats_to_json(s: &CacheStats) -> Json {
-    Json::obj([
-        ("by_kind", Json::Arr(s.by_kind.iter().map(kind_counts_to_json).collect())),
-        ("writebacks_out", Json::U64(s.writebacks_out)),
-        ("bypasses", Json::U64(s.bypasses)),
-        ("evictions", Json::U64(s.evictions)),
-    ])
+/// `[accesses, hits]`; a pair with more hits than accesses is corrupt.
+impl CellCodec for KindCounts {
+    fn to_json(&self) -> Json {
+        [self.accesses, self.hits].to_json()
+    }
+
+    fn from_json(v: &Json) -> Option<Self> {
+        let [accesses, hits] = <[u64; 2]>::from_json(v)?;
+        (hits <= accesses).then_some(KindCounts { accesses, hits })
+    }
 }
 
-fn cache_stats_from_json(v: &Json) -> Option<CacheStats> {
-    let kinds = v.get("by_kind")?.as_arr()?;
-    if kinds.len() != 4 {
-        return None;
-    }
-    let mut by_kind = [KindCounts::default(); 4];
-    for (slot, k) in by_kind.iter_mut().zip(kinds) {
-        *slot = kind_counts_from_json(k)?;
-    }
-    Some(CacheStats {
-        by_kind,
-        writebacks_out: v.get("writebacks_out")?.as_u64()?,
-        bypasses: v.get("bypasses")?.as_u64()?,
-        evictions: v.get("evictions")?.as_u64()?,
-    })
-}
+cell_object!(CacheStats { by_kind, writebacks_out, bypasses, evictions });
 
-/// Encodes a cell checkpoint: the verification key plus the full stats.
-pub fn encode_cell(key: &CellKey, stats: &RunStats) -> String {
-    let body = Json::obj([
-        ("key", Json::Str(key.key.clone())),
-        ("instructions", Json::U64(stats.instructions)),
-        ("cycles", Json::U64(stats.cycles)),
-        ("l1d", cache_stats_to_json(&stats.l1d)),
-        ("l2", cache_stats_to_json(&stats.l2)),
-        ("llc", cache_stats_to_json(&stats.llc)),
-        ("memory_reads", Json::U64(stats.memory_reads)),
-        ("memory_writes", Json::U64(stats.memory_writes)),
-        ("dram_row_hits", Json::U64(stats.dram_row_hits)),
-        ("dram_row_misses", Json::U64(stats.dram_row_misses)),
-    ]);
-    body.encode()
+cell_object!(RunStats {
+    instructions,
+    cycles,
+    l1d,
+    l2,
+    llc,
+    memory_reads,
+    memory_writes,
+    dram_row_hits,
+    dram_row_misses,
+});
+
+/// Encodes a cell checkpoint: the verification key plus the result's
+/// fields.
+pub fn encode_cell<T: CellCodec>(key: &CellKey, out: &T) -> String {
+    let Json::Obj(mut fields) = out.to_json() else {
+        panic!("a cell result must encode as a JSON object");
+    };
+    fields.insert("key".to_owned(), Json::Str(key.key.clone()));
+    Json::Obj(fields).encode()
 }
 
 /// Decodes a cell checkpoint, verifying its embedded key matches `key`.
-pub fn decode_cell(text: &str, key: &CellKey) -> Option<RunStats> {
+pub fn decode_cell<T: CellCodec>(text: &str, key: &CellKey) -> Option<T> {
     let v = Json::parse(text).ok()?;
     if v.get("key")?.as_str()? != key.key {
         return None; // hash collision or stale file from another config
     }
-    Some(RunStats {
-        instructions: v.get("instructions")?.as_u64()?,
-        cycles: v.get("cycles")?.as_u64()?,
-        l1d: cache_stats_from_json(v.get("l1d")?)?,
-        l2: cache_stats_from_json(v.get("l2")?)?,
-        llc: cache_stats_from_json(v.get("llc")?)?,
-        memory_reads: v.get("memory_reads")?.as_u64()?,
-        memory_writes: v.get("memory_writes")?.as_u64()?,
-        dram_row_hits: v.get("dram_row_hits")?.as_u64()?,
-        dram_row_misses: v.get("dram_row_misses")?.as_u64()?,
-    })
+    T::from_json(&v)
 }
 
 /// Loads the checkpoint for `key` from `dir`, or `None` if absent,
 /// corrupt, or written for a different key.
-pub fn load_cell(dir: &Path, key: &CellKey) -> Option<RunStats> {
+pub fn load_cell<T: CellCodec>(dir: &Path, key: &CellKey) -> Option<T> {
     let mut text = String::new();
     let mut reader = FaultReader::new(fs::File::open(dir.join(key.file_name())).ok()?);
     reader.read_to_string(&mut text).ok()?;
@@ -241,9 +325,9 @@ pub fn load_cell(dir: &Path, key: &CellKey) -> Option<RunStats> {
 
 /// Persists one completed cell. Failure to write is reported on stderr but
 /// never aborts the sweep — a missing checkpoint only costs recomputation.
-pub fn store_cell(dir: &Path, key: &CellKey, stats: &RunStats) {
+pub fn store_cell<T: CellCodec>(dir: &Path, key: &CellKey, out: &T) {
     let path = dir.join(key.file_name());
-    if let Err(e) = write_atomic(&path, encode_cell(key, stats).as_bytes()) {
+    if let Err(e) = write_atomic(&path, encode_cell(key, out).as_bytes()) {
         eprintln!("warning: could not write checkpoint {}: {e}", path.display());
     }
 }
@@ -254,16 +338,6 @@ pub fn store_cell(dir: &Path, key: &CellKey, stats: &RunStats) {
 /// them uniformly.
 pub fn cache_dir_for(family: &str) -> PathBuf {
     crate::report::results_dir().join("cache").join(family)
-}
-
-/// Default cell-checkpoint directory for figure/table sweeps.
-pub fn sweep_cache_dir() -> PathBuf {
-    cache_dir_for("sweep")
-}
-
-/// `true` unless checkpointing is disabled via `RLR_CHECKPOINT=0`.
-pub fn checkpointing_enabled() -> bool {
-    !matches!(std::env::var("RLR_CHECKPOINT").as_deref(), Ok("0"))
 }
 
 #[cfg(test)]
@@ -294,7 +368,8 @@ mod tests {
         for seed in [0, 1, 12345, u64::MAX / 3] {
             let key = cell_key("429.mcf", "rlr", "small|i1000");
             let stats = sample_stats(seed);
-            let decoded = decode_cell(&encode_cell(&key, &stats), &key).expect("roundtrip");
+            let decoded: RunStats =
+                decode_cell(&encode_cell(&key, &stats), &key).expect("roundtrip");
             assert_eq!(decoded, stats);
         }
     }
@@ -304,9 +379,9 @@ mod tests {
         let key = cell_key("429.mcf", "rlr", "small");
         let other = cell_key("429.mcf", "lru", "small");
         let text = encode_cell(&key, &sample_stats(7));
-        assert!(decode_cell(&text, &other).is_none());
-        assert!(decode_cell("{\"key\":1}", &key).is_none(), "corrupt text is a miss");
-        assert!(decode_cell("", &key).is_none());
+        assert!(decode_cell::<RunStats>(&text, &other).is_none());
+        assert!(decode_cell::<RunStats>("{\"key\":1}", &key).is_none(), "corrupt text is a miss");
+        assert!(decode_cell::<RunStats>("", &key).is_none());
     }
 
     #[test]
@@ -325,7 +400,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rlr_ck_test_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let key = cell_key("483.xalancbmk", "ship", "small|i5000");
-        assert!(load_cell(&dir, &key).is_none(), "cold cache misses");
+        assert!(load_cell::<RunStats>(&dir, &key).is_none(), "cold cache misses");
         let stats = sample_stats(99);
         store_cell(&dir, &key, &stats);
         assert_eq!(load_cell(&dir, &key), Some(stats));
@@ -370,8 +445,58 @@ mod tests {
             write_atomic(&path, encoded.as_bytes()).expect_err("torn write fails");
         });
         assert!(!path.exists(), "no final-name file appears on a torn write");
-        assert!(load_cell(&dir, &key).is_none());
+        assert!(load_cell::<RunStats>(&dir, &key).is_none());
         assert_eq!(sweep_orphans(&dir), 1, "the crash residue is exactly one scratch file");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A cell whose result is derived from its seed and which counts how
+    /// often it actually ran.
+    struct CountingCell<'a> {
+        seed: u64,
+        runs: &'a std::sync::atomic::AtomicUsize,
+    }
+
+    impl Cell for CountingCell<'_> {
+        const FAMILY: &'static str = "test";
+        type Out = RunStats;
+        fn key(&self) -> CellKey {
+            cell_key("counting", "none", &format!("seed{}", self.seed))
+        }
+        fn label(&self) -> String {
+            format!("seed{}", self.seed)
+        }
+        fn run(&self) -> RunStats {
+            self.runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            sample_stats(self.seed)
+        }
+    }
+
+    #[test]
+    fn sweep_stores_cold_cells_and_loads_warm_ones() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let dir = std::env::temp_dir().join(format!("rlr_sweep_test_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("mkdir");
+        fs::write(dir.join(".dead.json.tmp.1"), b"torn").expect("orphan");
+        let runs = AtomicUsize::new(0);
+        let cells: Vec<CountingCell> =
+            (0..5).map(|seed| CountingCell { seed, runs: &runs }).collect();
+        let opts =
+            SweepOptions { jobs: Some(2), cache_dir: Some(dir.clone()), ..SweepOptions::none() };
+        let unwrap = |r: Vec<Result<RunStats, TaskFailure>>| -> Vec<RunStats> {
+            r.into_iter().map(|c| c.expect("cell ok")).collect()
+        };
+        let cold = unwrap(run_checkpointed_sweep(&cells, &opts));
+        assert_eq!(runs.load(Ordering::Relaxed), 5, "every cold cell runs");
+        assert!(!dir.join(".dead.json.tmp.1").exists(), "opening the sweep reaps orphans");
+        let warm = unwrap(run_checkpointed_sweep(&cells, &opts));
+        assert_eq!(runs.load(Ordering::Relaxed), 5, "every warm cell loads");
+        assert_eq!(cold, warm);
+        assert_eq!(cold, (0..5).map(sample_stats).collect::<Vec<_>>(), "results keep input order");
+        let uncached = unwrap(run_checkpointed_sweep(&cells, &SweepOptions::none()));
+        assert_eq!(runs.load(Ordering::Relaxed), 10, "no cache dir, no loads");
+        assert_eq!(uncached, cold);
         let _ = fs::remove_dir_all(&dir);
     }
 }

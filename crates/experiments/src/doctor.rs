@@ -165,11 +165,7 @@ fn check_checkpoint_cells(report: &mut DoctorReport, dir: &Path, repair: bool) {
     } else if let Ok(entries) = fs::read_dir(dir) {
         report.orphans_removed += entries
             .flatten()
-            .filter(|e| {
-                let name = e.file_name();
-                let name = name.to_string_lossy();
-                name.starts_with('.') && name.contains(".tmp.")
-            })
+            .filter(|e| checkpoint::is_scratch_name(&e.file_name().to_string_lossy()))
             .count();
     }
     for path in files_with_ext(dir, "json") {
@@ -182,7 +178,7 @@ fn check_checkpoint_cells(report: &mut DoctorReport, dir: &Path, repair: bool) {
             .and_then(|v| match v.get("key").and_then(Json::as_str) {
                 None => Err("no embedded key".to_owned()),
                 Some(key) => {
-                    let expected = format!("{:016x}.json", trace_io::fnv1a(key.as_bytes()));
+                    let expected = checkpoint::CellKey::new(key.to_owned()).file_name();
                     if path.file_name().and_then(|n| n.to_str()) == Some(expected.as_str()) {
                         Ok(())
                     } else {
@@ -448,7 +444,7 @@ mod tests {
         );
         let stats = vec![crate::tenancy::TenantCellStats::default(); 3];
         crate::tenancy::store_tenancy_cell(&tenancy_dir, &key, &stats);
-        let full = crate::tenancy::encode_tenancy_cell(&key, &stats);
+        let full = crate::checkpoint::encode_cell(&key, &stats);
         fs::create_dir_all(&tenancy_dir).expect("mkdir");
         fs::write(tenancy_dir.join("00000000torncell.json"), &full[..full.len() / 2])
             .expect("torn cell");

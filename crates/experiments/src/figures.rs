@@ -4,11 +4,13 @@ use rl::stats::{collect_victim_stats, preuse_reuse_gap};
 use rl::LlcModel;
 use workloads::{random_spec_mixes, spec2006, CLOUDSUITE, SPEC2006};
 
+use crate::checkpoint::Cell as _;
 use crate::pipeline::TrainedPipeline;
 use crate::report::Table;
 use crate::roster::PolicyKind;
 use crate::runner::{
-    mix_speedup_pct, run_mix, run_roster_resilient, run_single, ResilientSweep, SweepOptions,
+    mix_speedup_pct, run_mix, run_roster_resilient, run_single, ResilientSweep, SingleCoreCell,
+    SweepOptions,
 };
 use crate::scale::Scale;
 use crate::geomean_speedup_pct;
@@ -222,7 +224,8 @@ pub fn fig7(scale: Scale) -> Table {
 pub fn single_core_sweep(benchmarks: &[&str], scale: Scale) -> ResilientSweep {
     let mut policies = vec![PolicyKind::Lru];
     policies.extend_from_slice(&PolicyKind::SINGLE_CORE);
-    run_roster_resilient(benchmarks, &policies, scale, &SweepOptions::from_env())
+    let opts = SweepOptions::from_env(SingleCoreCell::FAMILY);
+    run_roster_resilient(benchmarks, &policies, scale, &opts)
         .expect("roster benchmark names are statically known")
 }
 

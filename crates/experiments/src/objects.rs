@@ -2,26 +2,22 @@
 //! roster (`LRU` / `SLRU` / `GDSF` / the RLR-derived rule) over one
 //! [`ObjectTraffic`] trace and report miss-byte ratios.
 //!
-//! This mirrors the LLC roster sweep in [`crate::runner`] — same worker
-//! pool ([`run_tasks_resilient`]), same `RLR_JOBS` resolution, same
-//! per-cell checkpoint resume — but with its own cell codec, because
-//! object-cache cells carry [`ObjStats`] (byte counters, admissions,
-//! expirations) rather than `RunStats`. Like the LLC codec it is exact:
-//! every field is a `u64` round-tripped through [`crate::json`], so a
-//! resumed sweep is byte-identical to an uninterrupted one (the
-//! `objcache_determinism` wall holds this down).
+//! Each (trace, policy) pair is an [`ObjCell`] run through the shared
+//! checkpointed sweep ([`crate::checkpoint::run_checkpointed_sweep`]):
+//! same worker pool, same `RLR_JOBS` resolution, same per-cell resume as
+//! the LLC roster. Only the result differs — [`ObjStats`] byte counters,
+//! admissions and expirations, all exact `u64` fields — so a resumed sweep
+//! is byte-identical to an uninterrupted one (the `objcache_determinism`
+//! wall holds this down).
 
-use std::io::Read as _;
 use std::path::Path;
 
 use objcache::{ObjCacheConfig, ObjPolicyKind, ObjStats};
 use workloads::ObjectTraffic;
 
-use crate::checkpoint::{self, write_atomic, CellKey};
-use crate::fault::FaultReader;
-use crate::json::Json;
+use crate::checkpoint::{self, Cell, CellKey};
 use crate::report::Table;
-use crate::runner::{resolve_jobs, run_tasks_resilient, watchdog_tick, SweepOptions, TaskFailure};
+use crate::runner::{watchdog_tick, SweepOptions, TaskFailure};
 
 /// One object-cache sweep cell: the replay's counters, or why it failed.
 pub type ObjCellResult = Result<ObjStats, TaskFailure>;
@@ -35,78 +31,40 @@ pub fn policy_cell_name(policy: &ObjPolicyKind) -> String {
     }
 }
 
-/// The free-form params string of an object-cache cell: everything besides
-/// the policy that determines the result.
-fn sweep_params(traffic: &ObjectTraffic, requests: u64, cfg: &ObjCacheConfig) -> String {
-    format!("{}|{}|n{requests}", traffic.fingerprint(), cfg.fingerprint())
-}
-
-/// Checkpoint key for one object-cache cell.
+/// Checkpoint key for one object-cache cell: the policy plus everything
+/// else that determines the result.
 pub fn obj_cell_key(
     traffic: &ObjectTraffic,
     requests: u64,
     cfg: &ObjCacheConfig,
     policy: &ObjPolicyKind,
 ) -> CellKey {
-    checkpoint::cell_key("objcache", &policy_cell_name(policy), &sweep_params(traffic, requests, cfg))
+    let params = format!("{}|{}|n{requests}", traffic.fingerprint(), cfg.fingerprint());
+    checkpoint::cell_key("objcache", &policy_cell_name(policy), &params)
 }
 
-/// Encodes an object-cache cell: the verification key plus every counter.
-pub fn encode_obj_cell(key: &CellKey, stats: &ObjStats) -> String {
-    Json::obj([
-        ("key", Json::Str(key.key.clone())),
-        ("requests", Json::U64(stats.requests)),
-        ("hits", Json::U64(stats.hits)),
-        ("misses", Json::U64(stats.misses)),
-        ("hit_bytes", Json::U64(stats.hit_bytes)),
-        ("miss_bytes", Json::U64(stats.miss_bytes)),
-        ("admitted", Json::U64(stats.admitted)),
-        ("rejected", Json::U64(stats.rejected)),
-        ("evictions", Json::U64(stats.evictions)),
-        ("evicted_bytes", Json::U64(stats.evicted_bytes)),
-        ("expirations", Json::U64(stats.expirations)),
-        ("expired_bytes", Json::U64(stats.expired_bytes)),
-    ])
-    .encode()
-}
+checkpoint::cell_object!(ObjStats {
+    requests,
+    hits,
+    misses,
+    hit_bytes,
+    miss_bytes,
+    admitted,
+    rejected,
+    evictions,
+    evicted_bytes,
+    expirations,
+    expired_bytes,
+});
 
-/// Decodes an object-cache cell, verifying its embedded key.
-pub fn decode_obj_cell(text: &str, key: &CellKey) -> Option<ObjStats> {
-    let v = Json::parse(text).ok()?;
-    if v.get("key")?.as_str()? != key.key {
-        return None; // hash collision or stale file from another config
-    }
-    Some(ObjStats {
-        requests: v.get("requests")?.as_u64()?,
-        hits: v.get("hits")?.as_u64()?,
-        misses: v.get("misses")?.as_u64()?,
-        hit_bytes: v.get("hit_bytes")?.as_u64()?,
-        miss_bytes: v.get("miss_bytes")?.as_u64()?,
-        admitted: v.get("admitted")?.as_u64()?,
-        rejected: v.get("rejected")?.as_u64()?,
-        evictions: v.get("evictions")?.as_u64()?,
-        evicted_bytes: v.get("evicted_bytes")?.as_u64()?,
-        expirations: v.get("expirations")?.as_u64()?,
-        expired_bytes: v.get("expired_bytes")?.as_u64()?,
-    })
-}
-
-/// Loads the checkpoint for `key` from `dir`, or `None` if absent,
-/// corrupt, or written for a different key. Reads go through the fault
-/// seam like every other checkpoint load.
+/// Loads the checkpoint for `key` from `dir` ([`checkpoint::load_cell`]).
 pub fn load_obj_cell(dir: &Path, key: &CellKey) -> Option<ObjStats> {
-    let mut text = String::new();
-    let mut reader = FaultReader::new(std::fs::File::open(dir.join(key.file_name())).ok()?);
-    reader.read_to_string(&mut text).ok()?;
-    decode_obj_cell(&text, key)
+    checkpoint::load_cell(dir, key)
 }
 
-/// Persists one completed cell; failure to write only costs recomputation.
+/// Persists one completed cell ([`checkpoint::store_cell`]).
 pub fn store_obj_cell(dir: &Path, key: &CellKey, stats: &ObjStats) {
-    let path = dir.join(key.file_name());
-    if let Err(e) = write_atomic(&path, encode_obj_cell(key, stats).as_bytes()) {
-        eprintln!("warning: could not write checkpoint {}: {e}", path.display());
-    }
+    checkpoint::store_cell(dir, key, stats);
 }
 
 /// Replays `requests` of `traffic` through one policy, feeding the task
@@ -127,11 +85,37 @@ pub fn run_object_cell(
     *cache.stats()
 }
 
-/// Runs the policy roster over one trace on the worker pool, with per-cell
-/// checkpoint resume exactly like the LLC roster sweep: each cell is first
-/// looked up in `opts.cache_dir` (a hit skips the replay), and stored
-/// there atomically on completion. Results preserve `policies` order
-/// independent of scheduling.
+/// One object-cache sweep cell: `requests` of `traffic` through `policy`.
+pub struct ObjCell<'a> {
+    /// The request trace.
+    pub(crate) traffic: &'a ObjectTraffic,
+    /// Requests replayed.
+    pub(crate) requests: u64,
+    /// Cache geometry.
+    pub(crate) cfg: ObjCacheConfig,
+    /// Admission + eviction policy.
+    pub(crate) policy: ObjPolicyKind,
+}
+
+impl Cell for ObjCell<'_> {
+    const FAMILY: &'static str = "objcache";
+    type Out = ObjStats;
+
+    fn key(&self) -> CellKey {
+        obj_cell_key(self.traffic, self.requests, &self.cfg, &self.policy)
+    }
+
+    fn label(&self) -> String {
+        policy_cell_name(&self.policy)
+    }
+
+    fn run(&self) -> ObjStats {
+        run_object_cell(self.traffic, self.requests, self.cfg, self.policy)
+    }
+}
+
+/// Runs the policy roster over one trace as a checkpointed sweep. Results
+/// preserve `policies` order independent of scheduling.
 pub fn run_object_sweep(
     traffic: &ObjectTraffic,
     requests: u64,
@@ -139,32 +123,9 @@ pub fn run_object_sweep(
     policies: &[ObjPolicyKind],
     opts: &SweepOptions,
 ) -> Vec<(ObjPolicyKind, ObjCellResult)> {
-    if let Some(dir) = &opts.cache_dir {
-        let swept = checkpoint::sweep_orphans(dir);
-        if swept > 0 {
-            eprintln!("[objcache] removed {swept} orphaned scratch file(s) from {}", dir.display());
-        }
-    }
-    let results =
-        run_tasks_resilient(policies, resolve_jobs(opts.jobs), &opts.run, |_, policy| {
-            let key = opts
-                .cache_dir
-                .is_some()
-                .then(|| obj_cell_key(traffic, requests, &cfg, policy));
-            if let (Some(dir), Some(key)) = (&opts.cache_dir, &key) {
-                if let Some(cached) = load_obj_cell(dir, key) {
-                    eprintln!("[objcache] {} cached", policy_cell_name(policy));
-                    return cached;
-                }
-            }
-            let out = run_object_cell(traffic, requests, cfg, *policy);
-            if let (Some(dir), Some(key)) = (&opts.cache_dir, &key) {
-                store_obj_cell(dir, key, &out);
-            }
-            eprintln!("[objcache] {} done", policy_cell_name(policy));
-            out
-        });
-    policies.iter().copied().zip(results).collect()
+    let cells: Vec<ObjCell> =
+        policies.iter().map(|&policy| ObjCell { traffic, requests, cfg, policy }).collect();
+    policies.iter().copied().zip(checkpoint::run_checkpointed_sweep(&cells, opts)).collect()
 }
 
 /// Renders a sweep as the serving-tier comparison table: per policy, the
@@ -247,11 +208,11 @@ mod tests {
         let policy = ObjPolicyKind::parse("rlr").expect("pinned rule");
         let key = obj_cell_key(&traffic, n, &cfg, &policy);
         let stats = run_object_cell(&traffic, n, cfg, policy);
-        let decoded = decode_obj_cell(&encode_obj_cell(&key, &stats), &key).expect("roundtrip");
-        assert_eq!(decoded, stats);
+        let text = checkpoint::encode_cell(&key, &stats);
+        assert_eq!(checkpoint::decode_cell(&text, &key), Some(stats));
         // Another cell's key must refuse this payload.
         let other = obj_cell_key(&traffic, n + 1, &cfg, &policy);
-        assert!(decode_obj_cell(&encode_obj_cell(&key, &stats), &other).is_none());
+        assert!(checkpoint::decode_cell::<ObjStats>(&text, &other).is_none());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! never from global state or scheduling order. The parallel runner
 //! exploits this — each (workload, policy) task is independent, results
 //! land in pre-assigned slots, and the output of
-//! [`run_roster_parallel`] is byte-identical to a serial sweep regardless
+//! [`run_roster_resilient`] is byte-identical to a serial sweep regardless
 //! of worker count or interleaving.
 //!
 //! # Fault tolerance
@@ -19,9 +19,10 @@
 //! ([`RunOptions::retries`]) and an optional logical work-unit watchdog
 //! ([`RunOptions::budget`], ticked by cooperative loops via
 //! [`watchdog_tick`]) that aborts runaway tasks without wall-clock timers.
-//! [`run_roster_resilient`] layers per-cell checkpoints on top
-//! ([`crate::checkpoint`]) so interrupted sweeps resume. All failure paths
-//! are exercised deterministically through [`crate::fault::FailPlan`].
+//! [`run_roster_resilient`] runs the roster as [`SingleCoreCell`]s through
+//! [`checkpoint::run_checkpointed_sweep`], which layers per-cell
+//! checkpoints on top so interrupted sweeps resume. All failure paths are
+//! exercised deterministically through [`crate::fault::FailPlan`].
 
 use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
@@ -36,7 +37,7 @@ use cache_sim::{
 };
 use workloads::{cloudsuite, spec2006, Workload, WorkloadMix};
 
-use crate::checkpoint;
+use crate::checkpoint::{self, CellKey};
 use crate::fault::{FailPlan, FaultKind};
 use crate::roster::PolicyKind;
 use crate::scale::Scale;
@@ -132,7 +133,7 @@ impl RunOptions {
     /// `RLR_BACKOFF_MS`, `RLR_TASK_BUDGET`, and `RLR_FAIL_PLAN`.
     pub fn from_env() -> Self {
         Self {
-            retries: env_num("RLR_RETRIES").unwrap_or(1) as u32,
+            retries: env_num("RLR_RETRIES").unwrap_or(1),
             backoff_ms: env_num("RLR_BACKOFF_MS").unwrap_or(100),
             budget: env_num("RLR_TASK_BUDGET").filter(|&b| b > 0),
             fail_plan: FailPlan::from_env(),
@@ -140,8 +141,14 @@ impl RunOptions {
     }
 }
 
-fn env_num(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok())
+/// Parses a numeric knob; anything unparsable *or out of range for `T`*
+/// is `None`, so the caller's default applies.
+fn parse_num<T: std::str::FromStr>(raw: &str) -> Option<T> {
+    raw.trim().parse().ok()
+}
+
+fn env_num<T: std::str::FromStr>(name: &str) -> Option<T> {
+    std::env::var(name).ok().and_then(|v| parse_num(&v))
 }
 
 /// Runs one workload on the paper's single-core system with the given LLC
@@ -151,10 +158,22 @@ fn env_num(name: &str) -> Option<u64> {
 /// identical either way.
 pub fn run_single(workload: &Workload, policy: PolicyKind, scale: Scale) -> RunStats {
     let config = SystemConfig::paper_single_core().with_timing(TimingMode::from_env());
-    let mut system = SingleCoreSystem::new(&config, policy.build(&config.llc, None));
+    simulate_single(&config, workload, policy, scale.warmup(), scale.instructions())
+}
+
+/// Runs one workload on a single-core `config`: `warmup` unmeasured
+/// instructions, then `instructions` measured ones.
+fn simulate_single(
+    config: &SystemConfig,
+    workload: &Workload,
+    policy: PolicyKind,
+    warmup: u64,
+    instructions: u64,
+) -> RunStats {
+    let mut system = SingleCoreSystem::new(config, policy.build(&config.llc, None));
     let mut stream = workload.stream();
-    system.warm_up(&mut stream, scale.warmup());
-    system.run(stream, scale.instructions())
+    system.warm_up(&mut stream, warmup);
+    system.run(stream, instructions)
 }
 
 /// Runs a workload once with LRU and captures its LLC access trace
@@ -502,9 +521,7 @@ pub fn capture_mix_llc_trace(
 /// parallelism (1 if that cannot be determined).
 pub fn resolve_jobs(jobs: Option<usize>) -> usize {
     jobs.filter(|&j| j > 0)
-        .or_else(|| {
-            std::env::var("RLR_JOBS").ok().and_then(|v| v.trim().parse().ok()).filter(|&j| j > 0)
-        })
+        .or_else(|| env_num("RLR_JOBS").filter(|&j| j > 0))
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
@@ -699,27 +716,6 @@ where
         .collect()
 }
 
-/// Applies `f` to every item on a pool of `jobs` scoped threads.
-///
-/// The non-resilient wrapper: no retries, no injection, and any task
-/// failure panics after the whole pool drains (so sibling tasks are never
-/// torn down mid-run). Results match input order exactly.
-///
-/// # Panics
-///
-/// Panics if any task panicked, with that task's failure message.
-pub fn run_tasks_parallel<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_tasks_resilient(items, jobs, &RunOptions::none(), f)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
-        .collect()
-}
-
 /// One sweep cell: the run's statistics, or why the cell failed.
 pub type CellResult = Result<RunStats, TaskFailure>;
 
@@ -743,26 +739,15 @@ impl SweepOptions {
         Self { jobs: None, run: RunOptions::none(), cache_dir: None }
     }
 
-    /// Production defaults: env-tunable failure handling and cell
-    /// checkpoints under `results/cache/sweep/` (disable with
-    /// `RLR_CHECKPOINT=0`; relocate with `RLR_RESULTS_DIR`).
-    pub fn from_env() -> Self {
+    /// Production defaults: env-tunable failure handling ([`RunOptions::from_env`])
+    /// and cell checkpoints under the family's `results/cache/<family>/`
+    /// (disable with `RLR_CHECKPOINT=0`; relocate with `RLR_RESULTS_DIR`).
+    pub fn from_env(family: &str) -> Self {
+        let checkpointing = !matches!(std::env::var("RLR_CHECKPOINT").as_deref(), Ok("0"));
         Self {
             jobs: None,
             run: RunOptions::from_env(),
-            cache_dir: checkpoint::checkpointing_enabled()
-                .then(checkpoint::sweep_cache_dir),
-        }
-    }
-
-    /// [`SweepOptions::from_env`], but with cells under the named
-    /// checkpoint family's directory (`results/cache/<family>/`).
-    pub fn from_env_for(family: &str) -> Self {
-        Self {
-            jobs: None,
-            run: RunOptions::from_env(),
-            cache_dir: checkpoint::checkpointing_enabled()
-                .then(|| checkpoint::cache_dir_for(family)),
+            cache_dir: checkpointing.then(|| checkpoint::cache_dir_for(family)),
         }
     }
 }
@@ -773,25 +758,56 @@ fn resolve_workload(name: &str) -> Result<Workload, RunnerError> {
         .ok_or_else(|| RunnerError::UnknownBenchmark(name.to_owned()))
 }
 
-fn sweep_params(scale: Scale) -> String {
-    // The timing mode is part of the cell key: analytic and event sweeps
-    // of the same roster must never satisfy each other's checkpoints.
-    format!(
-        "single|{scale}|i{}|w{}|t{}",
-        scale.instructions(),
-        scale.warmup(),
-        TimingMode::from_env()
-    )
+/// One single-core simulation cell: `workload` under `policy` on
+/// `config`, `warmup` unmeasured plus `instructions` measured
+/// instructions. Both the roster sweep and `rlr compare` run these.
+pub struct SingleCoreCell<'a> {
+    /// Benchmark name (key and label).
+    pub bench: &'a str,
+    /// The resolved workload.
+    pub workload: &'a Workload,
+    /// LLC replacement policy.
+    pub policy: PolicyKind,
+    /// System under simulation; its timing mode is part of the key.
+    pub config: &'a SystemConfig,
+    /// Unmeasured warm-up instructions.
+    pub warmup: u64,
+    /// Measured instructions.
+    pub instructions: u64,
+    /// Leading key params naming the sweep that owns the cell
+    /// (`single|<scale>` for the roster, `cli` for `rlr compare`).
+    pub origin: &'a str,
+}
+
+impl checkpoint::Cell for SingleCoreCell<'_> {
+    const FAMILY: &'static str = "sweep";
+    type Out = RunStats;
+
+    fn key(&self) -> CellKey {
+        // The timing mode is part of the key: analytic and event sweeps of
+        // the same roster must never satisfy each other's checkpoints.
+        let params = format!(
+            "{}|i{}|w{}|t{}",
+            self.origin, self.instructions, self.warmup, self.config.timing
+        );
+        checkpoint::cell_key(self.bench, self.policy.name(), &params)
+    }
+
+    fn label(&self) -> String {
+        format!("{}/{}", self.bench, self.policy.name())
+    }
+
+    fn run(&self) -> RunStats {
+        simulate_single(self.config, self.workload, self.policy, self.warmup, self.instructions)
+    }
 }
 
 /// Runs the full `benchmarks` × `policies` roster with failure isolation
-/// and per-cell resume.
+/// and per-cell resume ([`checkpoint::run_checkpointed_sweep`]).
 ///
-/// Benchmark names are validated *before* any worker starts. Each cell is
-/// first looked up in `opts.cache_dir` (a hit skips the simulation
-/// entirely — this is what makes interrupted sweeps resumable) and stored
-/// there on completion via an atomic write. Failed cells surface as
-/// `Err(TaskFailure)` in their slot; the rest of the sweep completes.
+/// Benchmark names are validated *before* any worker starts. Failed cells
+/// surface as `Err(TaskFailure)` in their slot; the rest of the sweep
+/// completes.
 ///
 /// # Errors
 ///
@@ -804,84 +820,29 @@ pub fn run_roster_resilient(
 ) -> Result<ResilientSweep, RunnerError> {
     let workloads: Vec<Workload> =
         benchmarks.iter().map(|&name| resolve_workload(name)).collect::<Result<_, _>>()?;
-    if let Some(dir) = &opts.cache_dir {
-        // Opening the checkpoint dir is the natural point to reap crash
-        // residue: scratch files left by killed runs (resume ignores them
-        // but nothing else ever deletes them).
-        let swept = checkpoint::sweep_orphans(dir);
-        if swept > 0 {
-            eprintln!("[sweep] removed {swept} orphaned scratch file(s) from {}", dir.display());
-        }
-    }
-    let tasks: Vec<(usize, usize)> = (0..benchmarks.len())
-        .flat_map(|b| (0..policies.len()).map(move |p| (b, p)))
+    let config = SystemConfig::paper_single_core().with_timing(TimingMode::from_env());
+    let origin = format!("single|{scale}");
+    let cells: Vec<SingleCoreCell> = benchmarks
+        .iter()
+        .zip(&workloads)
+        .flat_map(|(&bench, workload)| {
+            policies.iter().map(|&policy| SingleCoreCell {
+                bench,
+                workload,
+                policy,
+                config: &config,
+                warmup: scale.warmup(),
+                instructions: scale.instructions(),
+                origin: &origin,
+            })
+        })
         .collect();
-    let results =
-        run_tasks_resilient(&tasks, resolve_jobs(opts.jobs), &opts.run, |_, &(b, p)| {
-            let name = benchmarks[b];
-            let policy = policies[p];
-            let key = opts
-                .cache_dir
-                .is_some()
-                .then(|| checkpoint::cell_key(name, policy.name(), &sweep_params(scale)));
-            if let (Some(dir), Some(key)) = (&opts.cache_dir, &key) {
-                if let Some(cached) = checkpoint::load_cell(dir, key) {
-                    eprintln!("[sweep] {name}/{} cached", policy.name());
-                    return cached;
-                }
-            }
-            let out = run_single(&workloads[b], policy, scale);
-            if let (Some(dir), Some(key)) = (&opts.cache_dir, &key) {
-                checkpoint::store_cell(dir, key, &out);
-            }
-            eprintln!("[sweep] {name}/{} done", policy.name());
-            out
-        });
+    let mut results = checkpoint::run_checkpointed_sweep(&cells, opts).into_iter();
     Ok(benchmarks
         .iter()
-        .enumerate()
-        .map(|(b, &name)| {
-            let runs = policies
-                .iter()
-                .enumerate()
-                .map(|(p, &policy)| (policy, results[b * policies.len() + p].clone()))
-                .collect();
-            (name.to_owned(), runs)
-        })
-        .collect())
-}
-
-/// Runs the full `benchmarks` × `policies` roster on a worker pool and
-/// regroups the results per benchmark, preserving both input orders.
-///
-/// `jobs: None` defers to [`resolve_jobs`] (so `RLR_JOBS=1` forces a
-/// serial run). Output is identical to the equivalent nested serial loop;
-/// no retries or checkpoints are involved, so this path stays a pure
-/// function of its inputs.
-///
-/// # Errors
-///
-/// Returns [`RunnerError::UnknownBenchmark`] for the first unknown name.
-///
-/// # Panics
-///
-/// Panics if a simulation itself panics (no retry is configured here).
-pub fn run_roster_parallel(
-    benchmarks: &[&str],
-    policies: &[PolicyKind],
-    scale: Scale,
-    jobs: Option<usize>,
-) -> Result<Vec<(String, Vec<(PolicyKind, RunStats)>)>, RunnerError> {
-    let opts = SweepOptions { jobs, ..SweepOptions::none() };
-    let sweep = run_roster_resilient(benchmarks, policies, scale, &opts)?;
-    Ok(sweep
-        .into_iter()
-        .map(|(name, runs)| {
-            let runs = runs
-                .into_iter()
-                .map(|(policy, cell)| (policy, cell.unwrap_or_else(|e| panic!("{e}"))))
-                .collect();
-            (name, runs)
+        .map(|&name| {
+            let runs = policies.iter().map(|&p| (p, results.next().expect("one result per cell")));
+            (name.to_owned(), runs.collect())
         })
         .collect())
 }
@@ -949,9 +910,24 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_knobs_parse_as_malformed() {
+        assert_eq!(parse_num::<u32>(" 3 "), Some(3));
+        assert_eq!(parse_num::<u32>("4294967295"), Some(u32::MAX));
+        // One past u32::MAX used to wrap to 0 retries through an `as` cast.
+        assert_eq!(parse_num::<u32>("4294967296"), None);
+        assert_eq!(parse_num::<u32>("-1"), None);
+        assert_eq!(parse_num::<u64>("lots"), None);
+    }
+
+    #[test]
     fn unknown_benchmark_is_an_upfront_error() {
-        let err = run_roster_parallel(&["not.a.benchmark"], &[PolicyKind::Lru], Scale::Small, Some(1))
-            .expect_err("must be rejected");
+        let err = run_roster_resilient(
+            &["not.a.benchmark"],
+            &[PolicyKind::Lru],
+            Scale::Small,
+            &SweepOptions::none(),
+        )
+        .expect_err("must be rejected");
         assert_eq!(err, RunnerError::UnknownBenchmark("not.a.benchmark".to_owned()));
     }
 }

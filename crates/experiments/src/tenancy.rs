@@ -2,11 +2,11 @@
 //! [`IsolationMode`], account per-tenant QoS, and derive the learned
 //! per-tenant priority table.
 //!
-//! Structure mirrors the object-cache sweep ([`crate::objects`]): the same
-//! resilient worker pool, the same per-cell checkpoint resume with an
-//! exact all-`u64` codec (cells live under `results/cache/tenancy/`, a
-//! sibling of the LLC sweep's cells, and `rlr doctor` walks them with the
-//! rest of the tree).
+//! Each (mix, mode) pair is a [`TenancyCell`] run through the shared
+//! checkpointed sweep ([`crate::checkpoint::run_checkpointed_sweep`]); its
+//! result is one exact all-`u64` row per tenant. Cells live under
+//! `results/cache/tenancy/`, a sibling of the LLC sweep's cells, and
+//! `rlr doctor` walks them with the rest of the tree.
 //!
 //! # The learned priority table
 //!
@@ -24,14 +24,12 @@ use tenancy::{partition_by_weight, IsolationMode, MultiTenantLlc, TenantQos};
 use workloads::tenants::{TenantMix, TenantSource, TenantSpec};
 use workloads::WeightedInterleave;
 
-use std::io::Read as _;
 use std::path::Path;
 
-use crate::checkpoint::{self, write_atomic, CellKey};
-use crate::fault::FaultReader;
+use crate::checkpoint::{self, Cell, CellCodec, CellKey};
 use crate::json::Json;
 use crate::report::Table;
-use crate::runner::{resolve_jobs, run_tasks_resilient, watchdog_tick, SweepOptions, TaskFailure};
+use crate::runner::{watchdog_tick, SweepOptions, TaskFailure};
 use crate::scale::Scale;
 
 /// Per-tenant address/PC salt shift: tenant `t`'s traffic is relocated by
@@ -249,10 +247,6 @@ pub fn mode_cell_name(mode: &IsolationMode) -> String {
     }
 }
 
-fn sweep_params(mix: &TenantMix, llc: &CacheConfig, accesses: u64) -> String {
-    format!("{}|llc s{} w{} l{}|n{accesses}", mix.fingerprint(), llc.sets, llc.ways, llc.latency)
-}
-
 /// Checkpoint key for one tenancy cell.
 pub fn tenancy_cell_key(
     mix: &TenantMix,
@@ -260,16 +254,20 @@ pub fn tenancy_cell_key(
     llc: &CacheConfig,
     accesses: u64,
 ) -> CellKey {
-    checkpoint::cell_key("tenancy", &mode_cell_name(mode), &sweep_params(mix, llc, accesses))
+    let params = format!(
+        "{}|llc s{} w{} l{}|n{accesses}",
+        mix.fingerprint(),
+        llc.sets,
+        llc.ways,
+        llc.latency
+    );
+    checkpoint::cell_key("tenancy", &mode_cell_name(mode), &params)
 }
 
-/// Dedicated cell directory: `results/cache/tenancy/`.
-pub fn tenancy_cache_dir() -> std::path::PathBuf {
-    checkpoint::cache_dir_for("tenancy")
-}
-
-fn stats_to_json(s: &TenantCellStats) -> Json {
-    Json::Arr(
+/// On disk a tenant is one row of its ten counters in field order.
+impl CellCodec for TenantCellStats {
+    fn to_json(&self) -> Json {
+        let s = self;
         [
             s.accesses,
             s.hits,
@@ -282,68 +280,56 @@ fn stats_to_json(s: &TenantCellStats) -> Json {
             s.lat_p50,
             s.lat_p99,
         ]
-        .iter()
-        .map(|&v| Json::U64(v))
-        .collect(),
-    )
-}
-
-fn stats_from_json(v: &Json) -> Option<TenantCellStats> {
-    let arr = v.as_arr()?;
-    if arr.len() != 10 {
-        return None;
+        .to_json()
     }
-    let mut f = [0u64; 10];
-    for (slot, x) in f.iter_mut().zip(arr) {
-        *slot = x.as_u64()?;
+
+    fn from_json(v: &Json) -> Option<Self> {
+        let [
+            accesses,
+            hits,
+            demand_accesses,
+            demand_hits,
+            occupancy,
+            peak_occupancy,
+            miss_count,
+            miss_ticks,
+            lat_p50,
+            lat_p99,
+        ] = <[u64; 10]>::from_json(v)?;
+        Some(TenantCellStats {
+            accesses,
+            hits,
+            demand_accesses,
+            demand_hits,
+            occupancy,
+            peak_occupancy,
+            miss_count,
+            miss_ticks,
+            lat_p50,
+            lat_p99,
+        })
     }
-    Some(TenantCellStats {
-        accesses: f[0],
-        hits: f[1],
-        demand_accesses: f[2],
-        demand_hits: f[3],
-        occupancy: f[4],
-        peak_occupancy: f[5],
-        miss_count: f[6],
-        miss_ticks: f[7],
-        lat_p50: f[8],
-        lat_p99: f[9],
-    })
 }
 
-/// Encodes a tenancy cell: the verification key plus per-tenant counters.
-pub fn encode_tenancy_cell(key: &CellKey, stats: &[TenantCellStats]) -> String {
-    Json::obj([
-        ("key", Json::Str(key.key.clone())),
-        ("tenants", Json::Arr(stats.iter().map(stats_to_json).collect())),
-    ])
-    .encode()
-}
-
-/// Decodes a tenancy cell, verifying its embedded key.
-pub fn decode_tenancy_cell(text: &str, key: &CellKey) -> Option<Vec<TenantCellStats>> {
-    let v = Json::parse(text).ok()?;
-    if v.get("key")?.as_str()? != key.key {
-        return None; // hash collision or stale file from another config
+/// A tenancy cell is `{"tenants": [row, ...]}`, one row per tenant.
+impl CellCodec for Vec<TenantCellStats> {
+    fn to_json(&self) -> Json {
+        Json::obj([("tenants", Json::Arr(self.iter().map(CellCodec::to_json).collect()))])
     }
-    v.get("tenants")?.as_arr()?.iter().map(stats_from_json).collect()
+
+    fn from_json(v: &Json) -> Option<Self> {
+        v.get("tenants")?.as_arr()?.iter().map(TenantCellStats::from_json).collect()
+    }
 }
 
-/// Loads the checkpoint for `key` from `dir`, or `None` if absent,
-/// corrupt, or written for a different key.
+/// Loads the checkpoint for `key` from `dir` ([`checkpoint::load_cell`]).
 pub fn load_tenancy_cell(dir: &Path, key: &CellKey) -> Option<Vec<TenantCellStats>> {
-    let mut text = String::new();
-    let mut reader = FaultReader::new(std::fs::File::open(dir.join(key.file_name())).ok()?);
-    reader.read_to_string(&mut text).ok()?;
-    decode_tenancy_cell(&text, key)
+    checkpoint::load_cell(dir, key)
 }
 
-/// Persists one completed cell; failure to write only costs recomputation.
+/// Persists one completed cell ([`checkpoint::store_cell`]).
 pub fn store_tenancy_cell(dir: &Path, key: &CellKey, stats: &[TenantCellStats]) {
-    let path = dir.join(key.file_name());
-    if let Err(e) = write_atomic(&path, encode_tenancy_cell(key, stats).as_bytes()) {
-        eprintln!("warning: could not write checkpoint {}: {e}", path.display());
-    }
+    checkpoint::store_cell(dir, key, &stats.to_vec());
 }
 
 /// The three modes `rlr tenancy compare` runs: free-for-all, proportional
@@ -356,8 +342,39 @@ pub fn standard_modes(mix: &TenantMix, llc: &CacheConfig, ranks: Vec<u32>) -> Ve
     ]
 }
 
-/// Runs `modes` over one mix on the worker pool, with per-cell checkpoint
-/// resume exactly like the LLC and object-cache sweeps. Results preserve
+/// One tenancy sweep cell: `mix` under `mode` for `accesses` interleaved
+/// LLC accesses.
+pub struct TenancyCell<'a> {
+    /// The tenant mix.
+    pub(crate) mix: &'a TenantMix,
+    /// Isolation mode under test.
+    pub(crate) mode: &'a IsolationMode,
+    /// The shared LLC.
+    pub(crate) llc: &'a CacheConfig,
+    /// Interleaved accesses served.
+    pub(crate) accesses: u64,
+    /// Scale of benchmark tenants' corpus traces.
+    pub(crate) scale: Scale,
+}
+
+impl Cell for TenancyCell<'_> {
+    const FAMILY: &'static str = "tenancy";
+    type Out = Vec<TenantCellStats>;
+
+    fn key(&self) -> CellKey {
+        tenancy_cell_key(self.mix, self.mode, self.llc, self.accesses)
+    }
+
+    fn label(&self) -> String {
+        mode_cell_name(self.mode)
+    }
+
+    fn run(&self) -> Vec<TenantCellStats> {
+        run_tenant_mix(self.mix, self.mode, self.llc, self.accesses, self.scale)
+    }
+}
+
+/// Runs `modes` over one mix as a checkpointed sweep. Results preserve
 /// `modes` order independent of scheduling.
 pub fn run_tenancy_sweep(
     mix: &TenantMix,
@@ -367,28 +384,9 @@ pub fn run_tenancy_sweep(
     scale: Scale,
     opts: &SweepOptions,
 ) -> Vec<(IsolationMode, TenancyCellResult)> {
-    if let Some(dir) = &opts.cache_dir {
-        let swept = checkpoint::sweep_orphans(dir);
-        if swept > 0 {
-            eprintln!("[tenancy] removed {swept} orphaned scratch file(s) from {}", dir.display());
-        }
-    }
-    let results = run_tasks_resilient(modes, resolve_jobs(opts.jobs), &opts.run, |_, mode| {
-        let key = opts.cache_dir.is_some().then(|| tenancy_cell_key(mix, mode, llc, accesses));
-        if let (Some(dir), Some(key)) = (&opts.cache_dir, &key) {
-            if let Some(cached) = load_tenancy_cell(dir, key) {
-                eprintln!("[tenancy] {} cached", mode_cell_name(mode));
-                return cached;
-            }
-        }
-        let out = run_tenant_mix(mix, mode, llc, accesses, scale);
-        if let (Some(dir), Some(key)) = (&opts.cache_dir, &key) {
-            store_tenancy_cell(dir, key, &out);
-        }
-        eprintln!("[tenancy] {} done", mode_cell_name(mode));
-        out
-    });
-    modes.iter().cloned().zip(results).collect()
+    let cells: Vec<TenancyCell> =
+        modes.iter().map(|mode| TenancyCell { mix, mode, llc, accesses, scale }).collect();
+    modes.iter().cloned().zip(checkpoint::run_checkpointed_sweep(&cells, opts)).collect()
 }
 
 /// What [`derive_priorities`] found.
@@ -589,11 +587,10 @@ mod tests {
         let mode = IsolationMode::WayPartition(partition_by_weight(llc.ways, &mix.weights()));
         let key = tenancy_cell_key(&mix, &mode, &llc, n);
         let stats = run_tenant_mix(&mix, &mode, &llc, 8_000, Scale::Small);
-        let decoded =
-            decode_tenancy_cell(&encode_tenancy_cell(&key, &stats), &key).expect("roundtrip");
-        assert_eq!(decoded, stats);
+        let text = checkpoint::encode_cell(&key, &stats);
+        assert_eq!(checkpoint::decode_cell(&text, &key), Some(stats));
         let other = tenancy_cell_key(&mix, &IsolationMode::Shared, &llc, n);
-        assert!(decode_tenancy_cell(&encode_tenancy_cell(&key, &stats), &other).is_none());
+        assert!(checkpoint::decode_cell::<Vec<TenantCellStats>>(&text, &other).is_none());
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn torn_write_at_every_offset_never_exposes_a_partial_checkpoint() {
                 .expect_err(&format!("a write torn at byte {cut} must fail"));
         });
         assert!(!path.exists(), "cut {cut}: no final-name file may appear");
-        assert!(load_cell(&dir, &key).is_none(), "cut {cut}: a torn cell is a miss");
+        assert!(load_cell::<RunStats>(&dir, &key).is_none(), "cut {cut}: a torn cell is a miss");
         assert_eq!(sweep_orphans(&dir), 1, "cut {cut}: exactly one scratch file of residue");
     }
     // A fault *past* the payload never fires: the write goes through.
@@ -98,7 +98,7 @@ fn enospc_write_is_invisible_and_leaves_only_scratch_residue() {
         assert_eq!(err.kind(), std::io::ErrorKind::StorageFull);
     });
     assert!(!path.exists());
-    assert!(load_cell(&dir, &key).is_none());
+    assert!(load_cell::<RunStats>(&dir, &key).is_none());
     assert_eq!(sweep_orphans(&dir), 1);
     let _ = fs::remove_dir_all(&dir);
 }
@@ -112,7 +112,10 @@ fn short_read_makes_a_stored_cell_a_miss() {
     let stats = stats_from(&[7, 7, 7]);
     store_cell(&dir, &key, &stats);
     with_io_plan(IoFailPlan::parse("short-read:10").expect("valid plan"), || {
-        assert!(load_cell(&dir, &key).is_none(), "a 10-byte read of the cell is a miss");
+        assert!(
+            load_cell::<RunStats>(&dir, &key).is_none(),
+            "a 10-byte read of the cell is a miss"
+        );
     });
     assert_eq!(load_cell(&dir, &key), Some(stats), "the cell itself is undamaged");
     let _ = fs::remove_dir_all(&dir);
@@ -137,7 +140,7 @@ fn truncated_cell_always_decodes_as_a_miss() {
             // The encoding is pure ASCII, so every byte offset is a valid
             // char boundary.
             for cut in 0..text.len() {
-                if decode_cell(&text[..cut], &key).is_some() {
+                if decode_cell::<RunStats>(&text[..cut], &key).is_some() {
                     return Err(format!("prefix of {cut}/{} bytes decoded", text.len()));
                 }
             }
@@ -163,7 +166,7 @@ fn flipped_cell_byte_at_every_offset_is_a_miss() {
         bytes[pos] ^= experiments::fault::FLIP_MASK;
         fs::write(&path, &bytes).expect("plant corruption");
         assert!(
-            load_cell(&dir, &key).is_none(),
+            load_cell::<RunStats>(&dir, &key).is_none(),
             "flip at byte {pos} must be a miss, not silently-wrong stats"
         );
     }
@@ -254,8 +257,7 @@ fn corrupt_corpus_container_is_quarantined_and_recaptured() {
 #[test]
 fn torn_tenancy_cell_is_a_miss_and_doctor_quarantines_it() {
     use experiments::tenancy::{
-        decode_tenancy_cell, default_llc, encode_tenancy_cell, load_tenancy_cell,
-        store_tenancy_cell, tenancy_cell_key, TenantCellStats,
+        default_llc, load_tenancy_cell, store_tenancy_cell, tenancy_cell_key, TenantCellStats,
     };
 
     let root = scratch_dir("tenancy_cell");
@@ -277,7 +279,7 @@ fn torn_tenancy_cell_is_a_miss_and_doctor_quarantines_it() {
             lat_p99: 400,
         })
         .collect();
-    let encoded = encode_tenancy_cell(&key, &stats);
+    let encoded = encode_cell(&key, &stats);
 
     // Torn mid-write: the write fails, no final-name file appears, the
     // resume is a miss, and the only residue is one scratch file.
@@ -295,7 +297,7 @@ fn torn_tenancy_cell_is_a_miss_and_doctor_quarantines_it() {
     // Every truncation of the encoded cell decodes as a miss.
     store_tenancy_cell(&dir, &key, &stats);
     for cut in 0..encoded.len() {
-        assert!(decode_tenancy_cell(&encoded[..cut], &key).is_none(), "cut {cut}");
+        assert!(decode_cell::<Vec<TenantCellStats>>(&encoded[..cut], &key).is_none(), "cut {cut}");
     }
     assert_eq!(load_tenancy_cell(&dir, &key), Some(stats));
 

@@ -8,9 +8,9 @@ use std::fs;
 use std::path::PathBuf;
 
 use experiments::fault::{with_io_plan, FailPlan, IoFailPlan};
+use experiments::checkpoint::{decode_cell, encode_cell};
 use experiments::objects::{
-    decode_obj_cell, encode_obj_cell, load_obj_cell, obj_cell_key, run_object_sweep,
-    store_obj_cell, ObjCellResult,
+    load_obj_cell, obj_cell_key, run_object_sweep, store_obj_cell, ObjCellResult,
 };
 use experiments::runner::{RunOptions, SweepOptions};
 use objcache::{ObjCacheConfig, ObjPolicyKind};
@@ -177,7 +177,7 @@ fn flipped_obj_cell_byte_at_every_offset_is_a_miss() {
     store_obj_cell(&dir, &key, &stats);
     let path = dir.join(key.file_name());
     let pristine = fs::read(&path).expect("stored cell");
-    assert_eq!(decode_obj_cell(&String::from_utf8(pristine.clone()).expect("utf8"), &key), Some(stats));
+    assert_eq!(decode_cell(&String::from_utf8(pristine.clone()).expect("utf8"), &key), Some(stats));
     for pos in 0..pristine.len() {
         let mut bytes = pristine.clone();
         bytes[pos] ^= experiments::fault::FLIP_MASK;
@@ -189,6 +189,6 @@ fn flipped_obj_cell_byte_at_every_offset_is_a_miss() {
     }
     // A different scenario's key never accepts this cell either.
     let other = obj_cell_key(&traffic, n + 1, &cfg, &policy);
-    assert!(decode_obj_cell(&encode_obj_cell(&key, &stats), &other).is_none());
+    assert!(decode_cell::<objcache::ObjStats>(&encode_cell(&key, &stats), &other).is_none());
     let _ = fs::remove_dir_all(&dir);
 }

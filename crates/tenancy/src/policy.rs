@@ -276,9 +276,10 @@ impl ReplacementPolicy for TenantPolicy {
             // slice, and the cache filled every invalid slice way before
             // consulting us, so the scanned metadata is always live.
             IsolationMode::WayPartition(_) => {
-                scan::scan_masked(&params, &scan_ways, self.fill_masks[self.tenant_of(access)])
+                let mask = self.fill_masks[self.tenant_of(access)];
+                scan::scan_masked_lanes(&params, &scan_ways, mask)
             }
-            _ => scan::scan(&params, &scan_ways),
+            _ => scan::scan_lanes(&params, &scan_ways),
         };
         Decision::Evict(outcome.victim())
     }

@@ -1,7 +1,7 @@
 //! The partition wall: randomized properties pinning the two guarantees
 //! way-partitioned tenancy rests on.
 //!
-//! 1. The masked victim scan ([`rlr::scan::scan_masked`]) agrees with the
+//! 1. The masked victim scan ([`rlr::scan::scan_masked_lanes`]) agrees with the
 //!    one-accumulator scalar reference bit-for-bit on arbitrary sets and
 //!    masks, never names a victim outside the mask, and degenerates to
 //!    the unmasked scan when the mask covers every way.
@@ -107,7 +107,7 @@ fn run_masked_case((inputs, knobs): &Case) -> Result<(), String> {
 
     let scalar = scan::scan_masked_scalar(&params, &ways, mask);
     let lanes = scan::scan_masked_lanes(&params, &ways, mask);
-    let dispatch = scan::scan_masked(&params, &ways, mask);
+    let dispatch = scan::scan_masked_lanes(&params, &ways, mask);
     prop_assert_eq!(scalar, lanes);
     prop_assert_eq!(scalar, dispatch);
     prop_assert!(
@@ -116,7 +116,10 @@ fn run_masked_case((inputs, knobs): &Case) -> Result<(), String> {
         scalar.victim()
     );
     // A full mask is the unmasked scan, key and bypass vote included.
-    prop_assert_eq!(scan::scan_masked_scalar(&params, &ways, set_bits), scan::scan(&params, &ways));
+    prop_assert_eq!(
+        scan::scan_masked_scalar(&params, &ways, set_bits),
+        scan::scan_lanes(&params, &ways)
+    );
     Ok(())
 }
 

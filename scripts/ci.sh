@@ -10,38 +10,10 @@ echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
 echo "==> cargo test -q --offline"
+# Every suite runs here exactly once: the differential walls (seed, scan,
+# dispatch, hierarchy batch, partition, timing, objcache), the fault and
+# crash-consistency walls, and the cell-format fixtures.
 cargo test -q --offline --workspace
-
-echo "==> equivalence wall, forced-scalar scan build"
-# The workspace run above exercised the differential walls in the default
-# (lane-vectorized) build; re-run them with the victim scans forced onto
-# the scalar fallback so BOTH backends stay oracle-checked on every CI
-# pass, not just the one the build happened to select.
-cargo test -q --offline -p rlr --features scalar-scan \
-    --test seed_equivalence --test simd_scan_equivalence
-cargo test -q --offline -p cache-sim --features rlr/scalar-scan \
-    --test dispatch_equivalence
-cargo test -q --offline -p experiments --features rlr/scalar-scan \
-    --test hierarchy_batch
-
-echo "==> tenancy partition wall (lane + forced-scalar scan builds)"
-# The waymask property wall: masked scalar/lane/dispatch scans agree and
-# never pick a victim outside the mask, and WayPartition occupancy never
-# exceeds the allocation. Run in both scan builds so the masked kernels
-# stay oracle-checked on whichever backend CI selects.
-cargo test -q --offline -p tenancy --test partition_wall
-cargo test -q --offline -p tenancy --features scalar-scan --test partition_wall
-
-echo "==> timing wall (analytic + event)"
-# Both suites drive the analytic AND the event timing model internally:
-# the property suite (IPC bound, monotone clock, MSHR occupancy, chain
-# serialization, drained finish) and the golden-fixture differential wall
-# (event determinism, functional counters byte-identical across modes,
-# policy ranking preserved, pinned event cycle counts). They already ran
-# in the workspace pass; running them by name means a timing regression
-# is reported by the gate that owns it.
-cargo test -q --offline -p cache-sim --test timing_invariants
-cargo test -q --offline -p experiments --test timing_differential
 
 echo "==> cargo bench --no-run --offline"
 cargo bench --no-run --offline --workspace
@@ -52,18 +24,6 @@ echo "==> bench smoke (hot-path speedup gate)"
 # crates/bench/ci_baseline.json (ratios cancel machine speed, so this is
 # stable across hosts where absolute accesses/sec are not).
 cargo bench --offline -p rlr-bench --bench ci_smoke
-
-echo "==> fault-injection suite"
-cargo test -q --offline -p experiments --test resilience
-cargo test -q --offline -p rl --test resume
-
-echo "==> crash-consistency wall"
-# Torn/flip/enospc/short-read I/O faults against the checkpoint and
-# container codecs: a write torn at every byte offset must never expose a
-# partial artifact, and salvage must recover every intact block of a
-# damaged RLT1 container.
-cargo test -q --offline -p experiments --test crash_wall
-cargo test -q --offline -p trace-io --test salvage
 
 echo "==> CLI resume smoke test"
 # A Small-scale sweep interrupted by an injected crash, then re-run
@@ -182,17 +142,6 @@ cmp "$SMOKE_DIR/mcf.trace" "$SMOKE_DIR/mcf.back.trace" || {
 "$RLR" trace verify crates/trace-io/tests/data/golden_429mcf.rlt || {
     echo "ci.sh: committed golden fixture failed verification" >&2; exit 1;
 }
-
-echo "==> object-cache walls"
-# The serving-tier suite: fast-vs-reference differential wall (hit bytes,
-# evictions, expirations exact per policy), the traffic property suite
-# (Zipf exponent, flash-crowd share, size/TTL bounds, seed determinism),
-# and the sweep determinism wall (serial vs parallel, killed-then-resumed
-# via the checkpoint seam, torn stores, flipped cells). All ran in the
-# workspace pass; named runs make the owning gate report regressions.
-cargo test -q --offline -p objcache --test differential
-cargo test -q --offline -p workloads --test object_traffic
-cargo test -q --offline -p experiments --test objcache_determinism
 
 echo "==> object-cache CLI smoke test"
 # The serving-tier comparison on a short Zipf + flash-crowd trace: all
