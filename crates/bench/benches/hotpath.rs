@@ -24,7 +24,7 @@ use experiments::runner::{
 use experiments::PolicyKind;
 use rlr::packed::LineMeta;
 use rlr::scan::{self, ScanParams, ScanWays};
-use rlr_bench::harness::{self, Measurement, Throughput};
+use rlr_bench::harness::{self, Throughput};
 use trace_io::TraceReader;
 
 const WARMUP: u64 = 200_000;
@@ -99,7 +99,7 @@ fn main() {
     // Headline: the whole overhaul. Old path = seed simulator (AoS cache,
     // `Box<dyn>` dispatch, unconditional snapshots, seed RLR policy with
     // three metadata arrays and a triple-age victim scan); new path =
-    // packed cache + packed single-scan policy, batched replay.
+    // packed cache + packed single-scan policy.
     let seed = harness::bench("llc_replay/Rlr/seed", || {
         let mut cache = ReferenceCache::new(
             "seed",
@@ -148,13 +148,6 @@ fn main() {
     rows.push(Throughput { measurement: enc, accesses });
     rows.push(Throughput { measurement: dec, accesses });
     rows.push(Throughput { measurement: streamed, accesses });
-    // The ratio itself rides along in the JSON (percent in `median_ns`,
-    // single-shot), so the perf-over-time report tracks size regressions
-    // alongside speed.
-    rows.push(Throughput {
-        measurement: Measurement::once("trace_io/compressed_pct_of_raw", pct.round() as u64),
-        accesses,
-    });
 
     // Per hierarchy level: the private levels are monomorphized TrueLru
     // caches; drive them with working sets each level can hold.
@@ -175,32 +168,18 @@ fn main() {
         rows.push(Throughput { measurement: m, accesses: LEVEL_ACCESSES });
     }
 
-    // Full three-level replay of the captured 429.mcf demand stream:
-    // per-access dispatch vs the staged L1/L2 batch path (both are wall-
-    // checked bit-identical by `experiments/tests/hierarchy_batch.rs`).
+    // Full three-level replay of the captured 429.mcf demand stream
+    // (counters pinned by `experiments/tests/hierarchy_golden.rs`).
     let requests = demand_requests(&trace);
     let demand = requests.len() as u64;
     println!("hierarchy_replay (429.mcf demand stream, {demand} requests):");
-    let mut replay_rows = [0.0f64; 2];
-    for (slot, (label, mode)) in [
-        ("per_access", HierarchyReplayMode::PerAccess),
-        ("batched", HierarchyReplayMode::Batched),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let m = harness::bench(&format!("hierarchy_replay/{label}"), || {
-            let mut core = CoreHierarchy::new(0, &config);
-            let mut llc = SharedLlc::new(&config, PolicyKind::Rlr.build(&config.llc, None));
-            black_box(replay_hierarchy(&mut core, &mut llc, &requests, mode).len())
-        });
-        replay_rows[slot] = m.median_ns as f64;
-        rows.push(Throughput { measurement: m, accesses: demand });
-    }
-    println!(
-        "    batched replay is {:.2}x the per-access path",
-        replay_rows[0] / replay_rows[1].max(1.0)
-    );
+    let m = harness::bench("hierarchy_replay/per_access", || {
+        let mut core = CoreHierarchy::new(0, &config);
+        let mut llc = SharedLlc::new(&config, PolicyKind::Rlr.build(&config.llc, None));
+        let mode = HierarchyReplayMode::PerAccess;
+        black_box(replay_hierarchy(&mut core, &mut llc, &requests, mode).len())
+    });
+    rows.push(Throughput { measurement: m, accesses: demand });
 
     // Timing modes over the full system: the analytic MLP formula vs the
     // discrete-event core with DRAM bank queueing. Same functional stream

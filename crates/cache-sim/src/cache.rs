@@ -324,17 +324,6 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
             },
         )
     }
-
-    /// Replays a batch of accesses, appending one outcome per access to
-    /// `outcomes` (which is *not* cleared). Trace-replay drivers use this
-    /// to amortize per-call overhead; results are identical to calling
-    /// [`access`](SetAssocCache::access) in a loop.
-    pub fn access_batch(&mut self, accesses: &[Access], outcomes: &mut Vec<AccessOutcome>) {
-        outcomes.reserve(accesses.len());
-        for access in accesses {
-            outcomes.push(self.access(access));
-        }
-    }
 }
 
 impl<P: ReplacementPolicy> std::fmt::Debug for SetAssocCache<P> {
@@ -545,18 +534,5 @@ mod tests {
         assert_eq!(c.occupancy(0), 2);
         // Evictions started once the two masked ways were exhausted.
         assert_eq!(c.stats().evictions, 6);
-    }
-
-    #[test]
-    fn batch_matches_singles() {
-        let accesses: Vec<Access> =
-            (0..64u64).map(|i| load((i % 24) * 64)).collect();
-        let mut one = cache(2, 4);
-        let singles: Vec<AccessOutcome> = accesses.iter().map(|a| one.access(a)).collect();
-        let mut two = cache(2, 4);
-        let mut batched = Vec::new();
-        two.access_batch(&accesses, &mut batched);
-        assert_eq!(singles, batched);
-        assert_eq!(one.stats(), two.stats());
     }
 }

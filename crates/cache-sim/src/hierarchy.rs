@@ -53,13 +53,6 @@ impl ServiceLevel {
     }
 }
 
-/// The shared last-level cache, with sequence numbering and optional trace
-/// capture.
-///
-/// Every access — from any core, of any kind — receives a monotonically
-/// increasing sequence number that offline oracles key on. Because the
-/// hierarchy is simulated functionally in program order, this stream is
-/// identical regardless of the LLC replacement policy in use.
 /// The outcome of one LLC access, as seen by the requesting core.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LlcOutcome {
@@ -78,6 +71,13 @@ impl LlcOutcome {
     }
 }
 
+/// The shared last-level cache, with sequence numbering and optional trace
+/// capture.
+///
+/// Every access — from any core, of any kind — receives a monotonically
+/// increasing sequence number that offline oracles key on. Because the
+/// hierarchy is simulated functionally in program order, this stream is
+/// identical regardless of the LLC replacement policy in use.
 pub struct SharedLlc<P: ReplacementPolicy = Box<dyn ReplacementPolicy>> {
     cache: SetAssocCache<P>,
     seq: u64,
@@ -180,18 +180,6 @@ impl<P: ReplacementPolicy> SharedLlc<P> {
             LlcOutcome::MissRowHit
         } else {
             LlcOutcome::MissRowMiss
-        }
-    }
-
-    /// Replays a chunk of captured LLC records through the cache and DRAM
-    /// model, appending one outcome per record. Equivalent to calling
-    /// [`access`](SharedLlc::access) once per record in order; trace-replay
-    /// drivers use it to process traces in batches rather than one call
-    /// per access.
-    pub fn access_batch(&mut self, records: &[LlcRecord], outcomes: &mut Vec<LlcOutcome>) {
-        outcomes.reserve(records.len());
-        for r in records {
-            outcomes.push(self.access(r.pc, r.line << 6, r.kind, r.core));
         }
     }
 
@@ -346,13 +334,10 @@ pub struct CoreHierarchy {
     pending_prefetch: PrefetchQueue,
     /// Total L2 prefetches considered for issue (drives the drop pattern).
     prefetch_issued: u64,
-    /// Deferred L2-and-below work, reused across [`data_access_batch`]
-    /// calls so batching never allocates in steady state.
-    batch_ops: Vec<L2Op>,
 }
 
-/// One demand data access in a batched hierarchy replay
-/// ([`CoreHierarchy::data_access_batch`]).
+/// One demand data access of a hierarchy replay, as fed to
+/// [`CoreHierarchy::data_access`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DataRequest {
     /// Program counter of the load/store.
@@ -361,18 +346,6 @@ pub struct DataRequest {
     pub addr: u64,
     /// `true` for a store (RFO), `false` for a load.
     pub is_store: bool,
-}
-
-/// L2-and-below work deferred by the L1 stage of a batched replay, in the
-/// exact order the per-access path would have issued it.
-#[derive(Clone, Copy, Debug)]
-enum L2Op {
-    /// A demand L1D miss; `idx` locates the request's slot in the output.
-    Demand { idx: u32, pc: u64, addr: u64, kind: AccessKind },
-    /// An L1 next-line prefetch that missed L1D.
-    Prefetch { pc: u64, addr: u64 },
-    /// A dirty line evicted from L1D.
-    Writeback { line: u64 },
 }
 
 impl CoreHierarchy {
@@ -397,7 +370,6 @@ impl CoreHierarchy {
             l2_ticks: 0,
             pending_prefetch: PrefetchQueue::new(),
             prefetch_issued: 0,
-            batch_ops: Vec::new(),
         }
     }
 
@@ -505,6 +477,15 @@ impl CoreHierarchy {
         }
     }
 
+    /// Writes a dirty L1D victim `line` back into the L2, forwarding the
+    /// L2's own dirty victim (if the write-allocate evicted one) to the LLC.
+    fn writeback_to_l2<P: ReplacementPolicy>(&mut self, line: u64, llc: &mut SharedLlc<P>) {
+        let wb = Access { pc: 0, addr: line << 6, kind: AccessKind::Writeback, core: self.core, seq: 0 };
+        if let Some(victim) = self.l2.access(&wb).writeback {
+            llc.access(0, victim << 6, AccessKind::Writeback, self.core);
+        }
+    }
+
     /// Performs one demand data access (load or store) and returns the
     /// deepest level that serviced it.
     pub fn data_access<P: ReplacementPolicy>(
@@ -523,12 +504,7 @@ impl CoreHierarchy {
             self.access_l2(pc, addr, kind, llc)
         };
         if let Some(wb) = out.writeback {
-            let wb_access =
-                Access { pc: 0, addr: wb << 6, kind: AccessKind::Writeback, core: self.core, seq: 0 };
-            let wb_out = self.l2.access(&wb_access);
-            if let Some(wb2) = wb_out.writeback {
-                llc.access(0, wb2 << 6, AccessKind::Writeback, self.core);
-            }
+            self.writeback_to_l2(wb, llc);
         }
 
         if self.l1_prefetch.is_some() && !out.hit {
@@ -539,105 +515,11 @@ impl CoreHierarchy {
                 let pf_out = self.l1d.access(&pf);
                 self.access_l2(pc, pf_addr, AccessKind::Prefetch, llc);
                 if let Some(wb) = pf_out.writeback {
-                    let wb_access = Access {
-                        pc: 0,
-                        addr: wb << 6,
-                        kind: AccessKind::Writeback,
-                        core: self.core,
-                        seq: 0,
-                    };
-                    let wb_out = self.l2.access(&wb_access);
-                    if let Some(wb2) = wb_out.writeback {
-                        llc.access(0, wb2 << 6, AccessKind::Writeback, self.core);
-                    }
+                    self.writeback_to_l2(wb, llc);
                 }
             }
         }
         level
-    }
-
-    /// Replays a chunk of demand data accesses, appending one
-    /// [`ServiceLevel`] per request. Equivalent to calling
-    /// [`data_access`](CoreHierarchy::data_access) once per request in
-    /// order, but staged by level: the L1D runs to completion over the
-    /// whole chunk first, then the deferred L2/LLC work drains.
-    ///
-    /// The staging is exact, not approximate: the hierarchy is simulated
-    /// functionally, so L1D behaviour never depends on L2/LLC outcomes —
-    /// reordering L2 work *after* the chunk's L1 work changes no L1
-    /// decision, and the deferred ops replay in the same relative order
-    /// the per-access path interleaves them (demand miss, then L1
-    /// writeback, then L1 next-line prefetch and its writeback), so the
-    /// L2 and LLC see byte-identical request streams. The batch
-    /// equivalence suite in `experiments` locks this down against the
-    /// per-access path on the golden 429.mcf fixture.
-    pub fn data_access_batch<P: ReplacementPolicy>(
-        &mut self,
-        requests: &[DataRequest],
-        llc: &mut SharedLlc<P>,
-        levels: &mut Vec<ServiceLevel>,
-    ) {
-        let start = levels.len();
-        levels.resize(start + requests.len(), ServiceLevel::L1);
-        let mut ops = std::mem::take(&mut self.batch_ops);
-        ops.clear();
-
-        // Stage 1: the private L1D, deferring everything below it.
-        for (idx, request) in requests.iter().enumerate() {
-            let kind = if request.is_store { AccessKind::Rfo } else { AccessKind::Load };
-            let access =
-                Access { pc: request.pc, addr: request.addr, kind, core: self.core, seq: 0 };
-            let out = self.l1d.access(&access);
-            if !out.hit {
-                ops.push(L2Op::Demand { idx: idx as u32, pc: request.pc, addr: request.addr, kind });
-            }
-            if let Some(wb) = out.writeback {
-                ops.push(L2Op::Writeback { line: wb });
-            }
-            if self.l1_prefetch.is_some() && !out.hit {
-                let pf_addr = request.addr + crate::LINE_BYTES;
-                if !self.l1d.contains(pf_addr) {
-                    let pf = Access {
-                        pc: request.pc,
-                        addr: pf_addr,
-                        kind: AccessKind::Prefetch,
-                        core: self.core,
-                        seq: 0,
-                    };
-                    let pf_out = self.l1d.access(&pf);
-                    ops.push(L2Op::Prefetch { pc: request.pc, addr: pf_addr });
-                    if let Some(wb) = pf_out.writeback {
-                        ops.push(L2Op::Writeback { line: wb });
-                    }
-                }
-            }
-        }
-
-        // Stage 2: L2 and below, in the per-access path's issue order.
-        for &op in &ops {
-            match op {
-                L2Op::Demand { idx, pc, addr, kind } => {
-                    levels[start + idx as usize] = self.access_l2(pc, addr, kind, llc);
-                }
-                L2Op::Prefetch { pc, addr } => {
-                    self.access_l2(pc, addr, AccessKind::Prefetch, llc);
-                }
-                L2Op::Writeback { line } => {
-                    let wb_access = Access {
-                        pc: 0,
-                        addr: line << 6,
-                        kind: AccessKind::Writeback,
-                        core: self.core,
-                        seq: 0,
-                    };
-                    let wb_out = self.l2.access(&wb_access);
-                    if let Some(wb2) = wb_out.writeback {
-                        llc.access(0, wb2 << 6, AccessKind::Writeback, self.core);
-                    }
-                }
-            }
-        }
-        self.batch_ops = ops;
     }
 
     /// Performs one instruction fetch for the line containing `pc`.

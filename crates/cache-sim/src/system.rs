@@ -154,11 +154,8 @@ impl<P: ReplacementPolicy> SingleCoreSystem<P> {
     /// all statistics. Mirrors the paper's 200M-instruction warm-up.
     ///
     /// Deliberately consumes the stream one entry at a time: warm-up and
-    /// the measured phase share one iterator, so any look-ahead batching
-    /// here would shift the warm-up/measure boundary and change results.
-    /// Batched replay belongs to pure trace-replay paths
-    /// ([`SetAssocCache::access_batch`](crate::SetAssocCache::access_batch),
-    /// [`SharedLlc::access_batch`]).
+    /// the measured phase share one iterator, so any look-ahead here would
+    /// shift the warm-up/measure boundary and change results.
     pub fn warm_up<I: Iterator<Item = TraceEntry>>(&mut self, stream: &mut I, instructions: u64) {
         let mut local = TimingModel::new(&self.config);
         while local.instructions() < instructions {

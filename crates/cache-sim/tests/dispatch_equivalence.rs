@@ -194,23 +194,6 @@ fn random_streams_shrink_to_minimal_divergence() {
     );
 }
 
-/// The batched replay entry point must be byte-equivalent to one-at-a-time
-/// accesses (same policy state machine on both sides).
-#[test]
-fn access_batch_matches_reference_singles() {
-    let cfg = geometry();
-    let stream = random_stream(0xD1FF_0004, 10_000);
-    let mut old = ReferenceCache::new("ref", cfg, Box::new(PolicyKind::Rlr.build(&cfg, None)));
-    let mut new = SetAssocCache::new("packed", cfg, PolicyKind::Rlr.build(&cfg, None));
-    let mut batched = Vec::new();
-    for chunk in stream.chunks(257) {
-        new.access_batch(chunk, &mut batched);
-    }
-    let singles: Vec<AccessOutcome> = stream.iter().map(|a| old.access(a)).collect();
-    assert_eq!(singles, batched);
-    assert_eq!(old.stats(), new.stats());
-}
-
 /// Snapshot skipping must be decided by the policy: a policy that asks for
 /// snapshots gets a full set's worth; the roster's flags match what each
 /// `select_victim` actually reads.

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use cache_sim::{
-    Access, AccessKind, AccessOutcome, CoreHierarchy, DataRequest, DramTiming, LlcRecord, LlcTrace,
+    Access, AccessKind, CoreHierarchy, DataRequest, DramTiming, LlcRecord, LlcTrace,
     MultiCoreSystem, ReplacementPolicy, RunStats, ServiceLevel, SetAssocCache, SharedLlc,
     SingleCoreSystem, SystemConfig, TimingMode, TimingModel,
 };
@@ -218,10 +218,6 @@ pub fn capture_llc_trace(
     Ok(trace)
 }
 
-/// Chunk size for batched trace replay: large enough to amortize per-call
-/// overhead, small enough to keep the access buffer in L1/L2.
-const REPLAY_CHUNK: usize = 4096;
-
 /// Aggregate counters of one trace replay.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReplaySummary {
@@ -246,48 +242,37 @@ impl ReplaySummary {
     }
 }
 
-/// Reusable scratch buffers plus the sequence counter one replay threads
-/// through its chunks, shared by the in-memory and streaming replay paths
-/// so their access streams (and therefore results) are identical.
+/// The sequence counter and running summary one replay threads through
+/// its records, shared by the in-memory and streaming replay paths so their
+/// access streams (and therefore results) are identical.
 #[derive(Default)]
 struct ReplayState {
-    batch: Vec<Access>,
-    outcomes: Vec<AccessOutcome>,
     seq: u64,
     summary: ReplaySummary,
 }
 
 impl ReplayState {
-    /// Replays `records` in [`REPLAY_CHUNK`]-sized batches, continuing the
-    /// running sequence numbering.
+    /// Replays `records` one access at a time, continuing the running
+    /// sequence numbering.
     fn feed<P: ReplacementPolicy>(&mut self, cache: &mut SetAssocCache<P>, records: &[LlcRecord]) {
-        for chunk in records.chunks(REPLAY_CHUNK) {
-            self.batch.clear();
-            self.batch.extend(chunk.iter().map(|r| {
-                let access =
-                    Access { pc: r.pc, addr: r.line << 6, kind: r.kind, core: r.core, seq: self.seq };
-                self.seq += 1;
-                access
-            }));
-            self.outcomes.clear();
-            cache.access_batch(&self.batch, &mut self.outcomes);
-            for (record, outcome) in chunk.iter().zip(&self.outcomes) {
-                self.summary.accesses += 1;
-                self.summary.hits += u64::from(outcome.hit);
-                if record.kind.is_demand() {
-                    self.summary.demand_accesses += 1;
-                    self.summary.demand_hits += u64::from(outcome.hit);
-                }
+        for r in records {
+            let access =
+                Access { pc: r.pc, addr: r.line << 6, kind: r.kind, core: r.core, seq: self.seq };
+            self.seq += 1;
+            let hit = cache.access(&access).hit;
+            self.summary.accesses += 1;
+            self.summary.hits += u64::from(hit);
+            if r.kind.is_demand() {
+                self.summary.demand_accesses += 1;
+                self.summary.demand_hits += u64::from(hit);
             }
         }
     }
 }
 
-/// Replays a captured LLC trace through a standalone cache in
-/// [`REPLAY_CHUNK`]-sized batches ([`SetAssocCache::access_batch`]),
-/// sequence-numbering records exactly as a one-at-a-time loop would.
-/// This is the hot loop of trace-driven evaluation (CLI `replay`, benches);
-/// results are identical to per-record [`SetAssocCache::access`] calls.
+/// Replays a captured LLC trace through a standalone cache, numbering
+/// records in trace order. This is the hot loop of trace-driven evaluation
+/// (CLI `replay`, benches).
 pub fn replay_llc_trace<P: ReplacementPolicy>(
     cache: &mut SetAssocCache<P>,
     trace: &LlcTrace,
@@ -298,10 +283,9 @@ pub fn replay_llc_trace<P: ReplacementPolicy>(
 }
 
 /// Replays a compressed trace container *as it streams* — each decoded
-/// block is fed straight through the same chunked batching as
-/// [`replay_llc_trace`], so peak memory is one container block plus one
-/// replay chunk, and the resulting [`ReplaySummary`] is identical to
-/// loading the whole trace first.
+/// block is fed straight through the same loop as [`replay_llc_trace`], so
+/// peak memory is one container block, and the resulting
+/// [`ReplaySummary`] is identical to loading the whole trace first.
 ///
 /// # Errors
 ///
@@ -321,15 +305,14 @@ pub fn replay_llc_reader<P: ReplacementPolicy, R: std::io::Read>(
     Ok(state.summary)
 }
 
-/// How [`replay_hierarchy`] drives the private levels.
+/// The replay mode argument of [`replay_hierarchy`]. Each cache level has
+/// one access path, so there is only one mode; the type exists only so
+/// existing callers that name `HierarchyReplayMode::PerAccess` still
+/// compile, and [`replay_hierarchy`] ignores it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HierarchyReplayMode {
     /// One [`CoreHierarchy::data_access`] call per request.
     PerAccess,
-    /// [`CoreHierarchy::data_access_batch`] over [`REPLAY_CHUNK`]-sized
-    /// chunks — the fast path, bit-identical to `PerAccess` (the batch
-    /// equivalence suite locks the two together on the golden fixture).
-    Batched,
 }
 
 /// Replays a demand data stream through one core's private hierarchy and a
@@ -338,22 +321,9 @@ pub fn replay_hierarchy<P: ReplacementPolicy>(
     core: &mut CoreHierarchy,
     llc: &mut SharedLlc<P>,
     requests: &[DataRequest],
-    mode: HierarchyReplayMode,
+    _mode: HierarchyReplayMode,
 ) -> Vec<ServiceLevel> {
-    let mut levels = Vec::with_capacity(requests.len());
-    match mode {
-        HierarchyReplayMode::PerAccess => {
-            for r in requests {
-                levels.push(core.data_access(r.pc, r.addr, r.is_store, llc));
-            }
-        }
-        HierarchyReplayMode::Batched => {
-            for chunk in requests.chunks(REPLAY_CHUNK) {
-                core.data_access_batch(chunk, llc, &mut levels);
-            }
-        }
-    }
-    levels
+    requests.iter().map(|r| core.data_access(r.pc, r.addr, r.is_store, llc)).collect()
 }
 
 /// Timing result of one [`replay_hierarchy_timed`] run.

@@ -11,8 +11,8 @@ cargo build --release --offline --workspace
 
 echo "==> cargo test -q --offline"
 # Every suite runs here exactly once: the differential walls (seed, scan,
-# dispatch, hierarchy batch, partition, timing, objcache), the fault and
-# crash-consistency walls, and the cell-format fixtures.
+# dispatch, partition, timing, objcache), the golden hierarchy counters,
+# the fault and crash-consistency walls, and the cell-format fixtures.
 cargo test -q --offline --workspace
 
 echo "==> cargo bench --no-run --offline"
@@ -192,9 +192,5 @@ echo "==> perf-over-time report"
 # bench history and render the trend table so regressions are visible
 # run-over-run.
 "$RLR" perf-report --bench ci_smoke --record ci
-# A second snapshot under its own label: the ci_smoke record now carries
-# timing/{analytic,event} rows, so the event core's cost is tracked
-# run-over-run in results/bench/history.jsonl alongside the hot path.
-"$RLR" perf-report --bench ci_smoke --record timing-event
 
 echo "==> ci.sh: all gates passed"
