@@ -38,11 +38,19 @@ fn main() {
     // The paper's agent: 334 -> 175 -> 16.
     let net = Mlp::new(334, 175, 16, 7);
     let input = vec![0.25f32; 334];
-    println!("mlp inference:");
+    println!("mlp inference and training:");
     measurements.push(harness::bench("mlp_334_175_16_inference", || {
         // One inference is far below timer resolution; time a burst.
         for _ in 0..64 {
             black_box(net.predict(black_box(&input)));
+        }
+    }));
+    // One DQN update: a forward pass plus a backward pass that applies
+    // SGD with momentum to every weight, at the agent's default rates.
+    let mut learner = net.clone();
+    measurements.push(harness::bench("mlp_334_175_16_train_action", || {
+        for i in 0..64 {
+            black_box(learner.train_action(black_box(&input), i % 16, 0.5, 5e-3, 0.9));
         }
     }));
 

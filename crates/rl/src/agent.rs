@@ -165,12 +165,7 @@ impl Agent {
 
     /// One DQN update on a single transition (shared with the multi-agent
     /// trainer).
-    pub(crate) fn learn_public(&mut self, t: &Transition) -> f32 {
-        self.learn(t)
-    }
-
-    /// One DQN update on a single transition.
-    fn learn(&mut self, t: &Transition) -> f32 {
+    pub(crate) fn learn(&mut self, t: &Transition) -> f32 {
         if let Some(target) = &mut self.target_net {
             self.updates_since_sync += 1;
             if self.updates_since_sync >= self.config.target_sync {
@@ -308,12 +303,9 @@ impl Trainer {
                 decision_count += 1;
                 if decision_count.is_multiple_of(train_every) && !self.replay.is_empty() {
                     for _ in 0..batch {
-                        let t = self
-                            .replay
-                            .sample(&mut self.rng)
-                            .expect("buffer checked non-empty")
-                            .clone();
-                        losses += f64::from(self.agent.learn(&t));
+                        let t =
+                            self.replay.sample(&mut self.rng).expect("buffer checked non-empty");
+                        losses += f64::from(self.agent.learn(t));
                         updates += 1;
                     }
                 }
@@ -382,8 +374,11 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// Returns an error on I/O failure, malformed input, or a network that
-    /// does not match `cache`'s geometry.
+    /// Returns an error on I/O failure or malformed input, and an
+    /// `InvalidData` error when a network, the target network or a replay
+    /// transition does not fit `cache`'s geometry or the checkpoint's own
+    /// configuration — a checkpoint that would otherwise panic on its first
+    /// update.
     pub fn load_checkpoint<R: std::io::Read>(
         mut r: R,
         cache: &CacheConfig,
@@ -426,11 +421,24 @@ impl Trainer {
         let replay = ReplayBuffer::load(&mut r)?;
 
         let encoder = StateEncoder::new(config.features, cache.ways as usize, cache.sets);
-        if net.inputs() != encoder.dims() || net.outputs() != cache.ways as usize {
+        let (dims, ways) = (encoder.dims(), cache.ways as usize);
+        if net.inputs() != dims || net.outputs() != ways || net.hidden() != config.hidden {
             return Err(wire::bad_data("checkpoint network does not match the cache geometry"));
+        }
+        let shape = |n: &Mlp| (n.inputs(), n.hidden(), n.outputs());
+        if target_net.as_ref().is_some_and(|t| shape(t) != shape(&net)) {
+            return Err(wire::bad_data("checkpoint target network does not match its network"));
         }
         if config.replay_capacity == 0 || replay.len() > config.replay_capacity {
             return Err(wire::bad_data("checkpoint replay buffer exceeds its capacity"));
+        }
+        let fits = |t: &Transition| {
+            t.state.len() == dims
+                && (t.next_state.is_empty() || t.next_state.len() == dims)
+                && usize::from(t.action) < ways
+        };
+        if !replay.transitions().iter().all(fits) {
+            return Err(wire::bad_data("checkpoint replay transition does not match the geometry"));
         }
         let agent = Agent {
             net,
@@ -549,6 +557,58 @@ mod tests {
             trained.hits,
             random.hits
         );
+    }
+
+    #[test]
+    fn inconsistent_checkpoints_are_rejected() {
+        let cache = CacheConfig { sets: 2, ways: 4, latency: 1 };
+        let trace = thrash_trace(12, 600);
+        let mut config = AgentConfig::small(FeatureSet::full(), 5);
+        config.target_sync = 64;
+        let mut trainer = Trainer::new(config, &cache);
+        let _ = trainer.train_epoch(&trace, &cache);
+        let save = |t: &Trainer| {
+            let mut bytes = Vec::new();
+            t.save_checkpoint(&mut bytes, 1).expect("in-memory save");
+            bytes
+        };
+        let valid = save(&trainer);
+        assert!(Trainer::load_checkpoint(valid.as_slice(), &cache).is_ok());
+
+        let dims = trainer.agent.encoder.dims();
+        let transition = |state: usize, next_state: usize, action: u16| Transition {
+            state: vec![0.0; state],
+            action,
+            reward: 0.0,
+            next_state: vec![0.0; next_state],
+        };
+        let with_transition = |t: Transition| {
+            let mut patched = trainer.clone();
+            patched.replay.push(t);
+            save(&patched)
+        };
+        let mut other_target = trainer.clone();
+        other_target.agent.target_net = Some(Mlp::new(dims, config.hidden + 1, 4, 0));
+        // The `hidden` field of the configuration sits after the magic,
+        // version, epoch and feature bits.
+        let mut other_hidden = valid.clone();
+        other_hidden[20..28].copy_from_slice(&(config.hidden as u64 + 1).to_le_bytes());
+
+        for (what, bytes) in [
+            ("short state", with_transition(transition(dims - 1, dims, 0))),
+            ("short next state", with_transition(transition(dims, dims - 1, 0))),
+            ("action past the ways", with_transition(transition(dims, 0, 4))),
+            ("target net of another width", save(&other_target)),
+            ("config hidden differs from the net", other_hidden),
+        ] {
+            let err = Trainer::load_checkpoint(bytes.as_slice(), &cache)
+                .err()
+                .unwrap_or_else(|| panic!("{what}: inconsistent checkpoint loaded"));
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+        // A terminal transition (empty next state) is consistent.
+        let terminal = with_transition(transition(dims, 0, 3));
+        assert!(Trainer::load_checkpoint(terminal.as_slice(), &cache).is_ok());
     }
 
     #[test]

@@ -5,7 +5,18 @@
 //! ("simple enough for interpretation but performs almost as well as
 //! denser networks"). Trained with SGD plus momentum.
 
+use std::io::{self, Read, Write};
+
 use simrng::{Rng, SimRng};
+
+use crate::wire;
+
+/// Register-block width of the forward kernel: this many accumulators stay
+/// live across the whole input loop.
+const BLOCK: usize = 32;
+
+/// Largest parameter count [`Mlp::load`] accepts (1 GiB of weights).
+const MAX_PARAMS: usize = 1 << 28;
 
 /// A two-layer perceptron: `inputs → hidden (tanh) → outputs (linear)`.
 ///
@@ -21,13 +32,14 @@ pub struct Mlp {
     inputs: usize,
     hidden: usize,
     outputs: usize,
-    /// `w1[h * inputs + i]`: input `i` → hidden `h`.
+    /// `w1[i * hidden + h]`: input `i` → hidden `h` (column-major, so one
+    /// input's weights to every hidden unit are contiguous).
     w1: Vec<f32>,
     b1: Vec<f32>,
-    /// `w2[o * hidden + h]`: hidden `h` → output `o`.
+    /// `w2[h * outputs + o]`: hidden `h` → output `o`.
     w2: Vec<f32>,
     b2: Vec<f32>,
-    // Momentum buffers.
+    // Momentum buffers, laid out like their weights.
     m_w1: Vec<f32>,
     m_b1: Vec<f32>,
     m_w2: Vec<f32>,
@@ -35,6 +47,84 @@ pub struct Mlp {
     // Scratch from the last forward pass (for backprop).
     last_input: Vec<f32>,
     last_hidden: Vec<f32>,
+}
+
+/// The `rows × cols` row-major matrix `src`, transposed to `cols × rows`.
+fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    (0..cols).flat_map(|c| (0..rows).map(move |r| src[r * cols + c])).collect()
+}
+
+/// `out[j] = bias[j] + Σᵢ weights[i][j] · input[i]`, `weights` being
+/// `[input.len()][bias.len()]`. Every output adds its products in input
+/// order, one after another, starting from its bias: the arithmetic of a
+/// row-major dot product, run for a block of outputs at once so the adds
+/// vectorize across outputs instead of chaining within one.
+fn affine(bias: &[f32], weights: &[f32], input: &[f32], out: &mut [f32]) {
+    let width = bias.len();
+    for (start, (bias, out)) in
+        (0..width).step_by(BLOCK).zip(bias.chunks(BLOCK).zip(out.chunks_mut(BLOCK)))
+    {
+        let n = bias.len();
+        let mut acc = [0.0f32; BLOCK];
+        acc[..n].copy_from_slice(bias);
+        let rows = weights.chunks_exact(width).zip(input);
+        if n == BLOCK {
+            for (row, &x) in rows {
+                let w: &[f32; BLOCK] = row[start..start + BLOCK].try_into().expect("whole block");
+                for (a, w) in acc.iter_mut().zip(w) {
+                    *a += w * x;
+                }
+            }
+        } else {
+            for (row, &x) in rows {
+                for (a, w) in acc[..n].iter_mut().zip(&row[start..start + n]) {
+                    *a += w * x;
+                }
+            }
+        }
+        out.copy_from_slice(&acc[..n]);
+    }
+}
+
+/// One SGD-with-momentum step, elementwise: `m ← momentum·m − lr·g`,
+/// `w ← w + m`, with `g = grad(d[j])`.
+fn sgd(
+    w: &mut [f32],
+    m: &mut [f32],
+    d: &[f32],
+    grad: impl Fn(f32) -> f32,
+    learning_rate: f32,
+    momentum: f32,
+) {
+    for ((w, m), &d) in w.iter_mut().zip(m.iter_mut()).zip(d) {
+        *m = momentum * *m - learning_rate * grad(d);
+        *w += *m;
+    }
+}
+
+/// [`sgd`] on a `[rows][d.len()]` matrix whose row `r` has gradient
+/// `d[j] · a[r]`.
+fn sgd_outer(
+    w: &mut [f32],
+    m: &mut [f32],
+    d: &[f32],
+    a: &[f32],
+    learning_rate: f32,
+    momentum: f32,
+) {
+    let width = d.len();
+    for ((w, m), &a) in w.chunks_exact_mut(width).zip(m.chunks_exact_mut(width)).zip(a) {
+        sgd(w, m, d, |d| d * a, learning_rate, momentum);
+    }
+}
+
+/// Element counts of `w1`, `b1`, `w2` and `b2` for `[inputs, hidden,
+/// outputs]`, or `None` when a dimension is zero or the total overflows or
+/// exceeds [`MAX_PARAMS`].
+fn param_sizes([inputs, hidden, outputs]: [usize; 3]) -> Option<[usize; 4]> {
+    let sizes = [inputs.checked_mul(hidden)?, hidden, hidden.checked_mul(outputs)?, outputs];
+    let total = sizes.iter().try_fold(0usize, |t, &n| t.checked_add(n))?;
+    (inputs > 0 && hidden > 0 && outputs > 0 && total <= MAX_PARAMS).then_some(sizes)
 }
 
 impl Mlp {
@@ -48,20 +138,41 @@ impl Mlp {
         let mut rng = SimRng::seed_from_u64(seed);
         let s1 = (6.0 / (inputs + hidden) as f32).sqrt();
         let s2 = (6.0 / (hidden + outputs) as f32).sqrt();
-        let w1 = (0..inputs * hidden).map(|_| rng.gen_range(-s1..s1)).collect();
-        let w2 = (0..hidden * outputs).map(|_| rng.gen_range(-s2..s2)).collect();
+        // Drawn in the serialized `[hidden][inputs]`, `[outputs][hidden]` order.
+        let w1: Vec<f32> = (0..inputs * hidden).map(|_| rng.gen_range(-s1..s1)).collect();
+        let w2: Vec<f32> = (0..hidden * outputs).map(|_| rng.gen_range(-s2..s2)).collect();
+        Self::from_serialized(
+            [inputs, hidden, outputs],
+            [w1, vec![0.0; hidden], w2, vec![0.0; outputs]],
+            None,
+        )
+    }
+
+    /// Builds a network from weights in the serialized layout
+    /// (`[hidden][inputs]`, `[hidden]`, `[outputs][hidden]`, `[outputs]`),
+    /// with zero momentum unless `momentum` holds the same four buffers.
+    fn from_serialized(
+        dims: [usize; 3],
+        params: [Vec<f32>; 4],
+        momentum: Option<[Vec<f32>; 4]>,
+    ) -> Self {
+        let [inputs, hidden, outputs] = dims;
+        let [w1, b1, w2, b2] = params;
+        let [m_w1, m_b1, m_w2, m_b2] = momentum.unwrap_or_else(|| {
+            [vec![0.0; w1.len()], vec![0.0; hidden], vec![0.0; w2.len()], vec![0.0; outputs]]
+        });
         Self {
             inputs,
             hidden,
             outputs,
-            w1,
-            b1: vec![0.0; hidden],
-            w2,
-            b2: vec![0.0; outputs],
-            m_w1: vec![0.0; inputs * hidden],
-            m_b1: vec![0.0; hidden],
-            m_w2: vec![0.0; hidden * outputs],
-            m_b2: vec![0.0; outputs],
+            w1: transpose(&w1, hidden, inputs),
+            b1,
+            w2: transpose(&w2, outputs, hidden),
+            b2,
+            m_w1: transpose(&m_w1, hidden, inputs),
+            m_b1,
+            m_w2: transpose(&m_w2, outputs, hidden),
+            m_b2,
             last_input: vec![0.0; inputs],
             last_hidden: vec![0.0; hidden],
         }
@@ -84,8 +195,20 @@ impl Mlp {
 
     /// First-layer weights, laid out `[hidden][inputs]` row-major — the
     /// matrix the Fig. 3 heat map aggregates.
-    pub fn first_layer_weights(&self) -> &[f32] {
-        &self.w1
+    pub fn first_layer_weights(&self) -> Vec<f32> {
+        transpose(&self.w1, self.inputs, self.hidden)
+    }
+
+    /// The hidden activations and outputs for `input`.
+    fn infer(&self, input: &[f32], hidden: &mut [f32]) -> Vec<f32> {
+        assert_eq!(input.len(), self.inputs, "input dimension mismatch");
+        affine(&self.b1, &self.w1, input, hidden);
+        for a in hidden.iter_mut() {
+            *a = a.tanh();
+        }
+        let mut out = vec![0.0; self.outputs];
+        affine(&self.b2, &self.w2, hidden, &mut out);
+        out
     }
 
     /// Runs a forward pass, caching activations for a subsequent
@@ -95,46 +218,16 @@ impl Mlp {
     ///
     /// Panics if `input.len()` differs from the input dimension.
     pub fn forward(&mut self, input: &[f32]) -> Vec<f32> {
-        assert_eq!(input.len(), self.inputs, "input dimension mismatch");
+        let mut hidden = std::mem::take(&mut self.last_hidden);
+        let out = self.infer(input, &mut hidden);
+        self.last_hidden = hidden;
         self.last_input.copy_from_slice(input);
-        for h in 0..self.hidden {
-            let row = &self.w1[h * self.inputs..(h + 1) * self.inputs];
-            let mut acc = self.b1[h];
-            for (w, x) in row.iter().zip(input) {
-                acc += w * x;
-            }
-            self.last_hidden[h] = acc.tanh();
-        }
-        let mut out = vec![0.0; self.outputs];
-        for o in 0..self.outputs {
-            let row = &self.w2[o * self.hidden..(o + 1) * self.hidden];
-            let mut acc = self.b2[o];
-            for (w, x) in row.iter().zip(&self.last_hidden) {
-                acc += w * x;
-            }
-            out[o] = acc;
-        }
         out
     }
 
     /// Inference without touching the backprop scratch state.
     pub fn predict(&self, input: &[f32]) -> Vec<f32> {
-        assert_eq!(input.len(), self.inputs, "input dimension mismatch");
-        let mut hidden = vec![0.0f32; self.hidden];
-        for h in 0..self.hidden {
-            let row = &self.w1[h * self.inputs..(h + 1) * self.inputs];
-            let mut acc = self.b1[h];
-            for (w, x) in row.iter().zip(input) {
-                acc += w * x;
-            }
-            hidden[h] = acc.tanh();
-        }
-        (0..self.outputs)
-            .map(|o| {
-                let row = &self.w2[o * self.hidden..(o + 1) * self.hidden];
-                row.iter().zip(&hidden).fold(self.b2[o], |acc, (w, x)| acc + w * x)
-            })
-            .collect()
+        self.infer(input, &mut vec![0.0; self.hidden])
     }
 
     /// Backpropagates `d_out` (∂loss/∂output) from the activations cached
@@ -145,109 +238,90 @@ impl Mlp {
     /// Panics if `d_out.len()` differs from the output dimension.
     pub fn backward(&mut self, d_out: &[f32], learning_rate: f32, momentum: f32) {
         assert_eq!(d_out.len(), self.outputs, "gradient dimension mismatch");
-        // Hidden-layer error: δh = (Σo w2[o,h]·δo) · (1 − tanh²).
-        let mut d_hidden = vec![0.0f32; self.hidden];
-        for o in 0..self.outputs {
-            let row = &self.w2[o * self.hidden..(o + 1) * self.hidden];
-            for (h, w) in row.iter().enumerate() {
-                d_hidden[h] += w * d_out[o];
-            }
-        }
-        for h in 0..self.hidden {
-            let a = self.last_hidden[h];
-            d_hidden[h] *= 1.0 - a * a;
-        }
+        // Hidden-layer error: δh = (Σo w2[h,o]·δo) · (1 − tanh²), summed
+        // in output order.
+        let d_hidden: Vec<f32> = self
+            .w2
+            .chunks_exact(self.outputs)
+            .zip(&self.last_hidden)
+            .map(|(row, &a)| {
+                let mut acc = 0.0f32;
+                for (w, d) in row.iter().zip(d_out) {
+                    acc += w * d;
+                }
+                acc * (1.0 - a * a)
+            })
+            .collect();
+        let (lr, mu) = (learning_rate, momentum);
+        sgd(&mut self.b2, &mut self.m_b2, d_out, |d| d, lr, mu);
+        sgd_outer(&mut self.w2, &mut self.m_w2, d_out, &self.last_hidden, lr, mu);
+        sgd(&mut self.b1, &mut self.m_b1, &d_hidden, |d| d, lr, mu);
+        sgd_outer(&mut self.w1, &mut self.m_w1, &d_hidden, &self.last_input, lr, mu);
+    }
 
-        // Output layer update.
-        for o in 0..self.outputs {
-            let g_b = d_out[o];
-            let m = &mut self.m_b2[o];
-            *m = momentum * *m - learning_rate * g_b;
-            self.b2[o] += *m;
-            for h in 0..self.hidden {
-                let g = d_out[o] * self.last_hidden[h];
-                let idx = o * self.hidden + h;
-                let m = &mut self.m_w2[idx];
-                *m = momentum * *m - learning_rate * g;
-                self.w2[idx] += *m;
-            }
+    /// The dimensions header and the weights (with the momentum buffers
+    /// when `full`), matrices in the serialized layout.
+    fn write<W: Write>(&self, mut w: W, magic: &[u8; 4], full: bool) -> io::Result<()> {
+        w.write_all(magic)?;
+        for dim in [self.inputs, self.hidden, self.outputs] {
+            wire::write_u64(&mut w, dim as u64)?;
         }
-        // Hidden layer update.
-        for h in 0..self.hidden {
-            let g_b = d_hidden[h];
-            let m = &mut self.m_b1[h];
-            *m = momentum * *m - learning_rate * g_b;
-            self.b1[h] += *m;
-            for i in 0..self.inputs {
-                let g = d_hidden[h] * self.last_input[i];
-                let idx = h * self.inputs + i;
-                let m = &mut self.m_w1[idx];
-                *m = momentum * *m - learning_rate * g;
-                self.w1[idx] += *m;
-            }
+        let params = [&self.w1, &self.b1, &self.w2, &self.b2];
+        let momentum = [&self.m_w1, &self.m_b1, &self.m_w2, &self.m_b2];
+        for [w1, b1, w2, b2] in std::iter::once(params).chain(full.then_some(momentum)) {
+            wire::write_f32_array(&mut w, &transpose(w1, self.inputs, self.hidden))?;
+            wire::write_f32_array(&mut w, b1)?;
+            wire::write_f32_array(&mut w, &transpose(w2, self.hidden, self.outputs))?;
+            wire::write_f32_array(&mut w, b2)?;
         }
+        Ok(())
+    }
+
+    /// Reads what [`Mlp::write`] wrote under `magic`. Dimensions that
+    /// [`param_sizes`] rejects are rejected before any weight is read.
+    fn read<R: Read>(mut r: R, magic: &[u8; 4], full: bool) -> io::Result<Self> {
+        let mut found = [0u8; 4];
+        r.read_exact(&mut found)?;
+        if &found != magic {
+            return Err(wire::bad_data("bad MLP magic"));
+        }
+        let mut dims = [0usize; 3];
+        for d in &mut dims {
+            // A dimension past `usize` saturates, and `param_sizes` rejects it.
+            *d = usize::try_from(wire::read_u64(&mut r)?).unwrap_or(usize::MAX);
+        }
+        let sizes = param_sizes(dims).ok_or_else(|| wire::bad_data("implausible MLP dimensions"))?;
+        let mut read_set = || -> io::Result<[Vec<f32>; 4]> {
+            let mut set = sizes.map(|_| Vec::new());
+            for (buf, n) in set.iter_mut().zip(sizes) {
+                *buf = wire::read_f32_array(&mut r, n)?;
+            }
+            Ok(set)
+        };
+        let params = read_set()?;
+        let momentum = if full { Some(read_set()?) } else { None };
+        Ok(Self::from_serialized(dims, params, momentum))
     }
 
     /// Serializes the network (dimensions and weights; optimizer state is
-    /// not persisted).
+    /// not persisted). The `MLP1` layout stores `w1` as `[hidden][inputs]`
+    /// and `w2` as `[outputs][hidden]`, whatever the in-memory layout.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from the writer.
-    pub fn save<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
-        w.write_all(b"MLP1")?;
-        for dim in [self.inputs as u64, self.hidden as u64, self.outputs as u64] {
-            w.write_all(&dim.to_le_bytes())?;
-        }
-        for buf in [&self.w1, &self.b1, &self.w2, &self.b2] {
-            for v in buf.iter() {
-                w.write_all(&v.to_le_bytes())?;
-            }
-        }
-        Ok(())
+    pub fn save<W: Write>(&self, w: W) -> io::Result<()> {
+        self.write(w, b"MLP1", false)
     }
 
     /// Deserializes a network written by [`Mlp::save`].
     ///
     /// # Errors
     ///
-    /// Returns an error on I/O failure or malformed input.
-    pub fn load<R: std::io::Read>(mut r: R) -> std::io::Result<Self> {
-        use std::io::{Error, ErrorKind};
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != b"MLP1" {
-            return Err(Error::new(ErrorKind::InvalidData, "bad MLP magic"));
-        }
-        let mut dims = [0u64; 3];
-        for d in &mut dims {
-            let mut b = [0u8; 8];
-            r.read_exact(&mut b)?;
-            *d = u64::from_le_bytes(b);
-        }
-        let (inputs, hidden, outputs) = (dims[0] as usize, dims[1] as usize, dims[2] as usize);
-        if inputs == 0 || hidden == 0 || outputs == 0 || inputs * hidden > (1 << 28) {
-            return Err(Error::new(ErrorKind::InvalidData, "implausible MLP dimensions"));
-        }
-        let mut read_f32s = |n: usize| -> std::io::Result<Vec<f32>> {
-            let mut out = Vec::with_capacity(n);
-            let mut b = [0u8; 4];
-            for _ in 0..n {
-                r.read_exact(&mut b)?;
-                out.push(f32::from_le_bytes(b));
-            }
-            Ok(out)
-        };
-        let w1 = read_f32s(inputs * hidden)?;
-        let b1 = read_f32s(hidden)?;
-        let w2 = read_f32s(hidden * outputs)?;
-        let b2 = read_f32s(outputs)?;
-        let mut net = Mlp::new(inputs, hidden, outputs, 0);
-        net.w1 = w1;
-        net.b1 = b1;
-        net.w2 = w2;
-        net.b2 = b2;
-        Ok(net)
+    /// Returns an error on I/O failure or malformed input, including a
+    /// header whose dimensions are zero or too large.
+    pub fn load<R: Read>(r: R) -> io::Result<Self> {
+        Self::read(r, b"MLP1", false)
     }
 
     /// Serializes the network *including* the SGD momentum buffers, so a
@@ -259,60 +333,18 @@ impl Mlp {
     /// # Errors
     ///
     /// Returns any I/O error from the writer.
-    pub fn save_full<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
-        w.write_all(b"MLPF")?;
-        for dim in [self.inputs as u64, self.hidden as u64, self.outputs as u64] {
-            w.write_all(&dim.to_le_bytes())?;
-        }
-        for buf in [&self.w1, &self.b1, &self.w2, &self.b2, &self.m_w1, &self.m_b1, &self.m_w2, &self.m_b2] {
-            for v in buf.iter() {
-                w.write_all(&v.to_le_bytes())?;
-            }
-        }
-        Ok(())
+    pub fn save_full<W: Write>(&self, w: W) -> io::Result<()> {
+        self.write(w, b"MLPF", true)
     }
 
     /// Deserializes a network written by [`Mlp::save_full`].
     ///
     /// # Errors
     ///
-    /// Returns an error on I/O failure or malformed input.
-    pub fn load_full<R: std::io::Read>(mut r: R) -> std::io::Result<Self> {
-        use std::io::{Error, ErrorKind};
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != b"MLPF" {
-            return Err(Error::new(ErrorKind::InvalidData, "bad full-MLP magic"));
-        }
-        let mut dims = [0u64; 3];
-        for d in &mut dims {
-            let mut b = [0u8; 8];
-            r.read_exact(&mut b)?;
-            *d = u64::from_le_bytes(b);
-        }
-        let (inputs, hidden, outputs) = (dims[0] as usize, dims[1] as usize, dims[2] as usize);
-        if inputs == 0 || hidden == 0 || outputs == 0 || inputs * hidden > (1 << 28) {
-            return Err(Error::new(ErrorKind::InvalidData, "implausible MLP dimensions"));
-        }
-        let mut read_f32s = |n: usize| -> std::io::Result<Vec<f32>> {
-            let mut out = Vec::with_capacity(n);
-            let mut b = [0u8; 4];
-            for _ in 0..n {
-                r.read_exact(&mut b)?;
-                out.push(f32::from_le_bytes(b));
-            }
-            Ok(out)
-        };
-        let mut net = Mlp::new(inputs, hidden, outputs, 0);
-        net.w1 = read_f32s(inputs * hidden)?;
-        net.b1 = read_f32s(hidden)?;
-        net.w2 = read_f32s(hidden * outputs)?;
-        net.b2 = read_f32s(outputs)?;
-        net.m_w1 = read_f32s(inputs * hidden)?;
-        net.m_b1 = read_f32s(hidden)?;
-        net.m_w2 = read_f32s(hidden * outputs)?;
-        net.m_b2 = read_f32s(outputs)?;
-        Ok(net)
+    /// Returns an error on I/O failure or malformed input, including a
+    /// header whose dimensions are zero or too large.
+    pub fn load_full<R: Read>(r: R) -> io::Result<Self> {
+        Self::read(r, b"MLPF", true)
     }
 
     /// Mean-squared-error convenience: forward on `input`, backward against
@@ -446,6 +478,29 @@ mod tests {
     fn load_rejects_garbage() {
         assert!(Mlp::load(&b"NOT A NET"[..]).is_err());
         assert!(Mlp::load_full(&b"NOT A NET"[..]).is_err());
+    }
+
+    #[test]
+    fn load_rejects_crafted_dimension_headers() {
+        // (1, 1, 2^62) asks for 2^62 output weights; (2^33, 2^33, 1)
+        // overflows `inputs * hidden`. Both must fail as data errors.
+        for dims in [[1u64, 1, 1 << 62], [1 << 33, 1 << 33, 1]] {
+            for magic in [b"MLP1", b"MLPF"] {
+                let mut header = magic.to_vec();
+                for d in dims {
+                    header.extend_from_slice(&d.to_le_bytes());
+                }
+                header.extend_from_slice(&[0; 8]);
+                assert_eq!(header.len(), 36);
+                let err = if magic == b"MLP1" {
+                    Mlp::load(header.as_slice())
+                } else {
+                    Mlp::load_full(header.as_slice())
+                }
+                .expect_err("crafted header must be rejected");
+                assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{dims:?}");
+            }
+        }
     }
 
     #[test]

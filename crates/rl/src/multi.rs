@@ -110,9 +110,8 @@ impl MultiAgentTrainer {
                     for _ in 0..batch {
                         let t = self.replays[partition]
                             .sample(&mut self.rng)
-                            .expect("buffer checked non-empty")
-                            .clone();
-                        losses += f64::from(self.agents[partition].learn_public(&t));
+                            .expect("buffer checked non-empty");
+                        losses += f64::from(self.agents[partition].learn(t));
                         updates += 1;
                     }
                 }

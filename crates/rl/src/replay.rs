@@ -77,6 +77,11 @@ impl ReplayBuffer {
         self.entries.is_empty()
     }
 
+    /// Every stored transition, in storage order.
+    pub(crate) fn transitions(&self) -> &[Transition] {
+        &self.entries
+    }
+
     /// Samples one uniformly random stored transition.
     pub fn sample<'a>(&'a self, rng: &mut SimRng) -> Option<&'a Transition> {
         if self.entries.is_empty() {

@@ -17,10 +17,13 @@ pub(crate) fn write_f32<W: Write>(w: &mut W, v: f32) -> io::Result<()> {
 
 pub(crate) fn write_f32s<W: Write>(w: &mut W, vs: &[f32]) -> io::Result<()> {
     write_u64(w, vs.len() as u64)?;
-    for &v in vs {
-        write_f32(w, v)?;
-    }
-    Ok(())
+    write_f32_array(w, vs)
+}
+
+/// Writes `vs` with no length prefix.
+pub(crate) fn write_f32_array<W: Write>(w: &mut W, vs: &[f32]) -> io::Result<()> {
+    let bytes: Vec<u8> = vs.iter().flat_map(|v| v.to_le_bytes()).collect();
+    w.write_all(&bytes)
 }
 
 pub(crate) fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
@@ -48,8 +51,14 @@ pub(crate) fn read_f32s<R: Read>(r: &mut R) -> io::Result<Vec<f32>> {
     if len > (1 << 28) {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "implausible vector length"));
     }
-    let mut out = Vec::with_capacity(len.min(1 << 20));
-    for _ in 0..len {
+    read_f32_array(r, len)
+}
+
+/// Reads `n` `f32`s with no length prefix, growing the buffer as they
+/// arrive so a short stream fails before a large allocation.
+pub(crate) fn read_f32_array<R: Read>(r: &mut R, n: usize) -> io::Result<Vec<f32>> {
+    let mut out = Vec::with_capacity(n.min(1 << 20));
+    for _ in 0..n {
         out.push(read_f32(r)?);
     }
     Ok(out)

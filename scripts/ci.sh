@@ -110,6 +110,27 @@ diff "$SMOKE_DIR/clean.txt" "$SMOKE_DIR/kill_resumed.txt" || {
     exit 1
 }
 
+echo "==> training resume smoke test"
+# An agent trained straight through and one stopped after its first epoch,
+# then resumed from the checkpoint, must save byte-identical networks: the
+# checkpoint carries weights, momentum, RNG streams and replay memory
+# through `save_full`/`load_full`. 36k records is about the least that
+# overflows the 2 MiB LLC of 429.mcf's run, so both epochs make victim
+# decisions and network updates; a shorter capture is all cold misses.
+TRAIN="train 429.mcf --records 36000 --epochs 2"
+"$RLR" $TRAIN --out "$SMOKE_DIR/a.mlp" > "$SMOKE_DIR/train_a.txt"
+grep -q "epoch 1: .*TD loss [0-9.]*[1-9]" "$SMOKE_DIR/train_a.txt" || {
+    echo "ci.sh: the training smoke made no network updates" >&2; exit 1;
+}
+"$RLR" $TRAIN --out "$SMOKE_DIR/b.mlp" --stop-after 1 > /dev/null
+test ! -e "$SMOKE_DIR/b.mlp" || {
+    echo "ci.sh: --stop-after 1 saved a finished network" >&2; exit 1;
+}
+"$RLR" $TRAIN --out "$SMOKE_DIR/b.mlp" --resume > /dev/null
+cmp "$SMOKE_DIR/a.mlp" "$SMOKE_DIR/b.mlp" || {
+    echo "ci.sh: resumed training diverged from the uninterrupted run" >&2; exit 1;
+}
+
 echo "==> event-timing CLI smoke test"
 # The --timing selector must reach the simulator (mode echoed in the
 # report) and event-mode runs must be bit-reproducible end to end.
