@@ -46,7 +46,10 @@ use cache_sim::{CacheStats, KindCounts, RunStats};
 
 use crate::fault::{FaultReader, FaultWriter};
 use crate::json::Json;
-use crate::runner::{resolve_jobs, run_tasks_resilient, SweepOptions, TaskFailure};
+use crate::runner::{
+    resolve_jobs, run_one_task, run_pool, run_tasks_resilient, RunOptions, SweepOptions,
+    TaskFailure,
+};
 
 /// Version prefix baked into every cell key; bump to invalidate all
 /// existing checkpoints when the simulator's semantics change.
@@ -95,6 +98,18 @@ pub trait Cell: Sync {
     fn label(&self) -> String;
     /// Computes the cell. Must be a pure function of [`Cell::key`].
     fn run(&self) -> Self::Out;
+    /// `true` when [`Cell::run_batch`] computes several cells of one sweep
+    /// more cheaply than running them one by one (the sweep then hands it
+    /// the missing cells in at most `jobs` contiguous batches).
+    const BATCHED: bool = false;
+    /// Computes `cells` together; the results are in `cells` order and
+    /// each equals that cell's [`Cell::run`].
+    fn run_batch(cells: &[&Self]) -> Vec<Self::Out>
+    where
+        Self: Sized,
+    {
+        cells.iter().map(|c| c.run()).collect()
+    }
 }
 
 /// The exact on-disk form of a cell result or one of its parts: a `u64`,
@@ -138,6 +153,14 @@ pub(crate) use cell_object;
 /// either way. Failed cells surface as `Err(TaskFailure)` in their slot
 /// after [`crate::runner::RunOptions::retries`]; results match `cells`
 /// order independent of scheduling.
+///
+/// A family that batches ([`Cell::BATCHED`]) gets its missing cells in at
+/// most `jobs` contiguous batches, each one pool task. Three cases keep
+/// the per-cell path — one pool task per cell, the cell index as task
+/// index, the configured retries: cells a fault directive targets
+/// ([`crate::fault::FailPlan::targets`]), every cell when a watchdog
+/// budget is armed (a budget is per cell), and every cell of a batch that
+/// panicked.
 pub fn run_checkpointed_sweep<C: Cell>(
     cells: &[C],
     opts: &SweepOptions,
@@ -149,21 +172,83 @@ pub fn run_checkpointed_sweep<C: Cell>(
             eprintln!("[{}] removed {swept} orphaned scratch file(s) from {dir}", C::FAMILY);
         }
     }
-    run_tasks_resilient(cells, resolve_jobs(opts.jobs), &opts.run, |_, cell| {
-        let slot = opts.cache_dir.as_deref().map(|dir| (dir, cell.key()));
-        if let Some((dir, key)) = &slot {
-            if let Some(cached) = load_cell(dir, key) {
-                eprintln!("[{}] {} cached", C::FAMILY, cell.label());
-                return cached;
+    let jobs = resolve_jobs(opts.jobs);
+    let per_cell = |_: usize, cell: &C| {
+        load_cached(cell, opts).unwrap_or_else(|| {
+            let out = cell.run();
+            store_done(cell, opts, &out);
+            out
+        })
+    };
+    if !C::BATCHED || opts.run.budget.is_some() {
+        return run_tasks_resilient(cells, jobs, &opts.run, per_cell);
+    }
+
+    let mut results: Vec<Option<Result<C::Out, TaskFailure>>> =
+        cells.iter().map(|_| None).collect();
+    let mut per_cell_idx = Vec::new();
+    let mut missing = Vec::new();
+    for (i, cell) in cells.iter().enumerate() {
+        if opts.run.fail_plan.targets(i) {
+            per_cell_idx.push(i);
+        } else if let Some(out) = load_cached(cell, opts) {
+            results[i] = Some(Ok(out));
+        } else {
+            missing.push(i);
+        }
+    }
+    let batches: Vec<&[usize]> = missing.chunks(missing.len().div_ceil(jobs).max(1)).collect();
+    let outs = run_tasks_resilient(&batches, jobs, &RunOptions::none(), |_, batch| {
+        let batch_cells: Vec<&C> = batch.iter().map(|&i| &cells[i]).collect();
+        let outs = C::run_batch(&batch_cells);
+        assert_eq!(outs.len(), batch.len(), "one result per batched cell");
+        for (cell, out) in batch_cells.into_iter().zip(&outs) {
+            store_done(cell, opts, out);
+        }
+        outs
+    });
+    for (batch, out) in batches.into_iter().zip(outs) {
+        match out {
+            Ok(outs) => {
+                for (&i, out) in batch.iter().zip(outs) {
+                    results[i] = Some(Ok(out));
+                }
+            }
+            Err(failure) => {
+                eprintln!(
+                    "[{}] batch of {} cell(s) failed ({}); rerunning them one by one",
+                    C::FAMILY,
+                    batch.len(),
+                    failure.kind
+                );
+                per_cell_idx.extend_from_slice(batch);
             }
         }
-        let out = cell.run();
-        if let Some((dir, key)) = &slot {
-            store_cell(dir, key, &out);
-        }
-        eprintln!("[{}] {} done", C::FAMILY, cell.label());
-        out
-    })
+    }
+    per_cell_idx.sort_unstable();
+    let reruns =
+        run_pool(&per_cell_idx, jobs, |_, &i| run_one_task(&opts.run, i, &cells[i], &per_cell));
+    for (i, r) in per_cell_idx.into_iter().zip(reruns) {
+        results[i] = Some(r);
+    }
+    results.into_iter().map(|r| r.expect("every cell is resolved")).collect()
+}
+
+/// The cell's checkpoint from `opts.cache_dir`, if there is a valid one;
+/// prints the `cached` line.
+fn load_cached<C: Cell>(cell: &C, opts: &SweepOptions) -> Option<C::Out> {
+    let out = load_cell(opts.cache_dir.as_deref()?, &cell.key())?;
+    eprintln!("[{}] {} cached", C::FAMILY, cell.label());
+    Some(out)
+}
+
+/// Stores a computed cell under `opts.cache_dir` (if any) and prints the
+/// `done` line.
+fn store_done<C: Cell>(cell: &C, opts: &SweepOptions, out: &C::Out) {
+    if let Some(dir) = &opts.cache_dir {
+        store_cell(dir, &cell.key(), out);
+    }
+    eprintln!("[{}] {} done", C::FAMILY, cell.label());
 }
 
 /// Writes `contents` to `path` atomically and durably: scratch file,
@@ -470,6 +555,71 @@ mod tests {
             self.runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             sample_stats(self.seed)
         }
+    }
+
+    /// A batching cell: counts its batches, and a batch holding the
+    /// `poison` seed panics (one cell alone never does).
+    struct BatchCell<'a> {
+        seed: u64,
+        poison: u64,
+        batches: &'a std::sync::atomic::AtomicUsize,
+    }
+
+    impl Cell for BatchCell<'_> {
+        const FAMILY: &'static str = "test";
+        type Out = RunStats;
+        fn key(&self) -> CellKey {
+            cell_key("batching", "none", &format!("seed{}", self.seed))
+        }
+        fn label(&self) -> String {
+            format!("seed{}", self.seed)
+        }
+        fn run(&self) -> RunStats {
+            sample_stats(self.seed)
+        }
+        const BATCHED: bool = true;
+        fn run_batch(cells: &[&Self]) -> Vec<RunStats> {
+            cells[0].batches.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            assert!(
+                cells.len() == 1 || cells.iter().all(|c| c.seed != c.poison),
+                "poisoned batch"
+            );
+            cells.iter().map(|c| c.run()).collect()
+        }
+    }
+
+    #[test]
+    fn batched_sweep_falls_back_per_cell_on_targets_and_panics() {
+        use crate::fault::FailPlan;
+        use crate::runner::RunOptions;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let batches = AtomicUsize::new(0);
+        let cells: Vec<BatchCell> =
+            (0..7).map(|seed| BatchCell { seed, poison: 5, batches: &batches }).collect();
+        let opts = |plan: &str| SweepOptions {
+            jobs: Some(2),
+            run: RunOptions {
+                fail_plan: FailPlan::parse(plan).expect("valid"),
+                ..RunOptions::none()
+            },
+            cache_dir: None,
+        };
+        // Cell 0 is targeted, so cells 1..7 go out as batches [1,2,3] and
+        // [4,5,6]; the second is poisoned and its cells rerun one by one.
+        let out = run_checkpointed_sweep(&cells, &opts("panic:0"));
+        assert_eq!(batches.load(Ordering::Relaxed), 2, "at most `jobs` batches");
+        let failure = out[0].as_ref().expect_err("the targeted cell fails");
+        assert_eq!((failure.index, failure.attempts), (0, 1));
+        for (seed, cell) in out.iter().enumerate().skip(1) {
+            assert_eq!(cell.as_ref().ok(), Some(&sample_stats(seed as u64)), "cell {seed}");
+        }
+        // A budget sends every cell down the per-cell path: no batches.
+        let budgeted = SweepOptions {
+            run: RunOptions { budget: Some(1 << 20), ..RunOptions::none() },
+            ..opts("")
+        };
+        assert!(run_checkpointed_sweep(&cells, &budgeted).iter().all(Result::is_ok));
+        assert_eq!(batches.load(Ordering::Relaxed), 2, "a watchdog budget disables batching");
     }
 
     #[test]

@@ -224,6 +224,18 @@ impl FailPlan {
         self.directives.is_empty()
     }
 
+    /// `true` when the next [`FailPlan::fault_for`]`(task)` would inject a
+    /// fault. Consumes nothing: the checkpointed sweep asks this to keep
+    /// targeted cells on the per-cell path, where `fault_for` then fires.
+    pub fn targets(&self, task: usize) -> bool {
+        let seen = self.seen.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        self.directives
+            .iter()
+            .zip(seen.iter())
+            .find(|(d, _)| d.task == task)
+            .is_some_and(|(d, &attempt)| d.times.is_none_or(|times| attempt < times))
+    }
+
     /// Consults the plan for one attempt of `task`, advancing the
     /// directive's attempt counter. Called by the pool immediately before
     /// the task body runs.
@@ -510,6 +522,72 @@ mod tests {
         }
         assert!(FailPlan::parse("").expect("empty is a no-op plan").is_empty());
         assert!(IoFailPlan::parse("").expect("empty is a no-op plan").is_empty());
+    }
+
+    /// Plan text for the fuzzer: `;`-joined directives, each well formed
+    /// or a salad of grammar tokens, numbers (some past `u64::MAX`) and
+    /// raw bytes.
+    fn gen_plan_bytes(rng: &mut simrng::SimRng) -> Vec<u8> {
+        use simrng::Rng;
+        const TOKENS: [&str; 16] = [
+            "panic", "stall", "torn", "flip", "enospc", "short-read", ":", ";", "@", "*", " ",
+            "0", "3", "18446744073709551616", "-1", "\u{e9}",
+        ];
+        let mut parts: Vec<Vec<u8>> = Vec::new();
+        for _ in 0..rng.gen_range(0..5usize) {
+            let part = match rng.gen_range(0..6u32) {
+                0 => format!("panic:{}", rng.gen_range(0..6usize)),
+                1 => format!("stall:{}:*", rng.gen_range(0..6usize)),
+                2 => format!("panic:{}:{}", rng.gen_range(0..6usize), rng.gen_range(1..4u32)),
+                3 => format!("torn:{}@{}", rng.gen_range(0..99u64), rng.gen_range(0..3u64)),
+                _ => {
+                    let mut salad = Vec::new();
+                    for _ in 0..rng.gen_range(1..8usize) {
+                        match rng.gen_range(0..4u32) {
+                            0 => salad.push(rng.gen_range(0..=255u8)),
+                            1 => salad.extend(rng.gen_range(0..40u64).to_string().bytes()),
+                            _ => salad.extend(TOKENS[rng.gen_range(0..TOKENS.len())].bytes()),
+                        }
+                    }
+                    parts.push(salad);
+                    continue;
+                }
+            };
+            parts.push(part.into_bytes());
+        }
+        parts.join(&b';')
+    }
+
+    #[test]
+    fn plan_parsers_never_panic_and_targets_predicts_fault_for() {
+        use simrng::prop::{check, Config};
+        check("fail_plan_fuzz", Config::with_cases(2000), gen_plan_bytes, |bytes| {
+            let raw = String::from_utf8_lossy(bytes);
+            let parsed =
+                std::panic::catch_unwind(|| (FailPlan::parse(&raw), IoFailPlan::parse(&raw)));
+            let Ok((tasks, ios)) = parsed else {
+                return Err(format!("parsing {raw:?} panicked"));
+            };
+            simrng::prop_assert_eq!(tasks.is_ok(), ios.is_ok(), "families disagree on {:?}", raw);
+            let Ok(plan) = tasks else { return Ok(()) };
+            let mut probe: Vec<usize> = plan.directives.iter().map(|d| d.task).collect();
+            probe.extend([0, 1, 2, 3, usize::MAX]);
+            for task in probe {
+                for attempt in 0..4 {
+                    let predicted = plan.targets(task);
+                    let fired = plan.fault_for(task).is_some();
+                    simrng::prop_assert_eq!(
+                        predicted,
+                        fired,
+                        "{:?}: task {} attempt {}",
+                        raw,
+                        task,
+                        attempt
+                    );
+                }
+            }
+            Ok(())
+        });
     }
 
     #[test]

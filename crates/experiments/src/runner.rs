@@ -600,8 +600,14 @@ fn retry_delay_ms(backoff_ms: u64, failed_attempts: u32) -> u64 {
     backoff_ms.saturating_mul(1u64 << shift).min(10_000)
 }
 
-/// Runs one task to completion or final failure under `opts`.
-fn run_one_task<T, R, F>(opts: &RunOptions, index: usize, item: &T, f: &F) -> Result<R, TaskFailure>
+/// Runs one task to completion or final failure under `opts`; `index` is
+/// the task index fault directives and [`TaskFailure::index`] refer to.
+pub(crate) fn run_one_task<T, R, F>(
+    opts: &RunOptions,
+    index: usize,
+    item: &T,
+    f: &F,
+) -> Result<R, TaskFailure>
 where
     F: Fn(usize, &T) -> R,
 {
@@ -656,19 +662,30 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
+    run_pool(items, jobs, |i, t| run_one_task(opts, i, t, &f))
+}
+
+/// Applies `task` to every item on a pool of `jobs` scoped threads, with
+/// results in input order. The scheduling core of [`run_tasks_resilient`];
+/// `task` must not panic (wrap it in [`run_one_task`]).
+pub(crate) fn run_pool<T, R, F>(items: &[T], jobs: usize, task: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
     let jobs = jobs.clamp(1, items.len().max(1));
     if jobs == 1 {
-        return items.iter().enumerate().map(|(i, t)| run_one_task(opts, i, t, &f)).collect();
+        return items.iter().enumerate().map(|(i, t)| task(i, t)).collect();
     }
     let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<R, TaskFailure>>>> =
-        items.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             scope.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(item) = items.get(i) else { break };
-                let result = run_one_task(opts, i, item, &f);
+                let result = task(i, item);
                 // Recover a poisoned slot rather than cascading: the
                 // poisoning panic was already captured as that task's
                 // failure, and the lock protects a plain Option.

@@ -7,8 +7,8 @@
 //! caches where values have sizes and lifetimes, capacity is a byte budget,
 //! and *whether to admit* an object matters as much as *what to evict*.
 //!
-//! - [`ObjectCache`] — the fast implementation (hash lookup + ordered
-//!   victim indexes).
+//! - [`ObjectCache`] — the fast implementation (hash lookup + lazy-deletion
+//!   victim heaps).
 //! - [`ReferenceObjectCache`] — the naive linear-scan oracle it is
 //!   differentially tested against.
 //! - [`policy`] — the shared policy contract: LRU / SLRU / GDSF baselines

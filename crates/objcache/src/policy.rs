@@ -4,7 +4,7 @@
 //! feature bucketings, the derived-rule scoring, the GDSF priority formula,
 //! and the admission frequency sketch. Both [`crate::ObjectCache`] and
 //! [`crate::ReferenceObjectCache`] call these functions; what they do *not*
-//! share is the bookkeeping machinery (victim indexes vs linear scans),
+//! share is the bookkeeping machinery (lazy victim heaps vs linear scans),
 //! which is exactly what the differential wall cross-checks.
 //!
 //! All scoring is integer arithmetic so the two implementations can be
@@ -188,12 +188,6 @@ pub fn admission_score(w: &DerivedWeights, freq_est: u32, size: u32, ttl_ms: u64
         + w.ad_ttl as i64 * ttl_feat(ttl_ms)
 }
 
-/// Order-preserving map `i64 -> u64` (for BTreeSet victim indexes).
-#[inline]
-pub fn prio_to_u64(p: i64) -> u64 {
-    (p as u64) ^ (1 << 63)
-}
-
 /// GDSF priority `H = L + freq * SCALE / size`.
 #[inline]
 pub fn gdsf_priority(inflation: u64, freq: u32, size: u32) -> u64 {
@@ -268,14 +262,6 @@ mod tests {
             assert_eq!(ilog2(x), 63 - x.leading_zeros(), "x={x}");
         }
         assert_eq!(ilog2(0), 0);
-    }
-
-    #[test]
-    fn prio_map_preserves_order() {
-        let xs = [i64::MIN, -5, -1, 0, 1, 42, i64::MAX];
-        for w in xs.windows(2) {
-            assert!(prio_to_u64(w[0]) < prio_to_u64(w[1]));
-        }
     }
 
     #[test]

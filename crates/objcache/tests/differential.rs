@@ -1,5 +1,5 @@
 //! The object-cache differential wall: the fast `ObjectCache` (hash lookup,
-//! ordered victim indexes) replayed against the deliberately naive
+//! lazy-deletion victim heaps) replayed against the deliberately naive
 //! `ReferenceObjectCache` (linear scans, recomputed accounting) across
 //! randomized traces — hit bytes, evictions, and expirations must match
 //! exactly for every policy. Mirrors the `ReferenceCache` wall that guards
@@ -117,6 +117,71 @@ fn derived_matches_oracle() {
     check("objcache_derived_matches_oracle", Config::with_cases(40), gen_case, |case| {
         run_differential(case, ObjPolicyKind::parse("rlr").expect("pinned rule"))
     });
+}
+
+/// A high-churn scenario: a budget of a few objects, 1–3 s TTLs and a tiny
+/// hot catalog, so most requests re-touch a resident key (each hit leaves
+/// a stale tuple in a victim heap) or find it expired. The heaps reach
+/// their buffer capacity with most tuples stale over and over, so
+/// compaction fires many times per case.
+fn gen_churn_case(rng: &mut SimRng) -> Case {
+    let min_size = 1u32 << rng.gen_range(6..9u32);
+    let max_size = min_size << rng.gen_range(1..4u32);
+    let traffic = ObjectTraffic {
+        catalog: rng.gen_range(8..48u64),
+        skew: f64::from(rng.gen_range(8..14u16)) / 10.0,
+        rps: rng.gen_range(50..400u64),
+        min_size,
+        max_size,
+        min_ttl_s: 1,
+        max_ttl_s: rng.gen_range(1..4u64),
+        flash_every: 300,
+        flash_len: rng.gen_range(20..150u64),
+        flash_share_pct: rng.gen_range(0..80u32),
+        flash_hot: rng.gen_range(1..5u64),
+        seed: rng.gen_range(0..1_000_000u64),
+    };
+    let cfg = ObjCacheConfig {
+        capacity_bytes: max_size as u64 * rng.gen_range(3..16u64),
+        protected_pct: rng.gen_range(10..95u32),
+    };
+    Case { traffic, cfg, requests: rng.gen_range(2000..6000usize) }
+}
+
+/// [`run_differential`] for the churn scenario, with the fast path's
+/// invariants (live counts, compaction bounds) checked at the same
+/// 64-request cadence as the counters.
+fn run_churn(case: &Case, policy: ObjPolicyKind) -> Result<(), String> {
+    let mut fast = ObjectCache::new(case.cfg, policy);
+    let mut oracle = ReferenceObjectCache::new(case.cfg, policy);
+    for (i, r) in case.traffic.stream().take(case.requests).enumerate() {
+        fast.request(&r);
+        oracle.request(&r);
+        if i % 64 == 0 {
+            prop_assert_eq!(
+                fast.stats(),
+                oracle.stats(),
+                "{} diverged under churn at request {} ({:?})",
+                policy.name(),
+                i,
+                r
+            );
+            fast.check_invariants();
+        }
+    }
+    prop_assert_eq!(fast.stats(), oracle.stats(), "{} diverged at end", policy.name());
+    prop_assert_eq!(fast.resident(), oracle.resident(), "resident object counts differ");
+    prop_assert!(fast.stats().hits > 0 && fast.stats().evictions > 0, "scenario exerts no churn");
+    fast.check_invariants();
+    Ok(())
+}
+
+#[test]
+fn high_churn_matches_oracle() {
+    for policy in ObjPolicyKind::roster() {
+        let name = format!("objcache_churn_{}", policy.name());
+        check(&name, Config::with_cases(12), gen_churn_case, |case| run_churn(case, policy));
+    }
 }
 
 /// The walls above use randomized shapes; this one runs the exact default

@@ -46,6 +46,24 @@ RLR_RESULTS_DIR="$SMOKE_DIR/resume" "$RLR" compare $COMPARE \
 diff "$SMOKE_DIR/clean.txt" "$SMOKE_DIR/resumed.txt" || {
     echo "ci.sh: resumed sweep diverged from the uninterrupted run" >&2; exit 1;
 }
+# The same for the batched tenancy sweep: the crashed mode (cell 1) runs
+# alone on the per-cell path and is reported failed, the other modes are
+# checkpointed, and the resume computes only the missing mode. Each run
+# names its own results directory on its `saved` line, so that line is
+# left out of the comparison.
+TEN_RESUME="tenancy compare --accesses 20000 --jobs 2"
+RLR_RESULTS_DIR="$SMOKE_DIR/ten_clean" "$RLR" $TEN_RESUME 2>/dev/null \
+    | grep -v '^saved ' > "$SMOKE_DIR/ten_clean.txt"
+RLR_RESULTS_DIR="$SMOKE_DIR/ten_resume" RLR_FAIL_PLAN="panic:1:*" RLR_RETRIES=0 \
+    "$RLR" $TEN_RESUME > "$SMOKE_DIR/ten_interrupted.txt" 2>/dev/null
+grep -q "way-partition *FAILED" "$SMOKE_DIR/ten_interrupted.txt" || {
+    echo "ci.sh: injected crash was not reported as a failed tenancy mode" >&2; exit 1;
+}
+RLR_RESULTS_DIR="$SMOKE_DIR/ten_resume" "$RLR" $TEN_RESUME 2>/dev/null \
+    | grep -v '^saved ' > "$SMOKE_DIR/ten_resumed.txt"
+diff "$SMOKE_DIR/ten_clean.txt" "$SMOKE_DIR/ten_resumed.txt" || {
+    echo "ci.sh: resumed tenancy sweep diverged from the uninterrupted run" >&2; exit 1;
+}
 
 echo "==> I/O-fault CLI smoke test"
 # A torn checkpoint store mid-sweep is benign: the sweep's stdout matches
