@@ -24,6 +24,12 @@ impl std::fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
+impl From<experiments::RunnerError> for ArgError {
+    fn from(e: experiments::RunnerError) -> Self {
+        Self(e.to_string())
+    }
+}
+
 impl Args {
     /// Parses raw arguments (excluding the program name).
     ///

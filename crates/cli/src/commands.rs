@@ -4,10 +4,12 @@ use std::fs;
 use std::io::{BufReader, BufWriter};
 use std::path::Path;
 
-use cache_sim::{LlcTrace, SingleCoreSystem, SystemConfig, TimingMode};
+use cache_sim::{LlcTrace, SystemConfig, TimingMode};
 use experiments::checkpoint::{run_checkpointed_sweep, write_atomic, Cell as _};
 use experiments::fault::FaultWriter;
-use experiments::runner::{replay_llc_reader, SingleCoreCell, SweepOptions};
+use experiments::runner::{
+    capture_llc, replay_llc_reader, simulate_single, SingleCoreCell, SweepOptions,
+};
 use experiments::{PolicyKind, Table};
 use rl::{Agent, AgentConfig, FeatureSet, LlcModel, Mlp, Trainer};
 use trace_io::{TraceFormat, TraceReader, TraceWriter};
@@ -94,10 +96,8 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         config = config.without_prefetchers();
     }
 
-    let mut system = SingleCoreSystem::new(&config, kind.build(&config.llc, None));
-    let mut stream = workload.stream();
-    system.warm_up(&mut stream, warmup);
-    let stats = system.run(stream, instructions);
+    let stats =
+        simulate_single(&config, &workload, kind.build(&config.llc, None), warmup, instructions);
 
     println!("benchmark    {bench}");
     println!("policy       {}", kind.name());
@@ -212,31 +212,32 @@ pub fn capture(args: &Args) -> Result<(), ArgError> {
     let warmup = args.get_num("warmup", 1_000_000u64)?;
     let workload = workload_by_name(bench)?;
 
-    let config = SystemConfig::paper_single_core();
-    let mut system = SingleCoreSystem::new(&config, PolicyKind::Lru.build(&config.llc, None));
-    let mut stream = workload.stream();
-    system.warm_up(&mut stream, warmup);
-    system.llc_mut().enable_capture();
-    let mut instructions = 0u64;
-    loop {
-        instructions += 1_000_000;
-        let _ = system.run(&mut stream, instructions);
-        let trace = system.llc().accesses_seen();
-        if trace as usize >= records || instructions > 400_000_000 {
-            break;
-        }
-    }
-    let mut trace = system
-        .llc_mut()
-        .take_capture()
-        .ok_or_else(|| ArgError(experiments::RunnerError::CaptureUnavailable.to_string()))?;
-    trace.truncate(records);
+    let trace = capture_to_memory(&workload, warmup, records)?;
     let file = fs::File::create(out).map_err(|e| ArgError(format!("create {out}: {e}")))?;
     trace
         .write_to(BufWriter::new(file))
         .map_err(|e| ArgError(format!("write {out}: {e}")))?;
     println!("captured {} LLC records from {bench} into {out}", trace.len());
     Ok(())
+}
+
+/// The instruction ceiling of the CLI's single-core captures: the first
+/// 1M-instruction slice past 400M.
+const CLI_CAPTURE_CEILING: u64 = 401_000_000;
+
+/// Captures up to `records` LLC records of `workload` into memory, after
+/// `warmup` unmeasured instructions.
+fn capture_to_memory(
+    workload: &Workload,
+    warmup: u64,
+    records: usize,
+) -> Result<LlcTrace, ArgError> {
+    let mut trace = LlcTrace::new();
+    capture_llc(workload, warmup, records as u64, CLI_CAPTURE_CEILING, |slice| {
+        slice.iter().for_each(|&r| trace.push(r));
+        Ok::<_, ArgError>(())
+    })?;
+    Ok(trace)
 }
 
 /// Loads a whole trace from either on-disk format (legacy `LLCT` or the
@@ -346,23 +347,7 @@ pub fn train(args: &Args) -> Result<(), ArgError> {
     } else {
         let workload = workload_by_name(source)?;
         println!("capturing {records} LLC records from {source}...");
-        let mut system = SingleCoreSystem::new(&config, PolicyKind::Lru.build(&config.llc, None));
-        let mut stream = workload.stream();
-        system.llc_mut().enable_capture();
-        let mut instructions = 0u64;
-        loop {
-            instructions += 1_000_000;
-            let _ = system.run(&mut stream, instructions);
-            if system.llc().accesses_seen() as usize >= records || instructions > 400_000_000 {
-                break;
-            }
-        }
-        let mut t = system
-            .llc_mut()
-            .take_capture()
-            .ok_or_else(|| ArgError(experiments::RunnerError::CaptureUnavailable.to_string()))?;
-        t.truncate(records);
-        t
+        capture_to_memory(&workload, 0, records)?
     };
 
     let agent_config = AgentConfig {
@@ -545,29 +530,9 @@ fn trace_capture(args: &Args) -> Result<(), ArgError> {
     let workload = workload_by_name(bench)?;
 
     let mut writer = open_trace_writer(out, block)?;
-    let config = SystemConfig::paper_single_core();
-    let mut system = SingleCoreSystem::new(&config, PolicyKind::Lru.build(&config.llc, None));
-    let mut stream = workload.stream();
-    system.warm_up(&mut stream, warmup);
-    system.llc_mut().enable_capture();
-    let mut written = 0u64;
-    let mut instructions = 0u64;
-    loop {
-        instructions += 1_000_000;
-        let _ = system.run(&mut stream, instructions);
-        let drained = system
-            .llc_mut()
-            .drain_capture()
-            .ok_or_else(|| ArgError(experiments::RunnerError::CaptureUnavailable.to_string()))?;
-        let take = (records - written).min(drained.len() as u64) as usize;
-        writer
-            .extend(&drained.records()[..take])
-            .map_err(|e| ArgError(format!("write {out}: {e}")))?;
-        written += take as u64;
-        if written >= records || instructions > 400_000_000 {
-            break;
-        }
-    }
+    let written = capture_llc(&workload, warmup, records, CLI_CAPTURE_CEILING, |slice| {
+        writer.extend(slice).map_err(|e| ArgError(format!("write {out}: {e}")))
+    })?;
     writer.finish().map_err(|e| ArgError(format!("write {out}: {e}")))?;
     println!("captured {written} LLC records from {bench} into {out}");
     Ok(())

@@ -1,11 +1,12 @@
 //! RLR design-choice ablations (§V-B and §IV-C of the paper).
 
-use cache_sim::{ReplacementPolicy, SingleCoreSystem, SystemConfig};
+use cache_sim::{ReplacementPolicy, SystemConfig};
 use rlr::{AgeUnit, RecencyMode, RlrConfig, RlrPolicy};
 use workloads::{spec2006, TRAINING_SET};
 
 use crate::geomean_speedup_pct;
 use crate::report::Table;
+use crate::runner::simulate_single;
 use crate::scale::Scale;
 
 /// Runs a workload with an explicitly configured policy (statically
@@ -16,10 +17,7 @@ fn run_with<P: ReplacementPolicy>(
     scale: Scale,
 ) -> cache_sim::RunStats {
     let config = SystemConfig::paper_single_core();
-    let mut system = SingleCoreSystem::new(&config, policy);
-    let mut stream = workload.stream();
-    system.warm_up(&mut stream, scale.warmup());
-    system.run(stream, scale.instructions())
+    simulate_single(&config, workload, policy, scale.warmup(), scale.instructions())
 }
 
 /// Geomean speedup over LRU of an RLR configuration across the training
@@ -158,10 +156,8 @@ pub fn kpc_prefetcher_comparison(scale: Scale) -> Table {
         crate::geomean_speedup_pct(TRAINING_SET.iter().map(|&name| {
             let workload = spec2006(name).expect("training benchmark");
             let run = |kind: PolicyKind| {
-                let mut sys = SingleCoreSystem::new(&system, kind.build(&system.llc, None));
-                let mut stream = workload.stream();
-                sys.warm_up(&mut stream, scale.warmup());
-                sys.run(stream, scale.instructions())
+                let policy = kind.build(&system.llc, None);
+                simulate_single(&system, &workload, policy, scale.warmup(), scale.instructions())
             };
             run(policy).speedup_pct_over(&run(PolicyKind::Lru))
         }))

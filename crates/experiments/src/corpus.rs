@@ -17,18 +17,16 @@
 //! reproducible in tests.
 
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use cache_sim::{LlcTrace, SystemConfig, SingleCoreSystem};
-use trace_io::{TraceIoError, TraceReader, TraceWriter};
-use workloads::{spec2006, Workload};
+use cache_sim::LlcTrace;
+use trace_io::{TraceIoError, TraceReader};
+use workloads::spec2006;
 
 use crate::checkpoint::write_atomic;
 use crate::fault::FaultReader;
 use crate::report::results_dir;
-use crate::roster::PolicyKind;
-use crate::runner::{capture_llc_trace, watchdog_tick, RunnerError};
+use crate::runner::{capture_llc_trace, RunnerError};
 use crate::scale::Scale;
 
 /// Why a corpus trace could not be produced or loaded.
@@ -115,48 +113,6 @@ pub fn quarantine_file(path: &Path) -> std::io::Result<PathBuf> {
 /// The legacy pipeline cache file this corpus entry supersedes.
 fn legacy_path(name: &str, scale: Scale) -> PathBuf {
     results_dir().join("cache").join(format!("{}_{}.trace", name.replace('.', "_"), scale))
-}
-
-/// Captures a workload's LLC trace *directly into* `writer`, draining the
-/// capture buffer every simulation slice so peak memory is one slice of
-/// records plus one container block — never the whole trace. The record
-/// stream is identical to [`capture_llc_trace`] with the same arguments
-/// (same warm-up, same slicing, same instruction ceiling); only the
-/// buffering differs.
-///
-/// Returns the number of records written (≤ `max_records`).
-///
-/// # Errors
-///
-/// Returns [`RunnerError::CaptureUnavailable`] wrapped in
-/// [`CorpusError::Runner`] if the LLC stops yielding its capture buffer,
-/// or any container/I/O error from the writer.
-pub fn capture_stream<W: Write>(
-    workload: &Workload,
-    scale: Scale,
-    max_records: u64,
-    writer: &mut TraceWriter<W>,
-) -> Result<u64, CorpusError> {
-    let config = SystemConfig::paper_single_core();
-    let mut system = SingleCoreSystem::new(&config, PolicyKind::Lru.build(&config.llc, None));
-    let mut stream = workload.stream();
-    system.warm_up(&mut stream, scale.warmup() / 2);
-    system.llc_mut().enable_capture();
-    let mut written = 0u64;
-    let mut instructions = 0u64;
-    loop {
-        watchdog_tick(1);
-        instructions += 1_000_000;
-        let _ = system.run(&mut stream, instructions);
-        let drained =
-            system.llc_mut().drain_capture().ok_or(RunnerError::CaptureUnavailable)?;
-        let take = (max_records - written).min(drained.len() as u64) as usize;
-        writer.extend(&drained.records()[..take])?;
-        written += take as u64;
-        if written >= max_records || instructions >= 40 * scale.instructions() {
-            return Ok(written);
-        }
-    }
 }
 
 /// Reads the container at `path` through the fault seam. A missing file

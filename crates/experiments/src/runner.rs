@@ -35,7 +35,7 @@ use cache_sim::{
     MultiCoreSystem, ReplacementPolicy, RunStats, ServiceLevel, SetAssocCache, SharedLlc,
     SingleCoreSystem, SystemConfig, TimingMode, TimingModel,
 };
-use workloads::{cloudsuite, spec2006, Workload, WorkloadMix};
+use workloads::{cloudsuite, spec2006, TraceEntry, Workload, WorkloadMix};
 
 use crate::checkpoint::{self, CellKey};
 use crate::fault::{FailPlan, FaultKind};
@@ -52,6 +52,9 @@ pub enum RunnerError {
     /// The LLC model produced no capture buffer (capture was not enabled
     /// or was already taken).
     CaptureUnavailable,
+    /// A multi-core capture was asked for this many cores; it takes 1 to
+    /// 255.
+    CoreCount(usize),
 }
 
 impl std::fmt::Display for RunnerError {
@@ -59,6 +62,7 @@ impl std::fmt::Display for RunnerError {
         match self {
             Self::UnknownBenchmark(name) => write!(f, "unknown benchmark `{name}`"),
             Self::CaptureUnavailable => write!(f, "LLC capture buffer unavailable"),
+            Self::CoreCount(n) => write!(f, "a mix takes 1 to 255 benchmarks, got {n}"),
         }
     }
 }
@@ -158,33 +162,110 @@ fn env_num<T: std::str::FromStr>(name: &str) -> Option<T> {
 /// identical either way.
 pub fn run_single(workload: &Workload, policy: PolicyKind, scale: Scale) -> RunStats {
     let config = SystemConfig::paper_single_core().with_timing(TimingMode::from_env());
+    let policy = policy.build(&config.llc, None);
     simulate_single(&config, workload, policy, scale.warmup(), scale.instructions())
 }
 
-/// Runs one workload on a single-core `config`: `warmup` unmeasured
-/// instructions, then `instructions` measured ones.
-fn simulate_single(
+/// Runs one workload on a single-core `config` under `policy`: `warmup`
+/// unmeasured instructions, then `instructions` measured ones. Every
+/// warm-up-then-measure single-core run goes through here.
+pub fn simulate_single<P: ReplacementPolicy>(
     config: &SystemConfig,
     workload: &Workload,
-    policy: PolicyKind,
+    policy: P,
     warmup: u64,
     instructions: u64,
 ) -> RunStats {
-    let mut system = SingleCoreSystem::new(config, policy.build(&config.llc, None));
+    let mut system = SingleCoreSystem::new(config, policy);
     let mut stream = workload.stream();
     system.warm_up(&mut stream, warmup);
     system.run(stream, instructions)
 }
 
+/// Instructions simulated between two drains of a single-core capture.
+const CAPTURE_SLICE: u64 = 1_000_000;
+
+/// Instructions simulated between two drains of a multi-core capture.
+const MIX_CAPTURE_SLICE: u64 = 250_000;
+
+/// Captures a workload's LLC access stream on the paper's single-core
+/// system under LRU, handing it to `sink` one simulation slice at a time.
+/// Every single-core capture (the corpus, the trace-driven figures, the
+/// CLI) goes through here.
+///
+/// The system runs `warmup` unmeasured instructions, then enables capture
+/// and runs in 1M-instruction slices. Each slice ticks the task watchdog
+/// and drains the capture buffer into `sink`, so memory stays bounded by
+/// one slice of records. The capture stops once `sink` has seen
+/// `max_records` records or the slices reach `max_instructions`, whichever
+/// comes first. The stream is policy-invariant: the LLC access stream does
+/// not depend on the LLC replacement policy in this simulator.
+///
+/// Returns the number of records delivered (at most `max_records`).
+///
+/// # Errors
+///
+/// Returns the first error of `sink` unchanged, which also stops the
+/// capture, or [`RunnerError::CaptureUnavailable`] (through `E::from`) if
+/// the LLC yields no capture buffer.
+pub fn capture_llc<E: From<RunnerError>>(
+    workload: &Workload,
+    warmup: u64,
+    max_records: u64,
+    max_instructions: u64,
+    sink: impl FnMut(&[LlcRecord]) -> Result<(), E>,
+) -> Result<u64, E> {
+    let config = SystemConfig::paper_single_core();
+    let mut system = SingleCoreSystem::new(&config, PolicyKind::Lru.build(&config.llc, None));
+    let mut stream = workload.stream();
+    system.warm_up(&mut stream, warmup);
+    system.llc_mut().enable_capture();
+    capture_slices(CAPTURE_SLICE, max_records, max_instructions, sink, |target| {
+        let _ = system.run(&mut stream, target);
+        system.llc_mut().drain_capture()
+    })
+}
+
+/// The one capture stop rule. Grows the instruction target by `slice`;
+/// `run_to` advances the system to that target and drains its capture
+/// buffer. Each slice ticks the watchdog and feeds `sink` at most the
+/// records still missing from `max_records`; the loop ends once the quota
+/// is met or the target reaches `max_instructions`.
+fn capture_slices<E: From<RunnerError>>(
+    slice: u64,
+    max_records: u64,
+    max_instructions: u64,
+    mut sink: impl FnMut(&[LlcRecord]) -> Result<(), E>,
+    mut run_to: impl FnMut(u64) -> Option<LlcTrace>,
+) -> Result<u64, E> {
+    let mut delivered = 0u64;
+    let mut target = 0u64;
+    loop {
+        watchdog_tick(1);
+        target += slice;
+        let drained = run_to(target).ok_or(RunnerError::CaptureUnavailable)?;
+        let take = (max_records - delivered).min(drained.len() as u64) as usize;
+        sink(&drained.records()[..take])?;
+        delivered += take as u64;
+        if delivered >= max_records || target >= max_instructions {
+            return Ok(delivered);
+        }
+    }
+}
+
+/// Appends every record of a slice to `trace`: the in-memory capture sink.
+fn push_records(trace: &mut LlcTrace, records: &[LlcRecord]) -> Result<(), RunnerError> {
+    for &r in records {
+        trace.push(r);
+    }
+    Ok(())
+}
+
 /// Runs a workload once with LRU and captures its LLC access trace
 /// (`max_records` records, collected after warm-up), for the trace-driven
-/// pipeline (RL training, Belady, Figs. 1 and 3–7).
-///
-/// The capture is policy-invariant: the LLC access stream does not depend
-/// on the LLC replacement policy in this simulator. Each 1M-instruction
-/// slice ticks the task watchdog, so a workload that never fills its
-/// capture quota is bounded by [`RunOptions::budget`] as well as the
-/// 40×scale instruction ceiling.
+/// pipeline (RL training, Belady, Figs. 1 and 3–7): [`capture_llc`] into
+/// memory over the scale's window, a `scale.warmup() / 2` warm-up and a
+/// `40 × scale.instructions()` ceiling.
 ///
 /// # Errors
 ///
@@ -195,26 +276,14 @@ pub fn capture_llc_trace(
     scale: Scale,
     max_records: usize,
 ) -> Result<LlcTrace, RunnerError> {
-    let config = SystemConfig::paper_single_core();
-    let mut system = SingleCoreSystem::new(&config, PolicyKind::Lru.build(&config.llc, None));
-    let mut stream = workload.stream();
-    system.warm_up(&mut stream, scale.warmup() / 2);
-    let base = system.llc().accesses_seen();
-    system.llc_mut().enable_capture();
-    // Run in slices until enough LLC records accumulate (memory-bound
-    // workloads need far fewer instructions than cache-friendly ones).
-    let mut instructions = 0u64;
-    loop {
-        watchdog_tick(1);
-        instructions += 1_000_000;
-        let _ = system.run(&mut stream, instructions);
-        let captured = system.llc().accesses_seen() - base;
-        if captured as usize >= max_records || instructions >= 40 * scale.instructions() {
-            break;
-        }
-    }
-    let mut trace = system.llc_mut().take_capture().ok_or(RunnerError::CaptureUnavailable)?;
-    trace.truncate(max_records);
+    let mut trace = LlcTrace::new();
+    capture_llc(
+        workload,
+        scale.warmup() / 2,
+        max_records as u64,
+        40 * scale.instructions(),
+        |records| push_records(&mut trace, records),
+    )?;
     Ok(trace)
 }
 
@@ -399,28 +468,26 @@ pub fn demand_requests(trace: &LlcTrace) -> Vec<DataRequest> {
         .collect()
 }
 
+/// Core `core`'s instruction stream in a multi-core mix. Distinct per-core
+/// seeds keep identical benchmarks from running in lockstep; a per-core PC
+/// salt models distinct binaries/address spaces (without it, every
+/// synthetic workload allocates PCs from the same base and cross-core
+/// collisions poison shared PC-indexed predictors).
+fn core_stream(wl: &Workload, core: usize) -> Box<dyn Iterator<Item = TraceEntry> + Send> {
+    let seeded = wl.clone().with_seed(wl.seed() ^ (core as u64 + 1).wrapping_mul(0x9E37));
+    let pc_salt = (core as u64 + 1) << 44;
+    Box::new(seeded.stream().map(move |mut e| {
+        e.pc ^= pc_salt;
+        e
+    }))
+}
+
 /// Runs a 4-core mix on the paper's quad-core system; returns per-core
 /// statistics.
 pub fn run_mix(mix: &WorkloadMix, policy: PolicyKind, scale: Scale) -> Vec<RunStats> {
     let config = SystemConfig::paper_quad_core().with_timing(TimingMode::from_env());
-    let streams = mix
-        .workloads()
-        .iter()
-        .enumerate()
-        .map(|(core, wl)| {
-            // Distinct per-core seeds keep identical benchmarks from
-            // running in lockstep; a per-core PC salt models distinct
-            // binaries/address spaces (without it, every synthetic
-            // workload allocates PCs from the same base and cross-core
-            // collisions poison shared PC-indexed predictors).
-            let seeded = wl.clone().with_seed(wl.seed() ^ (core as u64 + 1).wrapping_mul(0x9E37));
-            let pc_salt = (core as u64 + 1) << 44;
-            Box::new(seeded.stream().map(move |mut e| {
-                e.pc ^= pc_salt;
-                e
-            })) as Box<dyn Iterator<Item = workloads::TraceEntry> + Send>
-        })
-        .collect();
+    let streams =
+        mix.workloads().iter().enumerate().map(|(core, wl)| core_stream(wl, core)).collect();
     let mut system = MultiCoreSystem::new(&config, policy.build(&config.llc, None), streams);
     system.run(scale.mc_warmup(), scale.mc_instructions())
 }
@@ -430,59 +497,50 @@ pub fn run_mix(mix: &WorkloadMix, policy: PolicyKind, scale: Scale) -> Vec<RunSt
 /// can later be split per core ([`cache_sim::LlcTrace::filter_core`],
 /// `rlr trace export <file.rlt> --core N`).
 ///
-/// Mirrors [`capture_llc_trace`]'s slice-drained structure on
+/// The same stop rule as [`capture_llc`] on
 /// [`MultiCoreSystem::warm_up`]/[`MultiCoreSystem::run_until`]: warm up
 /// unmeasured, then enable capture and grow the instruction target in
-/// slices, draining the buffer each slice so capture memory stays bounded.
+/// 250k-instruction slices, draining the buffer each slice so capture
+/// memory stays bounded, up to a `40 × scale.mc_instructions()` ceiling.
 ///
 /// # Errors
 ///
-/// Returns [`RunnerError::UnknownBenchmark`] for the first unknown name,
-/// or [`RunnerError::CaptureUnavailable`] if the LLC stops yielding its
+/// Returns [`RunnerError::CoreCount`] unless there are 1 to 255
+/// benchmarks (core ids are one byte and the system counts its cores in
+/// one), [`RunnerError::UnknownBenchmark`] for the first unknown name, or
+/// [`RunnerError::CaptureUnavailable`] if the LLC stops yielding its
 /// capture buffer.
 pub fn capture_mix_llc_trace(
     benchmarks: &[&str],
     scale: Scale,
     max_records: usize,
 ) -> Result<LlcTrace, RunnerError> {
-    assert!(!benchmarks.is_empty(), "at least one benchmark");
-    assert!(benchmarks.len() <= u8::MAX as usize + 1, "core ids are one byte");
+    let cores = u8::try_from(benchmarks.len())
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or(RunnerError::CoreCount(benchmarks.len()))?;
     let mut config = SystemConfig::paper_quad_core();
-    config.cores = benchmarks.len() as u8;
-    let mut streams: Vec<Box<dyn Iterator<Item = workloads::TraceEntry> + Send>> = Vec::new();
-    for (core, name) in benchmarks.iter().enumerate() {
-        let wl = resolve_workload(name)?;
-        // Same per-core decorrelation as `run_mix`: distinct seeds and a
-        // per-core PC salt modelling distinct address spaces.
-        let seeded = wl.clone().with_seed(wl.seed() ^ (core as u64 + 1).wrapping_mul(0x9E37));
-        let pc_salt = (core as u64 + 1) << 44;
-        streams.push(Box::new(seeded.stream().map(move |mut e| {
-            e.pc ^= pc_salt;
-            e
-        })));
-    }
+    config.cores = cores;
+    let streams = benchmarks
+        .iter()
+        .enumerate()
+        .map(|(core, name)| Ok(core_stream(&resolve_workload(name)?, core)))
+        .collect::<Result<_, RunnerError>>()?;
     let mut system =
         MultiCoreSystem::new(&config, PolicyKind::Lru.build(&config.llc, None), streams);
     system.warm_up(scale.mc_warmup());
     system.llc_mut().enable_capture();
     let mut trace = LlcTrace::new();
-    let mut target = 0u64;
-    loop {
-        watchdog_tick(1);
-        target += 250_000;
-        let _ = system.run_until(target);
-        let drained =
-            system.llc_mut().drain_capture().ok_or(RunnerError::CaptureUnavailable)?;
-        for &r in drained.records() {
-            if trace.len() >= max_records {
-                break;
-            }
-            trace.push(r);
-        }
-        if trace.len() >= max_records || target >= 40 * scale.mc_instructions() {
-            break;
-        }
-    }
+    capture_slices(
+        MIX_CAPTURE_SLICE,
+        max_records as u64,
+        40 * scale.mc_instructions(),
+        |records| push_records(&mut trace, records),
+        |target| {
+            let _ = system.run_until(target);
+            system.llc_mut().drain_capture()
+        },
+    )?;
     Ok(trace)
 }
 
@@ -785,7 +843,8 @@ impl checkpoint::Cell for SingleCoreCell<'_> {
     }
 
     fn run(&self) -> RunStats {
-        simulate_single(self.config, self.workload, self.policy, self.warmup, self.instructions)
+        let policy = self.policy.build(&self.config.llc, None);
+        simulate_single(self.config, self.workload, policy, self.warmup, self.instructions)
     }
 }
 
@@ -858,6 +917,17 @@ mod tests {
         let trace = capture_llc_trace(&wl, Scale::Small, 5_000).expect("capture succeeds");
         assert!(trace.len() <= 5_000);
         assert!(trace.len() >= 4_000, "mcf floods the LLC: got {}", trace.len());
+    }
+
+    #[test]
+    fn mix_capture_rejects_core_counts_outside_one_byte() {
+        // 257 names used to panic on an assert; 256 reached the system
+        // with a zero core count and panicked there.
+        for n in [0, 256, 257] {
+            let names = vec!["429.mcf"; n];
+            let err = capture_mix_llc_trace(&names, Scale::Small, 10).expect_err("rejected");
+            assert_eq!(err, RunnerError::CoreCount(n));
+        }
     }
 
     #[test]

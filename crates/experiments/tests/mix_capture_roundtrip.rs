@@ -5,7 +5,6 @@
 use cache_sim::LlcTrace;
 use experiments::runner::capture_mix_llc_trace;
 use experiments::Scale;
-use trace_io::MappedContainer;
 
 #[test]
 fn mix_capture_splits_per_core_and_reassembles_exactly() {
@@ -15,13 +14,12 @@ fn mix_capture_splits_per_core_and_reassembles_exactly() {
     let cores = trace.cores();
     assert_eq!(cores, vec![0, 1], "both cores reach the shared LLC");
 
-    // Through the container and back (via the mmap open path), then split.
+    // Through the container and back, then split.
     let dir = std::env::temp_dir().join(format!("rlr-mix-roundtrip-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("mix.rlt");
     trace_io::write_trace_file(&path, &trace, trace_io::DEFAULT_BLOCK_LEN).expect("container writes");
-    let mapped = MappedContainer::open(&path).expect("container maps");
-    let reread = mapped.reader().unwrap().read_to_trace().expect("container decodes");
+    let reread = trace_io::read_trace_file(&path).expect("container decodes");
     assert_eq!(reread.records(), trace.records(), "container round trip is exact");
 
     let per_core: Vec<LlcTrace> = cores.iter().map(|&c| reread.filter_core(c)).collect();

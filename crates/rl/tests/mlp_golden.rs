@@ -168,31 +168,24 @@ fn small_scale_agent_file_round_trips_byte_for_byte() {
 }
 
 #[test]
-fn committed_small_agents_round_trip_or_are_rejected_as_truncated() {
-    // A committed agent that holds the whole payload its header declares
-    // must load and save back byte for byte. One cut short must be
-    // rejected with `UnexpectedEof`, never loaded or panicked on; the
-    // pipeline then retrains it.
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/cache");
-    let mut files: Vec<_> = std::fs::read_dir(&dir)
-        .expect("results/cache is committed")
-        .map(|e| e.expect("readable entry").path())
-        .filter(|p| p.to_string_lossy().ends_with("_small.mlp"))
-        .collect();
-    files.sort();
-    assert_eq!(files.len(), 8, "one Small-scale agent per training benchmark");
-    for path in files {
-        let bytes = std::fs::read(&path).expect("readable agent");
-        let what = path.display().to_string();
-        let dim = |k: usize| u64::from_le_bytes(bytes[4 + 8 * k..12 + 8 * k].try_into().unwrap());
-        let (i, h, o) = (dim(0), dim(1), dim(2));
-        let declared = 28 + 4 * (i * h + h + h * o + o);
-        if bytes.len() as u64 == declared {
-            assert_round_trips(&bytes, &what);
-        } else {
-            assert!(bytes.len() < declared as usize, "{what}: trailing bytes");
-            let err = Mlp::load(bytes.as_slice()).expect_err("a truncated agent must not load");
-            assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{what}");
-        }
+fn truncated_agents_are_rejected_and_whole_ones_round_trip() {
+    // A freshly built Small-scale agent holds the whole payload its header
+    // declares and must load and save back byte for byte. The same file
+    // cut short anywhere past its header must be rejected with
+    // `UnexpectedEof`, never loaded or panicked on; the pipeline then
+    // retrains it.
+    let net = Mlp::new(334, 64, 16, 0x5EED);
+    let mut bytes = Vec::new();
+    net.save(&mut bytes).expect("in-memory save");
+    let dim = |k: usize| u64::from_le_bytes(bytes[4 + 8 * k..12 + 8 * k].try_into().unwrap());
+    let (i, h, o) = (dim(0), dim(1), dim(2));
+    let declared = 28 + 4 * (i * h + h + h * o + o);
+    assert_eq!(bytes.len() as u64, declared, "a whole agent holds its declared payload");
+    assert_round_trips(&bytes, "freshly built Small-scale agent");
+    // 28: header only; 50_592: the size the pipeline once committed for
+    // 429.mcf; len - 1: one byte short.
+    for cut in [28, 29, 50_592, bytes.len() - 1] {
+        let err = Mlp::load(&bytes[..cut]).expect_err("a truncated agent must not load");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "cut at {cut}");
     }
 }

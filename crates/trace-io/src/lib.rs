@@ -14,7 +14,6 @@
 
 pub mod container;
 pub mod lz;
-pub mod mmap;
 pub mod varint;
 
 pub use container::{
@@ -22,4 +21,3 @@ pub use container::{
     write_trace_file, export_workload, BlockOutcome, SalvageReport, TailStatus, TraceFormat,
     TraceIoError, TraceReader, TraceSummary, TraceWriter, DEFAULT_BLOCK_LEN, MAX_BLOCK_LEN,
 };
-pub use mmap::MappedContainer;

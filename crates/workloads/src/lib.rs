@@ -34,7 +34,6 @@ pub mod objects;
 mod pattern;
 mod power_law;
 mod recipe;
-mod record;
 mod spec;
 pub mod tenants;
 mod workload;
@@ -45,7 +44,6 @@ pub use entry::TraceEntry;
 pub use mix::{random_spec_mixes, WorkloadMix};
 pub use objects::{ObjectRequest, ObjectStream, ObjectTraffic};
 pub use power_law::PowerLaw;
-pub use record::RecordedTrace;
 pub use recipe::Recipe;
 pub use spec::{spec2006, SPEC2006, TRAINING_SET};
 pub use tenants::{

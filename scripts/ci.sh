@@ -181,6 +181,20 @@ cmp "$SMOKE_DIR/mcf.trace" "$SMOKE_DIR/mcf.back.trace" || {
 "$RLR" trace verify crates/trace-io/tests/data/golden_429mcf.rlt || {
     echo "ci.sh: committed golden fixture failed verification" >&2; exit 1;
 }
+# `rlr capture` counts its record quota from the end of warm-up: it must
+# write every record asked for, and its legacy file converted to the
+# container must equal a direct `trace capture` of the same window.
+"$RLR" capture 429.mcf --out "$SMOKE_DIR/mcf100k.trace" --records 100000 \
+    > "$SMOKE_DIR/capture100k.txt"
+grep -q "^captured 100000 LLC records" "$SMOKE_DIR/capture100k.txt" || {
+    echo "ci.sh: rlr capture wrote short: $(cat "$SMOKE_DIR/capture100k.txt")" >&2; exit 1;
+}
+"$RLR" trace convert "$SMOKE_DIR/mcf100k.trace" "$SMOKE_DIR/mcf100k.rlt" > /dev/null
+"$RLR" trace capture 429.mcf --out "$SMOKE_DIR/mcf100k.direct.rlt" --records 100000 \
+    > /dev/null
+cmp "$SMOKE_DIR/mcf100k.rlt" "$SMOKE_DIR/mcf100k.direct.rlt" || {
+    echo "ci.sh: rlr capture and rlr trace capture wrote different streams" >&2; exit 1;
+}
 
 echo "==> object-cache CLI smoke test"
 # The serving-tier comparison on a short Zipf + flash-crowd trace: all

@@ -2,7 +2,7 @@
 //! KPC-P prefetching, and trace record/replay.
 
 use cache_sim::{SingleCoreSystem, SystemConfig, TrueLru};
-use workloads::{Recipe, RecordedTrace, Workload};
+use workloads::{Recipe, TraceEntry, Workload};
 
 #[test]
 fn streams_enjoy_dram_row_locality_chases_do_not() {
@@ -88,13 +88,13 @@ fn kpc_prefetcher_runs_and_limits_l2_fills() {
 fn recorded_traces_drive_the_simulator_identically() {
     let config = SystemConfig::paper_single_core();
     let wl = Workload::new("rec", Recipe::Zipf { bytes: 4 << 20, skew: 1.0, store_ratio: 0.3 });
-    let recorded = RecordedTrace::record(&wl, 200_000);
+    let recorded: Vec<TraceEntry> = wl.stream().take(200_000).collect();
 
     let mut live_system = SingleCoreSystem::new(&config, Box::new(TrueLru::new(&config.llc)));
     let live = live_system.run(wl.stream(), 100_000);
 
     let mut replay_system = SingleCoreSystem::new(&config, Box::new(TrueLru::new(&config.llc)));
-    let replayed = replay_system.run(recorded.iter(), 100_000);
+    let replayed = replay_system.run(recorded.into_iter(), 100_000);
 
     assert_eq!(live, replayed, "a recorded stream must replay bit-identically");
 }
