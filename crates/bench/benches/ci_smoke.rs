@@ -10,11 +10,15 @@
 //!
 //! Regenerate the baseline after deliberate hot-path changes with
 //! `RLR_UPDATE_BENCH_BASELINE=1 cargo bench --offline -p rlr-bench --bench ci_smoke`.
+//!
+//! Beside the gated ratios it records, ungated, the rows perfbench has no
+//! counterpart for: RLT1 trace encode and per-level hierarchy throughput.
 
 use std::hint::black_box;
 
 use cache_sim::{
-    Access, LlcTrace, ReferenceCache, SetAssocCache, SingleCoreSystem, SystemConfig, TimingMode,
+    Access, CoreHierarchy, LlcTrace, ReferenceCache, SetAssocCache, SharedLlc, SingleCoreSystem,
+    SystemConfig, TimingMode,
 };
 use experiments::runner::replay_llc_trace;
 use experiments::PolicyKind;
@@ -169,6 +173,28 @@ fn timing_mode_ratio(config: &SystemConfig) -> (f64, [Throughput; 2]) {
     (ratios[ROUNDS / 2], rows)
 }
 
+/// Per hierarchy level: demand accesses over cyclic working sets resident
+/// in L1, L2 and the LLC, through the full `CoreHierarchy` + `SharedLlc`
+/// stack.
+fn hierarchy_level_rows(config: &SystemConfig) -> Vec<Throughput> {
+    const ACCESSES: u64 = 200_000;
+    [("l1_resident", 16u64 << 10), ("l2_resident", 128 << 10), ("llc_resident", 1 << 20)]
+        .into_iter()
+        .map(|(label, bytes)| {
+            let lines = bytes / 64;
+            let m = harness::bench(&format!("hierarchy/{label}"), || {
+                let mut core = CoreHierarchy::new(0, config);
+                let mut llc = SharedLlc::new(config, PolicyKind::Rlr.build(&config.llc, None));
+                for i in 0..ACCESSES {
+                    let addr = (i % lines) * 64;
+                    black_box(core.data_access(0x400 + (i % 32) * 4, addr, i % 13 == 0, &mut llc));
+                }
+            });
+            Throughput { measurement: m, accesses: ACCESSES }
+        })
+        .collect()
+}
+
 /// Materializes the pinned three-class tenant mix (all-synthetic sources,
 /// so no corpus capture) into `(tenant, pc, addr)` rows, each tenant
 /// relocated into its own address space like the tenancy experiment does.
@@ -303,20 +329,26 @@ fn main() {
         obj_accesses as f64 * 1e9 / obj_row.median_ns.max(1) as f64
     );
 
-    harness::write_throughput_json(
-        "ci_smoke",
-        &[
-            Throughput { measurement: old, accesses },
-            Throughput { measurement: new, accesses },
-            scan_scalar_row,
-            scan_simd_row,
-            timing_analytic_row,
-            timing_event_row,
-            tenancy_row,
-            tenancy_single_row,
-            Throughput { measurement: obj_row, accesses: obj_accesses },
-        ],
-    );
+    let encode_row = harness::bench("trace_io/encode", || {
+        black_box(
+            trace_io::encode_trace(&trace, trace_io::DEFAULT_BLOCK_LEN).expect("encode").len(),
+        )
+    });
+
+    let mut rows = vec![
+        Throughput { measurement: old, accesses },
+        Throughput { measurement: new, accesses },
+        scan_scalar_row,
+        scan_simd_row,
+        timing_analytic_row,
+        timing_event_row,
+        tenancy_row,
+        tenancy_single_row,
+        Throughput { measurement: obj_row, accesses: obj_accesses },
+        Throughput { measurement: encode_row, accesses },
+    ];
+    rows.extend(hierarchy_level_rows(&config));
+    harness::write_throughput_json("ci_smoke", &rows);
 
     if std::env::var("RLR_UPDATE_BENCH_BASELINE").is_ok_and(|v| !v.trim().is_empty()) {
         let json = format!(

@@ -1,27 +1,20 @@
 //! A minimal wall-clock benchmark harness: warmup, N timed iterations,
-//! median/p90 summary, JSON artifacts under `results/`.
+//! median/p90 summary, JSON artifacts under `results/bench/`.
 //!
 //! Replaces the external `criterion` dependency so `cargo bench` works in
 //! a hermetic (offline, registry-free) build. Iteration counts are small
-//! by default and overridable with `BENCH_WARMUP` / `BENCH_ITERS`; the
-//! goal is regression visibility, not microsecond-precise statistics.
+//! and fixed; the goal is regression visibility, not microsecond-precise
+//! statistics.
 
 use std::hint::black_box;
 use std::time::Instant;
 
+use experiments::json::Json;
+
 /// Iterations of `f` discarded before timing starts.
-fn warmup_iters() -> u32 {
-    env_u32("BENCH_WARMUP", 1)
-}
-
+const WARMUP_ITERS: u32 = 1;
 /// Timed iterations of `f` per measurement.
-fn timed_iters() -> u32 {
-    env_u32("BENCH_ITERS", 7)
-}
-
-fn env_u32(key: &str, default: u32) -> u32 {
-    std::env::var(key).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
-}
+const TIMED_ITERS: u32 = 7;
 
 /// Summary statistics for one benchmark, in nanoseconds per iteration.
 #[derive(Clone, Debug)]
@@ -35,18 +28,6 @@ pub struct Measurement {
 }
 
 impl Measurement {
-    /// A single-shot measurement (used for whole-target wall clock).
-    pub fn once(name: &str, elapsed_ns: u64) -> Self {
-        Self {
-            name: name.to_string(),
-            iters: 1,
-            median_ns: elapsed_ns,
-            p90_ns: elapsed_ns,
-            min_ns: elapsed_ns,
-            max_ns: elapsed_ns,
-        }
-    }
-
     /// Summarizes externally collected per-iteration samples — for
     /// callers that interleave measurements themselves (e.g. paired
     /// A/B ratio benches) instead of going through [`bench`].
@@ -66,13 +47,13 @@ impl Measurement {
     }
 }
 
-/// Times `f` over `BENCH_WARMUP` discarded + `BENCH_ITERS` timed
+/// Times `f` over [`WARMUP_ITERS`] discarded + [`TIMED_ITERS`] timed
 /// iterations and prints a one-line median/p90 summary.
 pub fn bench<R>(name: &str, mut f: impl FnMut() -> R) -> Measurement {
-    for _ in 0..warmup_iters() {
+    for _ in 0..WARMUP_ITERS {
         black_box(f());
     }
-    let samples: Vec<u64> = (0..timed_iters().max(1))
+    let samples: Vec<u64> = (0..TIMED_ITERS)
         .map(|_| {
             let begin = Instant::now();
             black_box(f());
@@ -104,41 +85,37 @@ impl Throughput {
     pub fn accesses_per_sec(&self) -> f64 {
         self.accesses as f64 * 1e9 / self.measurement.median_ns.max(1) as f64
     }
+
+    fn to_json(&self) -> Json {
+        let m = &self.measurement;
+        Json::obj([
+            ("name", Json::Str(m.name.clone())),
+            ("iters", Json::U64(u64::from(m.iters))),
+            ("median_ns", Json::U64(m.median_ns)),
+            ("p90_ns", Json::U64(m.p90_ns)),
+            ("min_ns", Json::U64(m.min_ns)),
+            ("max_ns", Json::U64(m.max_ns)),
+            ("accesses", Json::U64(self.accesses)),
+            ("accesses_per_sec", Json::U64(self.accesses_per_sec().round() as u64)),
+        ])
+    }
 }
 
 /// Saves throughput rows as `results/bench/<target>.json` — the
-/// perf-trajectory artifacts: one file per bench target, one row per
-/// (policy, path, level) with both raw timings and accesses/sec.
+/// perf-trajectory artifacts read by `experiments::perf`: one file per
+/// bench target, one row per measurement with both raw timings and
+/// accesses/sec.
 pub fn write_throughput_json(target: &str, rows: &[Throughput]) {
     let dir = experiments::report::results_dir().join("bench");
     if std::fs::create_dir_all(&dir).is_err() {
         return;
     }
-    let entries: Vec<String> = rows
-        .iter()
-        .map(|t| {
-            let m = &t.measurement;
-            format!(
-                "  {{\"name\": \"{}\", \"iters\": {}, \"median_ns\": {}, \"p90_ns\": {}, \
-                 \"min_ns\": {}, \"max_ns\": {}, \"accesses\": {}, \"accesses_per_sec\": {:.0}}}",
-                m.name.replace('"', "'"),
-                m.iters,
-                m.median_ns,
-                m.p90_ns,
-                m.min_ns,
-                m.max_ns,
-                t.accesses,
-                t.accesses_per_sec(),
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n\"target\": \"{}\",\n\"rows\": [\n{}\n]\n}}\n",
-        target.replace('"', "'"),
-        entries.join(",\n"),
-    );
+    let doc = Json::obj([
+        ("target", Json::Str(target.to_owned())),
+        ("rows", Json::Arr(rows.iter().map(Throughput::to_json).collect())),
+    ]);
     let path = dir.join(format!("{target}.json"));
-    if std::fs::write(&path, json).is_ok() {
+    if std::fs::write(&path, doc.encode() + "\n").is_ok() {
         println!("  saved {}", path.display());
     }
 }
@@ -150,38 +127,6 @@ fn format_ns(ns: u64) -> String {
         1_000..=999_999 => format!("{:.2} µs", ns as f64 / 1e3),
         1_000_000..=999_999_999 => format!("{:.2} ms", ns as f64 / 1e6),
         _ => format!("{:.3} s", ns as f64 / 1e9),
-    }
-}
-
-/// Saves measurements as `results/bench_<target>.json` (no serde; the
-/// schema is flat enough to format by hand).
-pub fn write_json(target: &str, measurements: &[Measurement]) {
-    let dir = experiments::report::results_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    let entries: Vec<String> = measurements
-        .iter()
-        .map(|m| {
-            format!(
-                "  {{\"name\": \"{}\", \"iters\": {}, \"median_ns\": {}, \"p90_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}",
-                m.name.replace('"', "'"),
-                m.iters,
-                m.median_ns,
-                m.p90_ns,
-                m.min_ns,
-                m.max_ns,
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n\"target\": \"{}\",\n\"measurements\": [\n{}\n]\n}}\n",
-        target.replace('"', "'"),
-        entries.join(",\n"),
-    );
-    let path = dir.join(format!("bench_{target}.json"));
-    if std::fs::write(&path, json).is_ok() {
-        println!("  saved {}", path.display());
     }
 }
 
@@ -207,12 +152,10 @@ mod tests {
 
     #[test]
     fn bench_runs_and_counts_iterations() {
-        // Isolate from user env overrides.
-        std::env::remove_var("BENCH_ITERS");
         let mut calls = 0u32;
         let m = bench("noop", || calls += 1);
-        assert_eq!(m.iters, 7);
-        assert!(calls >= m.iters);
+        assert_eq!(m.iters, TIMED_ITERS);
+        assert_eq!(calls, WARMUP_ITERS + TIMED_ITERS);
     }
 
     #[test]
@@ -221,5 +164,40 @@ mod tests {
         assert_eq!(format_ns(25_000), "25.00 µs");
         assert_eq!(format_ns(25_000_000), "25.00 ms");
         assert_eq!(format_ns(2_500_000_000), "2.500 s");
+    }
+
+    /// The writer and `experiments::perf`'s reader share no schema code:
+    /// rows must survive the trip through the file with every field the
+    /// perf-over-time report reads.
+    #[test]
+    fn written_rows_read_back_through_the_perf_report_loader() {
+        let dir = std::env::temp_dir().join(format!("rlr-bench-rows-{}", std::process::id()));
+        std::env::set_var("RLR_RESULTS_DIR", &dir);
+        let rows = [
+            Throughput {
+                measurement: Measurement::from_samples(
+                    "replay/\"quoted\"",
+                    vec![3_000, 1_000, 2_000],
+                ),
+                accesses: 40_538,
+            },
+            Throughput { measurement: Measurement::from_samples("scan", vec![7]), accesses: 3 },
+        ];
+        write_throughput_json("roundtrip", &rows);
+        let loaded = experiments::perf::load_bench_rows("roundtrip");
+        std::env::remove_var("RLR_RESULTS_DIR");
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let loaded = loaded.expect("written rows parse back");
+        let expected: Vec<experiments::perf::BenchRow> = rows
+            .iter()
+            .map(|t| experiments::perf::BenchRow {
+                name: t.measurement.name.clone(),
+                median_ns: t.measurement.median_ns,
+                accesses_per_sec: t.accesses_per_sec().round() as u64,
+            })
+            .collect();
+        assert_eq!(loaded, expected);
+        assert_eq!(loaded[0].accesses_per_sec, 20_269_000_000);
     }
 }

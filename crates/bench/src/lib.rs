@@ -1,12 +1,11 @@
 //! Shared glue for the benchmark targets that regenerate the paper's
-//! tables and figures, plus a dependency-free wall-clock micro-benchmark
-//! harness (the workspace builds offline; Criterion is deliberately not
-//! used).
+//! tables and figures, plus a dependency-free wall-clock harness for the
+//! `ci_smoke` timing target (the workspace builds offline; Criterion is
+//! deliberately not used).
 //!
-//! Each `cargo bench` target prints an aligned table to stdout, saves a
-//! CSV under `results/`, and reports its own wall-clock time. Timing
-//! samples from [`harness::bench`] additionally land in
-//! `results/bench_<target>.json`.
+//! Each figure/table target prints an aligned table to stdout, saves a
+//! CSV under `results/`, and reports its own wall-clock time. `ci_smoke`
+//! records its timing rows in `results/bench/ci_smoke.json`.
 
 pub mod harness;
 
@@ -21,15 +20,10 @@ pub fn start(target: &str) -> Scale {
 }
 
 /// Runs a one-shot bench body (a figure/table regeneration) and reports
-/// its wall-clock time, both to stdout and to the JSON sidecar.
+/// its wall-clock time on stdout.
 pub fn timed<R>(target: &str, body: impl FnOnce() -> R) -> R {
     let begin = Instant::now();
     let out = body();
-    let elapsed = begin.elapsed();
-    println!("[{target}] completed in {:.3} s", elapsed.as_secs_f64());
-    harness::write_json(
-        target,
-        &[harness::Measurement::once(target, elapsed.as_nanos() as u64)],
-    );
+    println!("[{target}] completed in {:.3} s", begin.elapsed().as_secs_f64());
     out
 }

@@ -6,7 +6,7 @@
 //! maintained for speed: its job is to define the semantics. The
 //! `dispatch_equivalence` test wall replays identical access streams
 //! through both implementations and asserts bit-identical
-//! [`AccessOutcome`] streams and [`CacheStats`], and the `hotpath` bench
+//! [`AccessOutcome`] streams and [`CacheStats`], and the `ci_smoke` bench
 //! measures the new path's speedup against it. Any behavioural change to
 //! the hot path must first be mirrored here (and justified), which keeps
 //! Table I / Fig. 1–13 outputs byte-stable across performance work.

@@ -90,17 +90,27 @@ impl TimingMode {
     /// Resolves the mode from the `RLR_TIMING` environment variable
     /// (unset or empty means [`TimingMode::Analytic`]).
     ///
+    /// # Errors
+    ///
+    /// Returns a message naming the variable on an unrecognized value: a
+    /// typo silently falling back to the analytic model would mislabel
+    /// every figure produced by the run.
+    pub fn try_from_env() -> Result<Self, String> {
+        match std::env::var("RLR_TIMING") {
+            Err(_) => Ok(TimingMode::Analytic),
+            Ok(raw) if raw.trim().is_empty() => Ok(TimingMode::Analytic),
+            Ok(raw) => Self::parse(&raw)
+                .ok_or_else(|| format!("RLR_TIMING must be `analytic` or `event`, got `{raw}`")),
+        }
+    }
+
+    /// [`TimingMode::try_from_env`] for callers with no error channel.
+    ///
     /// # Panics
     ///
-    /// Panics on an unrecognized value: a typo silently falling back to
-    /// the analytic model would mislabel every figure produced by the run.
+    /// Panics on an unrecognized `RLR_TIMING` value.
     pub fn from_env() -> Self {
-        match std::env::var("RLR_TIMING") {
-            Err(_) => TimingMode::Analytic,
-            Ok(raw) if raw.trim().is_empty() => TimingMode::Analytic,
-            Ok(raw) => Self::parse(&raw)
-                .unwrap_or_else(|| panic!("RLR_TIMING must be `analytic` or `event`, got `{raw}`")),
-        }
+        Self::try_from_env().unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

@@ -47,7 +47,7 @@ fn workload_by_name(name: &str) -> Result<Workload, ArgError> {
 /// then the analytic default.
 fn timing_by_args(args: &Args) -> Result<TimingMode, ArgError> {
     match args.get("timing") {
-        None => Ok(TimingMode::from_env()),
+        None => TimingMode::try_from_env().map_err(ArgError),
         Some(raw) => TimingMode::parse(raw)
             .ok_or_else(|| ArgError(format!("--timing must be `analytic` or `event`, got `{raw}`"))),
     }
@@ -724,7 +724,7 @@ pub fn doctor(args: &Args) -> Result<(), ArgError> {
 /// report built from `results/bench/<target>.json` snapshots.
 pub fn perf_report(args: &Args) -> Result<(), ArgError> {
     args.expect_known(&["bench", "record"])?;
-    let target = args.get_or("bench", "hotpath").to_owned();
+    let target = args.get_or("bench", "ci_smoke").to_owned();
     if let Some(label) = args.get("record") {
         match experiments::perf::record_snapshot(&target, label)
             .map_err(|e| ArgError(format!("record snapshot: {e}")))?

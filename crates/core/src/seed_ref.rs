@@ -8,7 +8,7 @@
 //! recomputes each line's age three times where the packed policy
 //! computes it once. The `seed_equivalence` test drives both policies
 //! through identical caches and requires identical decisions; the
-//! `hotpath`/`ci_smoke` benches measure the rewrite's speedup against it.
+//! `ci_smoke` bench measures the rewrite's speedup against it.
 //! It is deliberately not maintained for speed; any behavioural change to
 //! [`crate::RlrPolicy`] must be mirrored here first (and justified).
 

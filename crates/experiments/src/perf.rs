@@ -13,7 +13,7 @@ use crate::report::{results_dir, Table};
 /// One benchmark row extracted from a bench target's JSON artifact.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BenchRow {
-    /// Row name, e.g. `llc_replay/Rlr/packed`.
+    /// Row name, e.g. `ci_smoke/packed`.
     pub name: String,
     /// Median nanoseconds per iteration.
     pub median_ns: u64,
@@ -24,7 +24,7 @@ pub struct BenchRow {
 /// One recorded point of a target's performance history.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Snapshot {
-    /// The bench target (e.g. `hotpath`, `ci_smoke`).
+    /// The bench target (e.g. `ci_smoke`).
     pub target: String,
     /// Caller-supplied label (a commit, a date, `ci`...).
     pub label: String,

@@ -119,6 +119,68 @@ fn read_exact_or(r: &mut impl Read, buf: &mut [u8], what: &'static str) -> Resul
     })
 }
 
+/// A validated 12-byte container header.
+struct Header {
+    version: u16,
+    block_len: u32,
+    /// The chained digest's seed: fnv1a over the header bytes.
+    digest: u64,
+}
+
+/// Reads and validates the header. Both the reader and [`salvage`] start
+/// here; damage in these 12 bytes is fatal to either, because `block_len`
+/// and the digest seed come from them.
+fn read_header(r: &mut impl Read) -> Result<Header, TraceIoError> {
+    let mut header = [0u8; 12];
+    read_exact_or(r, &mut header[0..4], "header magic")?;
+    let magic: [u8; 4] = header[0..4].try_into().expect("4 bytes");
+    if magic != MAGIC {
+        return Err(TraceIoError::BadMagic(magic));
+    }
+    read_exact_or(r, &mut header[4..12], "header fields")?;
+    let version = u16::from_le_bytes([header[4], header[5]]);
+    if version != VERSION {
+        return Err(TraceIoError::UnsupportedVersion(version));
+    }
+    let block_len = u32::from_le_bytes(header[6..10].try_into().expect("4 bytes"));
+    if block_len == 0 || block_len > MAX_BLOCK_LEN {
+        return Err(TraceIoError::Corrupt("block length out of range"));
+    }
+    Ok(Header { version, block_len, digest: fnv1a(&header) })
+}
+
+/// The 20 bytes after a block tag.
+struct BlockHead {
+    n_records: u32,
+    raw_len: u32,
+    comp_len: u32,
+    checksum: u64,
+}
+
+impl BlockHead {
+    /// Parses a block head and applies the plausibility bounds, so both
+    /// buffers are bounded before anything is allocated: a hostile frame
+    /// cannot demand more than `block_len` × worst-case bytes. Beyond
+    /// these bounds `comp_len` is untrustworthy and the frame cannot even
+    /// be skipped; the error names the bound that failed.
+    fn parse(head: &[u8; 20], block_len: u32) -> Result<Self, &'static str> {
+        let n_records = u32::from_le_bytes(head[0..4].try_into().expect("4 bytes"));
+        let raw_len = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
+        let comp_len = u32::from_le_bytes(head[8..12].try_into().expect("4 bytes"));
+        let checksum = u64::from_le_bytes(head[12..20].try_into().expect("8 bytes"));
+        if n_records == 0 || n_records > block_len {
+            return Err("block record count out of range");
+        }
+        if raw_len > n_records * MAX_RECORD_BYTES {
+            return Err("block raw length out of range");
+        }
+        if comp_len > raw_len {
+            return Err("compressed length exceeds raw length");
+        }
+        Ok(Self { n_records, raw_len, comp_len, checksum })
+    }
+}
+
 /// FNV-1a over `bytes` (the same digest the checkpoint machinery uses).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_continue(0xcbf2_9ce4_8422_2325, bytes)
@@ -366,24 +428,7 @@ impl<R: Read> TraceReader<R> {
     /// Returns [`TraceIoError::BadMagic`], an unsupported version, an
     /// out-of-range block length, or truncation within the header.
     pub fn new(mut r: R) -> Result<Self, TraceIoError> {
-        let mut magic = [0u8; 4];
-        read_exact_or(&mut r, &mut magic, "header magic")?;
-        if magic != MAGIC {
-            return Err(TraceIoError::BadMagic(magic));
-        }
-        let mut buf = [0u8; 8];
-        read_exact_or(&mut r, &mut buf, "header fields")?;
-        let version = u16::from_le_bytes([buf[0], buf[1]]);
-        if version != VERSION {
-            return Err(TraceIoError::UnsupportedVersion(version));
-        }
-        let block_len = u32::from_le_bytes([buf[2], buf[3], buf[4], buf[5]]);
-        if block_len == 0 || block_len > MAX_BLOCK_LEN {
-            return Err(TraceIoError::Corrupt("block length out of range"));
-        }
-        let mut header = [0u8; 12];
-        header[0..4].copy_from_slice(&magic);
-        header[4..12].copy_from_slice(&buf);
+        let Header { version, block_len, digest } = read_header(&mut r)?;
         Ok(Self {
             r,
             block_len,
@@ -395,7 +440,7 @@ impl<R: Read> TraceReader<R> {
             blocks_read: 0,
             compressed_payload: 0,
             raw_payload: 0,
-            digest: fnv1a(&header),
+            digest,
             done: false,
         })
     }
@@ -448,21 +493,8 @@ impl<R: Read> TraceReader<R> {
             FRAME_BLOCK => {
                 let mut head = [0u8; 20];
                 read_exact_or(&mut self.r, &mut head, "block header")?;
-                let n_records = u32::from_le_bytes(head[0..4].try_into().expect("4 bytes"));
-                let raw_len = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
-                let comp_len = u32::from_le_bytes(head[8..12].try_into().expect("4 bytes"));
-                let checksum = u64::from_le_bytes(head[12..20].try_into().expect("8 bytes"));
-                if n_records == 0 || n_records > self.block_len {
-                    return Err(TraceIoError::Corrupt("block record count out of range"));
-                }
-                // Bound both buffers before allocating: a hostile frame
-                // cannot demand more than block_len × worst-case bytes.
-                if raw_len > n_records * MAX_RECORD_BYTES {
-                    return Err(TraceIoError::Corrupt("block raw length out of range"));
-                }
-                if comp_len > raw_len {
-                    return Err(TraceIoError::Corrupt("compressed length exceeds raw length"));
-                }
+                let BlockHead { n_records, raw_len, comp_len, checksum } =
+                    BlockHead::parse(&head, self.block_len).map_err(TraceIoError::Corrupt)?;
                 self.payload_buf.resize(comp_len as usize, 0);
                 read_exact_or(&mut self.r, &mut self.payload_buf, "block payload")?;
                 let actual = fnv1a(&self.payload_buf);
@@ -836,24 +868,7 @@ fn read_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
 /// truncation inside the 12 header bytes) — plus real I/O errors from
 /// either stream. All *content* damage is data, reported, never `Err`.
 pub fn salvage<R: Read, W: Write>(mut r: R, out: W) -> Result<(SalvageReport, W), TraceIoError> {
-    // Header: parsed exactly like TraceReader::new; damage here is fatal
-    // because block_len (and the digest seed) come from it.
-    let mut header = [0u8; 12];
-    read_exact_or(&mut r, &mut header[0..4], "header magic")?;
-    let magic: [u8; 4] = header[0..4].try_into().expect("4 bytes");
-    if magic != MAGIC {
-        return Err(TraceIoError::BadMagic(magic));
-    }
-    read_exact_or(&mut r, &mut header[4..12], "header fields")?;
-    let version = u16::from_le_bytes([header[4], header[5]]);
-    if version != VERSION {
-        return Err(TraceIoError::UnsupportedVersion(version));
-    }
-    let block_len = u32::from_le_bytes(header[6..10].try_into().expect("4 bytes"));
-    if block_len == 0 || block_len > MAX_BLOCK_LEN {
-        return Err(TraceIoError::Corrupt("block length out of range"));
-    }
-
+    let Header { block_len, digest: header_digest, .. } = read_header(&mut r)?;
     let mut writer = TraceWriter::with_block_len(out, block_len)?;
     let mut report = SalvageReport {
         blocks: Vec::new(),
@@ -866,7 +881,7 @@ pub fn salvage<R: Read, W: Write>(mut r: R, out: W) -> Result<(SalvageReport, W)
     // damaged ones included — so judge it against the declared totals and
     // the stored checksums, not against what we recovered.
     let mut declared_records = 0u64;
-    let mut declared_digest = fnv1a(&header);
+    let mut declared_digest = header_digest;
     let mut payload = Vec::new();
     let mut raw = Vec::new();
     let mut records: Vec<LlcRecord> = Vec::new();
@@ -882,22 +897,13 @@ pub fn salvage<R: Read, W: Write>(mut r: R, out: W) -> Result<(SalvageReport, W)
                 if !read_or_eof(&mut r, &mut head).map_err(TraceIoError::Io)? {
                     break TailStatus::Truncated("block header");
                 }
-                let n_records = u32::from_le_bytes(head[0..4].try_into().expect("4 bytes"));
-                let raw_len = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
-                let comp_len = u32::from_le_bytes(head[8..12].try_into().expect("4 bytes"));
-                let checksum = u64::from_le_bytes(head[12..20].try_into().expect("8 bytes"));
-                // The same plausibility bounds the reader enforces. Beyond
-                // them comp_len is untrustworthy, so the frame can't even
-                // be skipped — framing is gone.
-                if n_records == 0 || n_records > block_len {
-                    break TailStatus::FramingLost("block record count out of range");
-                }
-                if raw_len > n_records * MAX_RECORD_BYTES {
-                    break TailStatus::FramingLost("block raw length out of range");
-                }
-                if comp_len > raw_len {
-                    break TailStatus::FramingLost("compressed length exceeds raw length");
-                }
+                // A failed bound leaves comp_len untrustworthy, so the frame
+                // can't even be skipped — framing is gone.
+                let BlockHead { n_records, raw_len, comp_len, checksum } =
+                    match BlockHead::parse(&head, block_len) {
+                        Ok(head) => head,
+                        Err(what) => break TailStatus::FramingLost(what),
+                    };
                 payload.resize(comp_len as usize, 0);
                 if !read_or_eof(&mut r, &mut payload).map_err(TraceIoError::Io)? {
                     break TailStatus::Truncated("block payload");
