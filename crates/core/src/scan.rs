@@ -181,12 +181,12 @@ const CORE_PACKED: u8 = 1;
 /// rank values too large to pack).
 const CORE_GATHER: u8 = 2;
 
-/// Routes one scan to the widest kernel this machine can run. Every
-/// portable candidate compiles the *same* `#[inline(always)]` body
-/// ([`scan_lanes_impl`]) — the `#[target_feature]` wrapper only lets the
-/// compiler use wider registers for it — so the result is bit-identical
-/// across targets by construction, and the differential wall only ever
-/// has to compare two schedules (scalar vs lanes), not one per ISA.
+/// Routes one scan to the AVX-512VL kernel when the host has it and the
+/// shape allows it, and to the portable body ([`scan_lanes_impl`])
+/// otherwise. The intrinsics kernel mirrors the portable body term for
+/// term on exact integers, so the result is bit-identical across hosts,
+/// and the differential wall only ever has to compare two schedules
+/// (scalar vs lanes), not one per ISA.
 #[inline]
 fn dispatch<const MODE: u8, const MASKED: bool>(
     params: &ScanParams,
@@ -198,8 +198,7 @@ fn dispatch<const MODE: u8, const MASKED: bool>(
         // Detection results are cached by std; steady state is one
         // predictable load+branch per scan. The hand-vectorized kernel
         // implements neither way masks nor the (rare) gather fallback —
-        // those shapes stay on the portable body, and masked gather scans
-        // skip the AVX2 wrapper too.
+        // those shapes stay on the portable body.
         if !MASKED
             && MODE != CORE_GATHER
             && std::arch::is_x86_feature_detected!("avx512f")
@@ -208,22 +207,7 @@ fn dispatch<const MODE: u8, const MASKED: bool>(
             // SAFETY: feature presence was just verified at runtime.
             return unsafe { avx512::scan::<MODE>(params, ways) };
         }
-        if (!MASKED || MODE != CORE_GATHER) && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: feature presence was just verified at runtime.
-            return unsafe { scan_lanes_avx2::<MODE, MASKED>(params, ways, mask) };
-        }
     }
-    scan_lanes_impl::<MODE, MASKED>(params, ways, mask)
-}
-
-/// [`scan_lanes_impl`] compiled with 256-bit vectors available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn scan_lanes_avx2<const MODE: u8, const MASKED: bool>(
-    params: &ScanParams,
-    ways: &ScanWays,
-    mask: u32,
-) -> ScanOutcome {
     scan_lanes_impl::<MODE, MASKED>(params, ways, mask)
 }
 
