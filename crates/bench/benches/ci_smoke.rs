@@ -1,17 +1,19 @@
-//! CI bench smoke: guards the hot-path speedup with a sub-second replay.
+//! CI bench smoke: four in-process ratio gates, each a pair of sub-second
+//! workloads timed against each other.
 //!
-//! Absolute accesses/sec vary wildly across CI machines, so the gate is
-//! the *ratio* between the seed path (reference cache + seed RLR policy)
-//! and the packed hot path, measured
-//! in-process back to back: both paths see the same machine, load, and
-//! frequency scaling, and the ratio cancels them out. The run fails
-//! (non-zero exit) when the measured speedup drops more than 20% below
-//! the checked-in baseline in `crates/bench/ci_baseline.json`.
+//! Absolute timings vary wildly across CI machines, so every gate is the
+//! *ratio* of two paths measured in the same process in paired rounds
+//! ([`harness::paired_ratios`]): both timings of a round see the same
+//! machine, load, and frequency scaling, and the ratio cancels them out.
+//! Every gate applies one rule ([`Bound::holds`]): it fails only when at
+//! least three quarters of its 15 rounds are past `baseline × tolerance`,
+//! where the baseline is the median ratio checked in at
+//! `crates/bench/ci_baseline.json`.
 //!
 //! Regenerate the baseline after deliberate hot-path changes with
 //! `RLR_UPDATE_BENCH_BASELINE=1 cargo bench --offline -p rlr-bench --bench ci_smoke`.
 //!
-//! Beside the gated ratios it records, ungated, the rows perfbench has no
+//! After the gates it prints, ungated, the rows perfbench has no
 //! counterpart for: RLT1 trace encode and per-level hierarchy throughput.
 
 use std::hint::black_box;
@@ -20,26 +22,25 @@ use cache_sim::{
     Access, CoreHierarchy, LlcTrace, ReferenceCache, SetAssocCache, SharedLlc, SingleCoreSystem,
     SystemConfig, TimingMode,
 };
+use experiments::json::Json;
 use experiments::runner::replay_llc_trace;
 use experiments::PolicyKind;
 use rlr::packed::LineMeta;
 use rlr::scan::{self, ScanParams, ScanWays};
-use rlr_bench::harness::{self, Throughput};
+use rlr_bench::harness::{self, Bound};
 
 const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/ci_baseline.json");
-/// Fail when the measured speedup falls below this fraction of baseline.
-const TOLERANCE: f64 = 0.8;
-/// Fail when the analytic-vs-event cost ratio climbs above this multiple
-/// of baseline — i.e. the analytic replay path regressed relative to the
-/// (heavier) event core measured on the same machine in the same process.
-const TIMING_TOLERANCE: f64 = 1.05;
-/// Fail when the multi-tenant-vs-single-tenant replay cost ratio climbs
-/// above this multiple of baseline — i.e. the tenancy layer (tenant
-/// policy, owner mirror, QoS + DRAM-latency accounting) got more
-/// expensive relative to the bare packed path it wraps. Wider than the
-/// timing gate: the ratio divides two sub-100ms replays, so it carries
-/// more scheduler noise than the paired-round timing median.
-const TENANCY_TOLERANCE: f64 = 1.25;
+
+/// One gated ratio: its paired rounds and the baseline it is held to.
+struct Gate {
+    label: &'static str,
+    /// The baseline's field in `ci_baseline.json`.
+    field: &'static str,
+    bound: Bound,
+    /// The limit is `baseline × tolerance`.
+    tolerance: f64,
+    ratios: Vec<f64>,
+}
 
 fn capture_small_trace(config: &SystemConfig) -> LlcTrace {
     let mut system = SingleCoreSystem::new(config, PolicyKind::Lru.build(&config.llc, None));
@@ -50,19 +51,40 @@ fn capture_small_trace(config: &SystemConfig) -> LlcTrace {
     system.llc_mut().take_capture().expect("capture enabled")
 }
 
-/// Pulls one numeric field out of the baseline JSON without a parser dep.
-/// The needle includes the quotes and colon, so `"speedup":` never
-/// false-matches inside `"simd_speedup":`.
-fn baseline_field(text: &str, key: &str) -> Option<f64> {
-    let tail = text.split(&format!("\"{key}\":")).nth(1)?;
-    tail.trim_start().split(|c: char| c != '.' && !c.is_ascii_digit()).next()?.parse().ok()
+/// The hot-path ratio: the seed path (reference cache + seed RLR policy)
+/// against the packed hot path, replaying the same captured trace.
+fn seed_over_packed(config: &SystemConfig, trace: &LlcTrace) -> Vec<f64> {
+    harness::paired_ratios(
+        || {
+            let mut cache = ReferenceCache::new(
+                "seed",
+                config.llc,
+                Box::new(rlr::SeedRlrPolicy::optimized(&config.llc)),
+            );
+            let mut hits = 0u64;
+            for (seq, r) in trace.records().iter().enumerate() {
+                let access = Access {
+                    pc: r.pc,
+                    addr: r.line << 6,
+                    kind: r.kind,
+                    core: r.core,
+                    seq: seq as u64,
+                };
+                hits += u64::from(cache.access(&access).hit);
+            }
+            hits
+        },
+        || {
+            let mut cache =
+                SetAssocCache::new("packed", config.llc, PolicyKind::Rlr.build(&config.llc, None));
+            replay_llc_trace(&mut cache, trace).hits
+        },
+    )
 }
 
-/// The in-process victim-scan ratio: scalar reference vs lane backend over
-/// LLC-shaped sets on deterministic warm-cache data. Returns
-/// `scalar_min_ns / lanes_min_ns` — the SIMD-path speedup this machine
-/// sees right now — plus both measurements for the JSON record.
-fn victim_scan_speedup(config: &SystemConfig) -> (f64, [Throughput; 2]) {
+/// The victim-scan ratio: scalar reference against the lane backend over
+/// LLC-shaped sets on deterministic warm-cache data.
+fn scalar_over_lanes(config: &SystemConfig) -> Vec<f64> {
     let sets = config.llc.sets as usize;
     let ways = usize::from(config.llc.ways);
     let lines = sets * ways;
@@ -95,104 +117,39 @@ fn victim_scan_speedup(config: &SystemConfig) -> (f64, [Throughput; 2]) {
         use_hit: true,
         exact_recency: false,
     };
-    let mut mins = [0.0f64; 2];
-    let mut rows: Vec<Throughput> = Vec::with_capacity(2);
-    for (slot, label) in ["scalar", "simd"].into_iter().enumerate() {
-        let m = harness::bench(&format!("ci_smoke/victim_scan_{label}"), || {
-            let mut acc = 0u64;
-            for set in 0..sets {
-                let range = set * ways..(set + 1) * ways;
-                let scan_ways = ScanWays {
-                    age_stamps: &age_stamps[range.clone()],
-                    rec_stamps: &rec_stamps[range.clone()],
-                    metas: &metas[range],
-                    cores: &[],
-                    core_rank: &[],
-                };
-                let outcome = if slot == 0 {
-                    scan::scan_scalar(&params, &scan_ways)
-                } else {
-                    scan::scan_lanes(&params, &scan_ways)
-                };
-                acc ^= outcome.best_key;
-            }
-            black_box(acc)
-        });
-        mins[slot] = m.min_ns.max(1) as f64;
-        rows.push(Throughput { measurement: m, accesses: sets as u64 });
-    }
-    let rows: [Throughput; 2] = rows.try_into().expect("two scan rows");
-    (mins[0] / mins[1], rows)
+    let scan_every_set = |scan_set: fn(&ScanParams, &ScanWays) -> scan::ScanOutcome| {
+        let mut acc = 0u64;
+        for set in 0..sets {
+            let range = set * ways..(set + 1) * ways;
+            let scan_ways = ScanWays {
+                age_stamps: &age_stamps[range.clone()],
+                rec_stamps: &rec_stamps[range.clone()],
+                metas: &metas[range],
+                cores: &[],
+                core_rank: &[],
+            };
+            acc ^= scan_set(&params, &scan_ways).best_key;
+        }
+        acc
+    };
+    harness::paired_ratios(
+        || scan_every_set(scan::scan_scalar),
+        || scan_every_set(scan::scan_lanes),
+    )
 }
 
-/// The timing-layer cost ratio: full-system 429.mcf runs under both
-/// timing modes, *paired per round* — analytic then event back to back —
-/// so frequency scaling and load drift cancel within each round. Returns
-/// the median per-round `analytic_ns / event_ns` ratio — which rises when
-/// the analytic replay path gets slower relative to the event core — plus
-/// a summary row per mode for the JSON record.
-fn timing_mode_ratio(config: &SystemConfig) -> (f64, [Throughput; 2]) {
+/// The timing-layer cost ratio: full-system 429.mcf runs under the
+/// analytic and the event timing model. It rises when the analytic replay
+/// path gets slower relative to the event core.
+fn analytic_over_event(config: &SystemConfig) -> Vec<f64> {
     const INSTRUCTIONS: u64 = 150_000;
-    const ROUNDS: usize = 15;
     let run = |mode: TimingMode| {
         let timed = config.with_timing(mode);
         let mut system = SingleCoreSystem::new(&timed, PolicyKind::Rlr.build(&timed.llc, None));
         let stream = workloads::spec2006("429.mcf").expect("known benchmark").stream();
-        black_box(system.run(stream, INSTRUCTIONS).cycles)
+        system.run(stream, INSTRUCTIONS).cycles
     };
-    run(TimingMode::Analytic); // warm caches and branch predictors
-    run(TimingMode::Event);
-    let mut analytic_ns = Vec::with_capacity(ROUNDS);
-    let mut event_ns = Vec::with_capacity(ROUNDS);
-    let mut ratios = Vec::with_capacity(ROUNDS);
-    for _ in 0..ROUNDS {
-        let begin = std::time::Instant::now();
-        run(TimingMode::Analytic);
-        let a = begin.elapsed().as_nanos() as u64;
-        let begin = std::time::Instant::now();
-        run(TimingMode::Event);
-        let e = begin.elapsed().as_nanos() as u64;
-        analytic_ns.push(a);
-        event_ns.push(e);
-        ratios.push(a as f64 / e.max(1) as f64);
-    }
-    ratios.sort_unstable_by(f64::total_cmp);
-    let rows = [
-        Throughput {
-            measurement: harness::Measurement::from_samples(
-                "ci_smoke/timing_analytic",
-                analytic_ns,
-            ),
-            accesses: INSTRUCTIONS,
-        },
-        Throughput {
-            measurement: harness::Measurement::from_samples("ci_smoke/timing_event", event_ns),
-            accesses: INSTRUCTIONS,
-        },
-    ];
-    (ratios[ROUNDS / 2], rows)
-}
-
-/// Per hierarchy level: demand accesses over cyclic working sets resident
-/// in L1, L2 and the LLC, through the full `CoreHierarchy` + `SharedLlc`
-/// stack.
-fn hierarchy_level_rows(config: &SystemConfig) -> Vec<Throughput> {
-    const ACCESSES: u64 = 200_000;
-    [("l1_resident", 16u64 << 10), ("l2_resident", 128 << 10), ("llc_resident", 1 << 20)]
-        .into_iter()
-        .map(|(label, bytes)| {
-            let lines = bytes / 64;
-            let m = harness::bench(&format!("hierarchy/{label}"), || {
-                let mut core = CoreHierarchy::new(0, config);
-                let mut llc = SharedLlc::new(config, PolicyKind::Rlr.build(&config.llc, None));
-                for i in 0..ACCESSES {
-                    let addr = (i % lines) * 64;
-                    black_box(core.data_access(0x400 + (i % 32) * 4, addr, i % 13 == 0, &mut llc));
-                }
-            });
-            Throughput { measurement: m, accesses: ACCESSES }
-        })
-        .collect()
+    harness::paired_ratios(|| run(TimingMode::Analytic), || run(TimingMode::Event))
 }
 
 /// Materializes the pinned three-class tenant mix (all-synthetic sources,
@@ -217,94 +174,110 @@ fn tenant_mix_rows(n: usize) -> Vec<(u8, u64, u64)> {
 /// The tenancy-layer cost ratio: the same interleaved mix through the
 /// multi-tenant LLC (learned-priority mode — the mode with every table
 /// active) and through the bare packed cache + RLR policy it wraps.
-/// Returns `tenant_min_ns / single_min_ns` plus both rows for the JSON
-/// record.
-fn tenancy_replay_ratio() -> (f64, [Throughput; 2]) {
+fn tenant_over_single() -> Vec<f64> {
     const ACCESSES: usize = 60_000;
     let rows = tenant_mix_rows(ACCESSES);
     let llc = cache_sim::CacheConfig { sets: 256, ways: 8, latency: 26 };
     let mut cfg = SystemConfig::paper_single_core();
     cfg.llc = llc;
-    let tenant = harness::bench("tenancy/replay", || {
-        let mut sys = tenancy::MultiTenantLlc::new(
-            &cfg,
-            3,
-            tenancy::IsolationMode::LearnedPriority(vec![4, 1, 0]),
-        );
-        for &(t, pc, addr) in &rows {
-            sys.access(t, pc, addr, cache_sim::AccessKind::Load);
-        }
-        black_box(sys.qos_all().iter().map(|q| q.hits).sum::<u64>())
-    });
-    let single = harness::bench("tenancy/single_tenant", || {
-        let mut cache = SetAssocCache::new("packed", llc, PolicyKind::Rlr.build(&llc, None));
-        let mut hits = 0u64;
-        for (seq, &(_, pc, addr)) in rows.iter().enumerate() {
-            let access = Access {
-                pc,
-                addr,
-                kind: cache_sim::AccessKind::Load,
-                core: 0,
-                seq: seq as u64,
-            };
-            hits += u64::from(cache.access(&access).hit);
-        }
-        black_box(hits)
-    });
-    let ratio = tenant.min_ns.max(1) as f64 / single.min_ns.max(1) as f64;
-    let rows = [
-        Throughput { measurement: tenant, accesses: ACCESSES as u64 },
-        Throughput { measurement: single, accesses: ACCESSES as u64 },
-    ];
-    (ratio, rows)
+    harness::paired_ratios(
+        || {
+            let mut sys = tenancy::MultiTenantLlc::new(
+                &cfg,
+                3,
+                tenancy::IsolationMode::LearnedPriority(vec![4, 1, 0]),
+            );
+            for &(t, pc, addr) in &rows {
+                sys.access(t, pc, addr, cache_sim::AccessKind::Load);
+            }
+            sys.qos_all().iter().map(|q| q.hits).sum::<u64>()
+        },
+        || {
+            let mut cache = SetAssocCache::new("packed", llc, PolicyKind::Rlr.build(&llc, None));
+            let mut hits = 0u64;
+            for (seq, &(_, pc, addr)) in rows.iter().enumerate() {
+                let access = Access {
+                    pc,
+                    addr,
+                    kind: cache_sim::AccessKind::Load,
+                    core: 0,
+                    seq: seq as u64,
+                };
+                hits += u64::from(cache.access(&access).hit);
+            }
+            hits
+        },
+    )
+}
+
+/// Ungated rows: demand accesses over cyclic working sets resident in L1,
+/// L2 and the LLC, through the full `CoreHierarchy` + `SharedLlc` stack.
+fn bench_hierarchy_levels(config: &SystemConfig) {
+    const ACCESSES: u64 = 200_000;
+    for (label, bytes) in
+        [("l1_resident", 16u64 << 10), ("l2_resident", 128 << 10), ("llc_resident", 1 << 20)]
+    {
+        let lines = bytes / 64;
+        harness::bench(&format!("hierarchy/{label}"), || {
+            let mut core = CoreHierarchy::new(0, config);
+            let mut llc = SharedLlc::new(config, PolicyKind::Rlr.build(&config.llc, None));
+            for i in 0..ACCESSES {
+                let addr = (i % lines) * 64;
+                black_box(core.data_access(0x400 + (i % 32) * 4, addr, i % 13 == 0, &mut llc));
+            }
+        });
+    }
 }
 
 fn main() {
     let _ = rlr_bench::start("ci_smoke");
     let config = SystemConfig::paper_single_core();
     let trace = capture_small_trace(&config);
-    let accesses = trace.len() as u64;
-    println!("captured smoke trace: {accesses} LLC accesses");
+    println!("captured smoke trace: {} LLC accesses", trace.len());
 
-    let old = harness::bench("ci_smoke/seed", || {
-        let mut cache = ReferenceCache::new(
-            "seed",
-            config.llc,
-            Box::new(rlr::SeedRlrPolicy::optimized(&config.llc)),
+    let gates = [
+        Gate {
+            label: "hot-path seed/packed",
+            field: "speedup",
+            bound: Bound::Floor,
+            tolerance: 0.8,
+            ratios: seed_over_packed(&config, &trace),
+        },
+        Gate {
+            label: "victim-scan scalar/lanes",
+            field: "simd_speedup",
+            bound: Bound::Floor,
+            tolerance: 0.8,
+            ratios: scalar_over_lanes(&config),
+        },
+        Gate {
+            label: "timing analytic/event",
+            field: "timing_ratio",
+            bound: Bound::Ceiling,
+            tolerance: 1.05,
+            ratios: analytic_over_event(&config),
+        },
+        // Wider than the timing gate: it divides two sub-100 ms replays,
+        // which carry more scheduler noise than two full-system runs.
+        Gate {
+            label: "tenancy tenant/single",
+            field: "tenancy_ratio",
+            bound: Bound::Ceiling,
+            tolerance: 1.25,
+            ratios: tenant_over_single(),
+        },
+    ];
+    for gate in &gates {
+        let [q1, median, q3] = harness::quartiles(&gate.ratios);
+        println!(
+            "{}: median {median:.2}, quartiles {q1:.2}-{q3:.2} ({} paired rounds)",
+            gate.label,
+            gate.ratios.len()
         );
-        let mut hits = 0u64;
-        for (seq, r) in trace.records().iter().enumerate() {
-            let access =
-                Access { pc: r.pc, addr: r.line << 6, kind: r.kind, core: r.core, seq: seq as u64 };
-            hits += u64::from(cache.access(&access).hit);
-        }
-        black_box(hits)
-    });
-    let new = harness::bench("ci_smoke/packed", || {
-        let mut cache =
-            SetAssocCache::new("packed", config.llc, PolicyKind::Rlr.build(&config.llc, None));
-        black_box(replay_llc_trace(&mut cache, &trace).hits)
-    });
-    // Min-over-iters is the stablest estimator on a noisy CI box.
-    let speedup = old.min_ns as f64 / new.min_ns.max(1) as f64;
-    println!("measured packed-vs-seed speedup: {speedup:.2}x");
+    }
 
-    let (simd_speedup, scan_rows) = victim_scan_speedup(&config);
-    println!("measured lane-vs-scalar victim-scan speedup: {simd_speedup:.2}x");
-    let [scan_scalar_row, scan_simd_row] = scan_rows;
-
-    let (timing_ratio, timing_rows) = timing_mode_ratio(&config);
-    println!("measured analytic-vs-event timing cost ratio: {timing_ratio:.2}");
-    let [timing_analytic_row, timing_event_row] = timing_rows;
-
-    let (tenancy_ratio, tenancy_rows) = tenancy_replay_ratio();
-    println!("measured multi-tenant-vs-single-tenant replay cost ratio: {tenancy_ratio:.2}");
-    let [tenancy_row, tenancy_single_row] = tenancy_rows;
-
-    // Object-cache serving tier, recorded (not gated): requests/sec of the
-    // derived admission+eviction rule on a small Zipf + flash-crowd trace,
-    // so the perf-over-time report sees the `objcache/replay` trajectory
-    // from the same sub-second smoke run.
+    // Object-cache serving tier, printed (not gated): requests/sec of the
+    // derived admission+eviction rule on a small Zipf + flash-crowd trace.
     let obj_traffic = workloads::ObjectTraffic {
         catalog: 20_000,
         flash_every: 4_000,
@@ -314,132 +287,80 @@ fn main() {
     let obj_trace: Vec<workloads::ObjectRequest> = obj_traffic.stream().take(20_000).collect();
     let obj_cfg = objcache::ObjCacheConfig::with_capacity_mib(32);
     let obj_row = harness::bench("objcache/replay/RLR-derived", || {
-        black_box(
-            objcache::replay(
-                obj_cfg,
-                objcache::ObjPolicyKind::parse("rlr").expect("pinned"),
-                obj_trace.iter().copied(),
-            )
-            .hit_bytes,
+        objcache::replay(
+            obj_cfg,
+            objcache::ObjPolicyKind::parse("rlr").expect("pinned"),
+            obj_trace.iter().copied(),
         )
+        .hit_bytes
     });
-    let obj_accesses = obj_trace.len() as u64;
     println!(
         "objcache replay (derived rule): {:.0} requests/sec",
-        obj_accesses as f64 * 1e9 / obj_row.median_ns.max(1) as f64
+        obj_trace.len() as f64 * 1e9 / obj_row.median_ns.max(1) as f64
     );
-
-    let encode_row = harness::bench("trace_io/encode", || {
-        black_box(
-            trace_io::encode_trace(&trace, trace_io::DEFAULT_BLOCK_LEN).expect("encode").len(),
-        )
+    harness::bench("trace_io/encode", || {
+        trace_io::encode_trace(&trace, trace_io::DEFAULT_BLOCK_LEN).expect("encode").len()
     });
-
-    let mut rows = vec![
-        Throughput { measurement: old, accesses },
-        Throughput { measurement: new, accesses },
-        scan_scalar_row,
-        scan_simd_row,
-        timing_analytic_row,
-        timing_event_row,
-        tenancy_row,
-        tenancy_single_row,
-        Throughput { measurement: obj_row, accesses: obj_accesses },
-        Throughput { measurement: encode_row, accesses },
-    ];
-    rows.extend(hierarchy_level_rows(&config));
-    harness::write_throughput_json("ci_smoke", &rows);
+    bench_hierarchy_levels(&config);
 
     if std::env::var("RLR_UPDATE_BENCH_BASELINE").is_ok_and(|v| !v.trim().is_empty()) {
-        let json = format!(
-            "{{\"bench\": \"ci_smoke\", \"speedup\": {speedup:.2}, \
-             \"simd_speedup\": {simd_speedup:.2}, \
-             \"timing_ratio\": {timing_ratio:.2}, \
-             \"tenancy_ratio\": {tenancy_ratio:.2}, \
-             \"note\": \"packed/reference replay + lane/scalar scan + \
-             analytic/event timing + tenancy/single-tenant ratios; \
-             regenerate with RLR_UPDATE_BENCH_BASELINE=1\"}}\n"
+        // The JSON subset has no floats, so each ratio is a decimal string.
+        let doc = Json::obj(
+            gates
+                .iter()
+                .map(|g| (g.field, Json::Str(format!("{:.2}", harness::quartiles(&g.ratios)[1]))))
+                .chain([
+                    ("bench", Json::Str("ci_smoke".to_owned())),
+                    (
+                        "note",
+                        Json::Str(
+                            "median per-round ratios: seed/packed replay, scalar/lane scan, \
+                             analytic/event timing, tenant/single replay; regenerate with \
+                             RLR_UPDATE_BENCH_BASELINE=1"
+                                .to_owned(),
+                        ),
+                    ),
+                ]),
         );
-        std::fs::write(BASELINE_PATH, json).expect("write baseline");
+        std::fs::write(BASELINE_PATH, doc.encode() + "\n").expect("write baseline");
         println!("baseline updated: {BASELINE_PATH}");
         return;
     }
 
-    let text = match std::fs::read_to_string(BASELINE_PATH) {
-        Ok(text) => text,
-        Err(_) => {
-            eprintln!(
-                "ci_smoke: no baseline at {BASELINE_PATH}; \
-                 run with RLR_UPDATE_BENCH_BASELINE=1 to create it"
-            );
-            std::process::exit(1);
-        }
+    let Ok(text) = std::fs::read_to_string(BASELINE_PATH) else {
+        eprintln!(
+            "ci_smoke: no baseline at {BASELINE_PATH}; \
+             run with RLR_UPDATE_BENCH_BASELINE=1 to create it"
+        );
+        std::process::exit(1);
     };
+    let baseline = Json::parse(&text).ok();
     let mut failed = false;
-    for (label, measured, base) in [
-        ("hot-path", speedup, baseline_field(&text, "speedup")),
-        ("victim-scan SIMD", simd_speedup, baseline_field(&text, "simd_speedup")),
-    ] {
+    for gate in &gates {
+        let base =
+            baseline.as_ref().and_then(|doc| doc.get(gate.field)?.as_str()?.parse::<f64>().ok());
         let Some(base) = base else {
             eprintln!(
-                "ci_smoke: baseline at {BASELINE_PATH} lacks the {label} field; \
-                 regenerate with RLR_UPDATE_BENCH_BASELINE=1"
+                "ci_smoke: baseline at {BASELINE_PATH} lacks the {} field; \
+                 regenerate with RLR_UPDATE_BENCH_BASELINE=1",
+                gate.field
             );
             failed = true;
             continue;
         };
-        let floor = base * TOLERANCE;
-        println!("{label}: baseline {base:.2}x, floor {floor:.2}x");
-        if measured < floor {
+        let limit = base * gate.tolerance;
+        let kind = match gate.bound {
+            Bound::Floor => "floor",
+            Bound::Ceiling => "ceiling",
+        };
+        println!("{}: baseline {base:.2}, {kind} {limit:.2}", gate.label);
+        if !gate.bound.holds(&gate.ratios, limit) {
             eprintln!(
-                "ci_smoke: {label} speedup regressed: {measured:.2}x < {floor:.2}x \
-                 (baseline {base:.2}x - 20%)"
+                "ci_smoke: {} regressed: at least 3/4 of rounds past the {kind} {limit:.2} \
+                 (baseline {base:.2})",
+                gate.label
             );
             failed = true;
-        }
-    }
-    // The timing gate is one-sided the other way: the ratio RISING means
-    // the analytic replay path slowed down relative to the event core.
-    match baseline_field(&text, "timing_ratio") {
-        None => {
-            eprintln!(
-                "ci_smoke: baseline at {BASELINE_PATH} lacks the timing_ratio field; \
-                 regenerate with RLR_UPDATE_BENCH_BASELINE=1"
-            );
-            failed = true;
-        }
-        Some(base) => {
-            let ceiling = base * TIMING_TOLERANCE;
-            println!("timing analytic/event: baseline {base:.2}, ceiling {ceiling:.2}");
-            if timing_ratio > ceiling {
-                eprintln!(
-                    "ci_smoke: analytic timing path regressed: ratio {timing_ratio:.2} > \
-                     {ceiling:.2} (baseline {base:.2} + 5%)"
-                );
-                failed = true;
-            }
-        }
-    }
-    // Same one-sided shape for the tenancy layer: the ratio RISING means
-    // multi-tenant replay slowed down relative to the packed path.
-    match baseline_field(&text, "tenancy_ratio") {
-        None => {
-            eprintln!(
-                "ci_smoke: baseline at {BASELINE_PATH} lacks the tenancy_ratio field; \
-                 regenerate with RLR_UPDATE_BENCH_BASELINE=1"
-            );
-            failed = true;
-        }
-        Some(base) => {
-            let ceiling = base * TENANCY_TOLERANCE;
-            println!("tenancy multi/single: baseline {base:.2}, ceiling {ceiling:.2}");
-            if tenancy_ratio > ceiling {
-                eprintln!(
-                    "ci_smoke: multi-tenant replay regressed: ratio {tenancy_ratio:.2} > \
-                     {ceiling:.2} (baseline {base:.2} + 25%)"
-                );
-                failed = true;
-            }
         }
     }
     if failed {

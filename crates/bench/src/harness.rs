@@ -1,5 +1,6 @@
-//! A minimal wall-clock benchmark harness: warmup, N timed iterations,
-//! median/p90 summary, JSON artifacts under `results/bench/`.
+//! A minimal wall-clock harness for the `ci_smoke` timing target:
+//! [`bench`] prints an ungated row, [`paired_ratios`] measures a gated
+//! A/B ratio, and [`Bound::holds`] is the one rule every gate applies.
 //!
 //! Replaces the external `criterion` dependency so `cargo bench` works in
 //! a hermetic (offline, registry-free) build. Iteration counts are small
@@ -9,12 +10,12 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use experiments::json::Json;
-
 /// Iterations of `f` discarded before timing starts.
 const WARMUP_ITERS: u32 = 1;
 /// Timed iterations of `f` per measurement.
 const TIMED_ITERS: u32 = 7;
+/// Timed rounds of a paired comparison; each round yields one ratio.
+pub const ROUNDS: usize = 15;
 
 /// Summary statistics for one benchmark, in nanoseconds per iteration.
 #[derive(Clone, Debug)]
@@ -23,28 +24,24 @@ pub struct Measurement {
     pub iters: u32,
     pub median_ns: u64,
     pub p90_ns: u64,
-    pub min_ns: u64,
-    pub max_ns: u64,
 }
 
 impl Measurement {
-    /// Summarizes externally collected per-iteration samples — for
-    /// callers that interleave measurements themselves (e.g. paired
-    /// A/B ratio benches) instead of going through [`bench`].
-    pub fn from_samples(name: &str, mut samples: Vec<u64>) -> Self {
+    fn from_samples(name: &str, mut samples: Vec<u64>) -> Self {
         samples.sort_unstable();
-        let n = samples.len();
-        // Nearest-rank percentiles on the sorted sample vector.
-        let rank = |q: f64| samples[(((n as f64) * q).ceil() as usize).clamp(1, n) - 1];
         Self {
             name: name.to_string(),
-            iters: n as u32,
-            median_ns: rank(0.50),
-            p90_ns: rank(0.90),
-            min_ns: samples[0],
-            max_ns: samples[n - 1],
+            iters: samples.len() as u32,
+            median_ns: nearest_rank(&samples, 0.50),
+            p90_ns: nearest_rank(&samples, 0.90),
         }
     }
+}
+
+/// The nearest-rank `q`-quantile of an ascending, non-empty slice.
+fn nearest_rank<T: Copy>(sorted: &[T], q: f64) -> T {
+    let n = sorted.len();
+    sorted[(((n as f64) * q).ceil() as usize).clamp(1, n) - 1]
 }
 
 /// Times `f` over [`WARMUP_ITERS`] discarded + [`TIMED_ITERS`] timed
@@ -71,52 +68,67 @@ pub fn bench<R>(name: &str, mut f: impl FnMut() -> R) -> Measurement {
     m
 }
 
-/// A [`Measurement`] annotated with how many cache accesses one iteration
-/// performed, from which throughput derives.
-#[derive(Clone, Debug)]
-pub struct Throughput {
-    pub measurement: Measurement,
-    /// Accesses performed per timed iteration.
-    pub accesses: u64,
+/// Times two sides of a comparison in [`ROUNDS`] paired rounds and returns
+/// the per-round ratios `a_ns / b_ns`.
+///
+/// Each side first runs once untimed, to warm caches and branch
+/// predictors. The rounds then alternate which side goes first (a,b, then
+/// b,a, ...). Both timings of a round see the same machine state, so
+/// frequency scaling and load drift cancel inside each ratio instead of
+/// landing on one side.
+pub fn paired_ratios<A, B>(mut a: impl FnMut() -> A, mut b: impl FnMut() -> B) -> Vec<f64> {
+    fn timed<R>(f: &mut impl FnMut() -> R) -> f64 {
+        let begin = Instant::now();
+        black_box(f());
+        begin.elapsed().as_nanos().max(1) as f64
+    }
+    black_box(a());
+    black_box(b());
+    (0..ROUNDS)
+        .map(|round| {
+            let (a_ns, b_ns) = if round % 2 == 0 {
+                let a_ns = timed(&mut a);
+                (a_ns, timed(&mut b))
+            } else {
+                let b_ns = timed(&mut b);
+                (timed(&mut a), b_ns)
+            };
+            a_ns / b_ns
+        })
+        .collect()
 }
 
-impl Throughput {
-    /// Median replay throughput in accesses per second.
-    pub fn accesses_per_sec(&self) -> f64 {
-        self.accesses as f64 * 1e9 / self.measurement.median_ns.max(1) as f64
-    }
-
-    fn to_json(&self) -> Json {
-        let m = &self.measurement;
-        Json::obj([
-            ("name", Json::Str(m.name.clone())),
-            ("iters", Json::U64(u64::from(m.iters))),
-            ("median_ns", Json::U64(m.median_ns)),
-            ("p90_ns", Json::U64(m.p90_ns)),
-            ("min_ns", Json::U64(m.min_ns)),
-            ("max_ns", Json::U64(m.max_ns)),
-            ("accesses", Json::U64(self.accesses)),
-            ("accesses_per_sec", Json::U64(self.accesses_per_sec().round() as u64)),
-        ])
-    }
+/// Lower quartile, median and upper quartile (nearest rank) of `ratios`.
+pub fn quartiles(ratios: &[f64]) -> [f64; 3] {
+    let mut sorted = ratios.to_vec();
+    sorted.sort_unstable_by(f64::total_cmp);
+    [0.25, 0.50, 0.75].map(|q| nearest_rank(&sorted, q))
 }
 
-/// Saves throughput rows as `results/bench/<target>.json` — the
-/// perf-trajectory artifacts read by `experiments::perf`: one file per
-/// bench target, one row per measurement with both raw timings and
-/// accesses/sec.
-pub fn write_throughput_json(target: &str, rows: &[Throughput]) {
-    let dir = experiments::report::results_dir().join("bench");
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    let doc = Json::obj([
-        ("target", Json::Str(target.to_owned())),
-        ("rows", Json::Arr(rows.iter().map(Throughput::to_json).collect())),
-    ]);
-    let path = dir.join(format!("{target}.json"));
-    if std::fs::write(&path, doc.encode() + "\n").is_ok() {
-        println!("  saved {}", path.display());
+/// Which way a gated ratio must not move.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Bound {
+    /// A speedup: the ratio must not fall below the limit.
+    Floor,
+    /// A cost ratio: the ratio must not climb above the limit.
+    Ceiling,
+}
+
+impl Bound {
+    /// The gate rule: fails only when at least three quarters of the
+    /// rounds are past `limit`. For a floor that is the upper quartile
+    /// falling below the limit; for a ceiling, the lower quartile rising
+    /// above it. A regression shifts every round, while a preempted round
+    /// moves only itself, so one wild ratio cannot fail a gate.
+    pub fn holds(self, ratios: &[f64], limit: f64) -> bool {
+        let past = ratios
+            .iter()
+            .filter(|&&r| match self {
+                Bound::Floor => r < limit,
+                Bound::Ceiling => r > limit,
+            })
+            .count();
+        4 * past < 3 * ratios.len()
     }
 }
 
@@ -133,6 +145,7 @@ fn format_ns(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
 
     #[test]
     fn percentiles_are_nearest_rank() {
@@ -140,14 +153,12 @@ mod tests {
         assert_eq!(m.iters, 5);
         assert_eq!(m.median_ns, 30);
         assert_eq!(m.p90_ns, 50);
-        assert_eq!(m.min_ns, 10);
-        assert_eq!(m.max_ns, 50);
     }
 
     #[test]
     fn single_sample_is_every_statistic() {
         let m = Measurement::from_samples("t", vec![123]);
-        assert_eq!((m.median_ns, m.p90_ns, m.min_ns, m.max_ns), (123, 123, 123, 123));
+        assert_eq!((m.median_ns, m.p90_ns), (123, 123));
     }
 
     #[test]
@@ -166,38 +177,64 @@ mod tests {
         assert_eq!(format_ns(2_500_000_000), "2.500 s");
     }
 
-    /// The writer and `experiments::perf`'s reader share no schema code:
-    /// rows must survive the trip through the file with every field the
-    /// perf-over-time report reads.
     #[test]
-    fn written_rows_read_back_through_the_perf_report_loader() {
-        let dir = std::env::temp_dir().join(format!("rlr-bench-rows-{}", std::process::id()));
-        std::env::set_var("RLR_RESULTS_DIR", &dir);
-        let rows = [
-            Throughput {
-                measurement: Measurement::from_samples(
-                    "replay/\"quoted\"",
-                    vec![3_000, 1_000, 2_000],
-                ),
-                accesses: 40_538,
-            },
-            Throughput { measurement: Measurement::from_samples("scan", vec![7]), accesses: 3 },
-        ];
-        write_throughput_json("roundtrip", &rows);
-        let loaded = experiments::perf::load_bench_rows("roundtrip");
-        std::env::remove_var("RLR_RESULTS_DIR");
-        let _ = std::fs::remove_dir_all(&dir);
+    fn paired_rounds_warm_up_then_alternate_which_side_goes_first() {
+        let calls = RefCell::new(String::new());
+        let ratios =
+            paired_ratios(|| calls.borrow_mut().push('a'), || calls.borrow_mut().push('b'));
+        assert_eq!(ratios.len(), ROUNDS);
+        assert!(ratios.iter().all(|r| r.is_finite() && *r > 0.0));
+        let calls = calls.into_inner();
+        let (warm_up, rounds) = calls.split_at(2);
+        assert_eq!(warm_up, "ab");
+        assert_eq!(rounds.len(), 2 * ROUNDS);
+        for (round, pair) in rounds.as_bytes().chunks(2).enumerate() {
+            let expected: &[u8] = if round % 2 == 0 { b"ab" } else { b"ba" };
+            assert_eq!(pair, expected, "round {round} of {calls}");
+        }
+    }
 
-        let loaded = loaded.expect("written rows parse back");
-        let expected: Vec<experiments::perf::BenchRow> = rows
-            .iter()
-            .map(|t| experiments::perf::BenchRow {
-                name: t.measurement.name.clone(),
-                median_ns: t.measurement.median_ns,
-                accesses_per_sec: t.accesses_per_sec().round() as u64,
-            })
-            .collect();
-        assert_eq!(loaded, expected);
-        assert_eq!(loaded[0].accesses_per_sec, 20_269_000_000);
+    #[test]
+    fn quartiles_are_nearest_rank_over_fifteen_rounds() {
+        let ratios: Vec<f64> = (1..=15).rev().map(f64::from).collect();
+        assert_eq!(quartiles(&ratios), [4.0, 8.0, 12.0]);
+    }
+
+    /// `n` rounds at `past` (beyond the limit), the rest at `within`.
+    fn rounds(n: usize, past: f64, within: f64) -> Vec<f64> {
+        (0..ROUNDS).map(|i| if i < n { past } else { within }).collect()
+    }
+
+    #[test]
+    fn floor_fails_only_when_three_quarters_of_rounds_are_below_it() {
+        let floor = 3.0;
+        assert!(Bound::Floor.holds(&rounds(7, 2.9, 3.1), floor), "straddling ratios pass");
+        assert!(Bound::Floor.holds(&rounds(11, 2.9, 3.1), floor), "11 of 15 below passes");
+        assert!(!Bound::Floor.holds(&rounds(12, 2.9, 3.1), floor), "12 of 15 below fails");
+        assert!(!Bound::Floor.holds(&rounds(ROUNDS, 2.9, 3.1), floor));
+        assert!(Bound::Floor.holds(&rounds(0, 2.9, floor), floor), "the limit itself is within");
+    }
+
+    #[test]
+    fn ceiling_fails_only_when_three_quarters_of_rounds_are_above_it() {
+        let ceiling = 1.5;
+        assert!(Bound::Ceiling.holds(&rounds(7, 1.6, 1.4), ceiling), "straddling ratios pass");
+        assert!(Bound::Ceiling.holds(&rounds(11, 1.6, 1.4), ceiling), "11 of 15 above passes");
+        assert!(!Bound::Ceiling.holds(&rounds(12, 1.6, 1.4), ceiling), "12 of 15 above fails");
+        assert!(!Bound::Ceiling.holds(&rounds(ROUNDS, 1.6, 1.4), ceiling));
+        assert!(
+            Bound::Ceiling.holds(&rounds(0, 1.6, ceiling), ceiling),
+            "the limit itself is within"
+        );
+    }
+
+    #[test]
+    fn one_wild_round_does_not_fail_a_gate() {
+        // A tenancy-shaped cost ratio near 1.2 with one preempted round at
+        // 6.10, against a 1.50 ceiling.
+        assert!(Bound::Ceiling.holds(&rounds(1, 6.10, 1.21), 1.50));
+        // A SIMD-shaped speedup near 3.4 with one round collapsed to 1.48,
+        // against a 2.7 floor.
+        assert!(Bound::Floor.holds(&rounds(1, 1.48, 3.4), 2.7));
     }
 }

@@ -1,11 +1,12 @@
 //! Shared glue for the benchmark targets that regenerate the paper's
 //! tables and figures, plus a dependency-free wall-clock harness for the
-//! `ci_smoke` timing target (the workspace builds offline; Criterion is
+//! `ci_smoke` timing gate (the workspace builds offline; Criterion is
 //! deliberately not used).
 //!
 //! Each figure/table target prints an aligned table to stdout, saves a
 //! CSV under `results/`, and reports its own wall-clock time. `ci_smoke`
-//! records its timing rows in `results/bench/ci_smoke.json`.
+//! prints its rows and gates four paired ratios against
+//! `crates/bench/ci_baseline.json`.
 
 pub mod harness;
 

@@ -161,11 +161,6 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
         &self.policy
     }
 
-    /// Mutable access to the replacement policy.
-    pub fn policy_mut(&mut self) -> &mut P {
-        &mut self.policy
-    }
-
     /// Returns whether `addr`'s line is resident (no state change).
     pub fn contains(&self, addr: u64) -> bool {
         let line = addr >> 6;

@@ -70,16 +70,6 @@ impl DramModel {
         self.row_misses
     }
 
-    /// Row-buffer hit rate in `[0, 1]`.
-    pub fn row_hit_rate(&self) -> f64 {
-        let total = self.row_hits + self.row_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / total as f64
-        }
-    }
-
     /// Zeroes the statistics (open-row state is preserved).
     pub fn reset_stats(&mut self) {
         self.row_hits = 0;

@@ -64,13 +64,6 @@ pub enum LlcOutcome {
     MissRowMiss,
 }
 
-impl LlcOutcome {
-    /// `true` when the access hit in the LLC.
-    pub fn is_hit(self) -> bool {
-        self == LlcOutcome::Hit
-    }
-}
-
 /// The shared last-level cache, with sequence numbering and optional trace
 /// capture.
 ///
@@ -196,11 +189,6 @@ impl<P: ReplacementPolicy> SharedLlc<P> {
     /// Total dirty lines written to main memory.
     pub fn memory_writes(&self) -> u64 {
         self.memory_writes
-    }
-
-    /// The number of accesses seen so far (= next sequence number).
-    pub fn accesses_seen(&self) -> u64 {
-        self.seq
     }
 
     /// The underlying cache (for policy inspection).

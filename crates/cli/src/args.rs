@@ -48,12 +48,11 @@ impl Args {
         let mut out = Args { command, ..Args::default() };
         while let Some(token) = iter.next() {
             if let Some(key) = token.strip_prefix("--") {
-                match iter.peek() {
-                    Some(next) if !next.starts_with("--") => {
-                        let value = iter.next().expect("peeked");
+                match iter.next_if(|next| !next.starts_with("--")) {
+                    Some(value) => {
                         out.options.insert(key.to_owned(), value);
                     }
-                    _ => out.flags.push(key.to_owned()),
+                    None => out.flags.push(key.to_owned()),
                 }
             } else {
                 out.positional.push(token);

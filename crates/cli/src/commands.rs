@@ -701,8 +701,8 @@ fn trace_convert(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `rlr doctor [--dry-run]` — scan the results tree (checkpoint cells,
-/// corpus containers, bench history), classify every artifact as
+/// `rlr doctor [--dry-run]` — scan the results tree (checkpoint cells and
+/// corpus containers), classify every artifact as
 /// ok / repaired / quarantined / damaged, repair what can be repaired, and
 /// print the summary. `--dry-run` reports the same classification without
 /// touching anything. Honours `RLR_RESULTS_DIR`.
@@ -716,37 +716,6 @@ pub fn doctor(args: &Args) -> Result<(), ArgError> {
         println!("doctor: {} is clean", root.display());
     } else if !repair {
         println!("doctor: dry run — re-run without --dry-run to repair");
-    }
-    Ok(())
-}
-
-/// `rlr perf-report [--bench TARGET] [--record LABEL]` — the perf-over-time
-/// report built from `results/bench/<target>.json` snapshots.
-pub fn perf_report(args: &Args) -> Result<(), ArgError> {
-    args.expect_known(&["bench", "record"])?;
-    let target = args.get_or("bench", "ci_smoke").to_owned();
-    if let Some(label) = args.get("record") {
-        match experiments::perf::record_snapshot(&target, label)
-            .map_err(|e| ArgError(format!("record snapshot: {e}")))?
-        {
-            Some(snap) => println!(
-                "recorded {} row(s) of `{target}` under label `{}`",
-                snap.rows.len(),
-                snap.label
-            ),
-            None => {
-                return Err(ArgError(format!(
-                    "no bench artifact for `{target}`; run `cargo bench -p rlr-bench --bench {target}` first"
-                )))
-            }
-        }
-    }
-    match experiments::perf::trend_table(&target) {
-        Some(table) => println!("{}", table.render()),
-        None => println!(
-            "no recorded history for `{target}` yet; record one with \
-             `rlr perf-report --bench {target} --record <label>`"
-        ),
     }
     Ok(())
 }
@@ -1130,7 +1099,6 @@ COMMANDS:
                                 (coordinate ascent on weighted demand miss rate)
   doctor                        scan results/ artifacts; repair or quarantine damage
                                 [--dry-run]
-  perf-report                   perf-over-time table [--bench TARGET] [--record LABEL]
   help                          this text
 
 FAULT TOLERANCE (compare + bench sweeps):

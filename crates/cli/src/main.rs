@@ -30,7 +30,6 @@ fn main() {
         "objcache" => commands::objcache(&parsed),
         "tenancy" => commands::tenancy(&parsed),
         "doctor" => commands::doctor(&parsed),
-        "perf-report" => commands::perf_report(&parsed),
         "help" | "--help" | "-h" => {
             commands::help();
             Ok(())

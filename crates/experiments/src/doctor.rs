@@ -1,10 +1,9 @@
 //! `rlr doctor`: scan the results tree, classify every artifact, repair
 //! what can be repaired, quarantine what cannot.
 //!
-//! Long sweeps leave their value on disk — sweep checkpoint cells, corpus
-//! containers, bench snapshots and history — and a crash (or bad media)
-//! can damage any of them. The doctor walks one results root and applies
-//! a uniform policy:
+//! Long sweeps leave their value on disk — sweep checkpoint cells and
+//! corpus containers — and a crash (or bad media) can damage any of them.
+//! The doctor walks one results root and applies a uniform policy:
 //!
 //! * **Orphaned scratch files** (`.{name}.tmp.{pid}` crash residue) are
 //!   deleted ([`crate::checkpoint::sweep_orphans`]).
@@ -17,10 +16,6 @@
 //!   original moves to `quarantine/` and the recovered blocks are
 //!   republished atomically in its place. A container with nothing to
 //!   salvage is quarantined only.
-//! * **Bench artifacts** (`bench/*.json`, `bench/history.jsonl`) must
-//!   parse; a history file with some corrupt lines is rewritten keeping
-//!   the valid lines (original quarantined first), any other unparsable
-//!   file is quarantined.
 //!
 //! Every quarantine preserves the damaged bytes beside the artifact (see
 //! [`crate::corpus::quarantine_file`]); nothing is silently destroyed
@@ -277,76 +272,6 @@ fn check_corpus_containers(report: &mut DoctorReport, dir: &Path, repair: bool) 
     }
 }
 
-fn check_bench_artifacts(report: &mut DoctorReport, dir: &Path, repair: bool) {
-    for path in files_with_ext(dir, "json") {
-        let verdict = fs::read_to_string(&path)
-            .map_err(|e| format!("unreadable: {e}"))
-            .and_then(|text| Json::parse(&text).map(|_| ()).map_err(|e| format!("invalid JSON: {e}")));
-        match verdict {
-            Ok(()) => report.artifacts.push(ArtifactReport {
-                path,
-                kind: "bench snapshot",
-                status: ArtifactStatus::Ok,
-                detail: String::new(),
-            }),
-            Err(problem) => quarantine_or_flag(report, &path, "bench snapshot", repair, problem),
-        }
-    }
-    let history = dir.join("history.jsonl");
-    let Ok(text) = fs::read_to_string(&history) else { return };
-    let lines: Vec<&str> = text.lines().collect();
-    let valid: Vec<&str> =
-        lines.iter().copied().filter(|l| Json::parse(l).is_ok()).collect();
-    let bad = lines.len() - valid.len();
-    if bad == 0 {
-        report.artifacts.push(ArtifactReport {
-            path: history,
-            kind: "bench history",
-            status: ArtifactStatus::Ok,
-            detail: format!("{} snapshots", lines.len()),
-        });
-        return;
-    }
-    let problem = format!("{bad} of {} lines unparsable", lines.len());
-    if !repair {
-        report.artifacts.push(ArtifactReport {
-            path: history,
-            kind: "bench history",
-            status: ArtifactStatus::Damaged,
-            detail: format!("{problem} (dry run)"),
-        });
-        return;
-    }
-    // History is append-only JSONL, so dropping only the rotten lines is
-    // a faithful repair; the original (evidence) moves aside first.
-    let rewritten = valid.join("\n") + if valid.is_empty() { "" } else { "\n" };
-    let outcome = quarantine_file(&history)
-        .map_err(|e| format!("quarantine failed: {e}"))
-        .and_then(|dest| {
-            write_atomic(&history, rewritten.as_bytes())
-                .map_err(|e| format!("rewrite failed: {e}"))
-                .map(|()| dest)
-        });
-    match outcome {
-        Ok(dest) => report.artifacts.push(ArtifactReport {
-            path: history,
-            kind: "bench history",
-            status: ArtifactStatus::Repaired,
-            detail: format!(
-                "{problem}; kept {} valid line(s), original at {}",
-                valid.len(),
-                dest.display()
-            ),
-        }),
-        Err(e) => report.artifacts.push(ArtifactReport {
-            path: history,
-            kind: "bench history",
-            status: ArtifactStatus::Damaged,
-            detail: format!("{problem}; {e}"),
-        }),
-    }
-}
-
 /// Scans the results tree under `root` (normally
 /// [`crate::report::results_dir`]) and applies the repair policy described
 /// in the module docs. With `repair = false` the same classification is
@@ -365,7 +290,6 @@ pub fn run(root: &Path, repair: bool) -> DoctorReport {
         check_checkpoint_cells(&mut report, dir, repair);
     }
     check_corpus_containers(&mut report, &root.join("corpus"), repair);
-    check_bench_artifacts(&mut report, &root.join("bench"), repair);
     report
 }
 
@@ -457,25 +381,6 @@ mod tests {
         assert!(tenancy_dir.join(key.file_name()).exists(), "valid cell untouched");
         assert!(tenancy_dir.join("quarantine").join("00000000torncell.json").exists());
         assert!(obj_dir.join("quarantine").join("ffffffffffffffff.json").exists());
-        assert!(run(&root, true).all_clean());
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn history_repair_keeps_valid_lines() {
-        let root = scratch_root("hist");
-        let bench = root.join("bench");
-        fs::create_dir_all(&bench).expect("mkdir");
-        fs::write(
-            bench.join("history.jsonl"),
-            "{\"a\":1}\nGARBAGE LINE\n{\"b\":2}\n",
-        )
-        .expect("write");
-        let report = run(&root, true);
-        assert_eq!(report.count(ArtifactStatus::Repaired), 1);
-        let text = fs::read_to_string(bench.join("history.jsonl")).expect("rewritten");
-        assert_eq!(text, "{\"a\":1}\n{\"b\":2}\n");
-        assert!(bench.join("quarantine").join("history.jsonl").exists(), "evidence kept");
         assert!(run(&root, true).all_clean());
         let _ = fs::remove_dir_all(&root);
     }

@@ -30,7 +30,6 @@ pub mod fault;
 pub mod figures;
 pub mod json;
 pub mod objects;
-pub mod perf;
 pub mod pipeline;
 pub mod report;
 pub mod roster;

@@ -93,11 +93,6 @@ impl TenantCellStats {
         }
     }
 
-    /// Mean miss latency in ticks (0 with no misses).
-    pub fn mean_miss_latency(&self) -> f64 {
-        if self.miss_count == 0 { 0.0 } else { self.miss_ticks as f64 / self.miss_count as f64 }
-    }
-
     /// Average memory-access time proxy in ticks: LLC latency for hits,
     /// the recorded DRAM round-trip for misses. The slowdown index is a
     /// ratio of these.

@@ -198,24 +198,6 @@ impl MultiTenantLlc {
             .collect()
     }
 
-    /// Aggregate demand miss rate weighted per tenant — the serving tier's
-    /// SLO headline. `weights[t]` scales tenant `t`'s demand miss rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `weights` does not cover every tenant.
-    pub fn weighted_demand_miss_rate(&self, weights: &[u32]) -> f64 {
-        assert_eq!(weights.len(), usize::from(self.tenants));
-        let total: f64 = weights.iter().map(|&w| f64::from(w)).sum();
-        assert!(total > 0.0, "all weights are zero");
-        self.qos
-            .iter()
-            .zip(weights)
-            .map(|(q, &w)| f64::from(w) * q.demand_miss_rate())
-            .sum::<f64>()
-            / total
-    }
-
     /// Serves one access for `tenant`. The tenant id rides in
     /// [`Access::core`]; isolation is whatever the policy's mode dictates.
     ///

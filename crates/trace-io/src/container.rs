@@ -351,11 +351,6 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
-    /// Records written so far (including any still-buffered partial block).
-    pub fn records_written(&self) -> u64 {
-        self.total_records + self.pending.len() as u64
-    }
-
     fn flush_block(&mut self) -> Result<(), TraceIoError> {
         if self.pending.is_empty() {
             return Ok(());
