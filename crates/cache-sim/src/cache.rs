@@ -19,7 +19,7 @@
 
 use crate::access::{Access, AccessKind};
 use crate::config::CacheConfig;
-use crate::replacement::{Decision, LineSnapshot, ReplacementPolicy};
+use crate::replacement::{Decision, LineSnapshot, ReplacementPolicy, TrueLru};
 use crate::stats::CacheStats;
 
 /// Maximum associativity supported without heap allocation on the victim
@@ -321,6 +321,35 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
     }
 }
 
+impl SetAssocCache<TrueLru> {
+    /// Records a hit on `line`, resident in `way`, without probing the set,
+    /// rewriting the core byte or re-stamping the line's LRU age.
+    ///
+    /// Exact only when `line` is this cache's newest touch (the line its
+    /// latest access hit or filled) and that touch came from the same core.
+    /// The line then already holds the largest LRU stamp in the cache, so a
+    /// re-stamp would leave the order of every set unchanged and no future
+    /// victim can differ; the statistics and the dirty bit are updated as
+    /// [`access`](Self::access) would update them.
+    #[inline]
+    pub fn repeat_hit(&mut self, line: u64, way: u16, kind: AccessKind) {
+        let set = (line & self.set_mask) as usize;
+        debug_assert!(
+            self.valid[set] & (1 << way) != 0
+                && self.tags[set * self.config.ways as usize + usize::from(way)] == line,
+            "repeat_hit on a line that is not resident in way {way}"
+        );
+        debug_assert!(
+            self.policy.is_newest(set as u32, way),
+            "repeat_hit on a line that is not the cache's newest touch"
+        );
+        self.stats.record(kind, true);
+        if kind == AccessKind::Writeback || (self.rfo_dirties && kind == AccessKind::Rfo) {
+            self.dirty[set] |= 1 << way;
+        }
+    }
+}
+
 impl<P: ReplacementPolicy> std::fmt::Debug for SetAssocCache<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SetAssocCache")
@@ -335,7 +364,6 @@ impl<P: ReplacementPolicy> std::fmt::Debug for SetAssocCache<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replacement::TrueLru;
 
     fn cache(sets: u32, ways: u16) -> SetAssocCache<TrueLru> {
         let cfg = CacheConfig { sets, ways, latency: 1 };

@@ -322,6 +322,10 @@ pub struct CoreHierarchy {
     pending_prefetch: PrefetchQueue,
     /// Total L2 prefetches considered for issue (drives the drop pattern).
     prefetch_issued: u64,
+    /// `(line, way)` of the L1I's newest touch, demand or prefetch fill.
+    last_l1i: Option<(u64, u16)>,
+    /// `(line, way)` of the L1D's newest touch, demand or prefetch fill.
+    last_l1d: Option<(u64, u16)>,
 }
 
 /// One demand data access of a hierarchy replay, as fed to
@@ -358,6 +362,8 @@ impl CoreHierarchy {
             l2_ticks: 0,
             pending_prefetch: PrefetchQueue::new(),
             prefetch_issued: 0,
+            last_l1i: None,
+            last_l1d: None,
         }
     }
 
@@ -476,6 +482,9 @@ impl CoreHierarchy {
 
     /// Performs one demand data access (load or store) and returns the
     /// deepest level that serviced it.
+    ///
+    /// An access to the line of the L1D's newest touch is a
+    /// [`SetAssocCache::repeat_hit`]: no probe, no LRU re-stamp.
     pub fn data_access<P: ReplacementPolicy>(
         &mut self,
         pc: u64,
@@ -484,8 +493,16 @@ impl CoreHierarchy {
         llc: &mut SharedLlc<P>,
     ) -> ServiceLevel {
         let kind = if is_store { AccessKind::Rfo } else { AccessKind::Load };
+        let line = addr >> 6;
+        if let Some((last, way)) = self.last_l1d {
+            if last == line {
+                self.l1d.repeat_hit(line, way, kind);
+                return ServiceLevel::L1;
+            }
+        }
         let access = Access { pc, addr, kind, core: self.core, seq: 0 };
         let out = self.l1d.access(&access);
+        self.last_l1d = out.way.map(|w| (line, w));
         let level = if out.hit {
             ServiceLevel::L1
         } else {
@@ -501,6 +518,7 @@ impl CoreHierarchy {
                 let pf =
                     Access { pc, addr: pf_addr, kind: AccessKind::Prefetch, core: self.core, seq: 0 };
                 let pf_out = self.l1d.access(&pf);
+                self.last_l1d = pf_out.way.map(|w| (pf_addr >> 6, w));
                 self.access_l2(pc, pf_addr, AccessKind::Prefetch, llc);
                 if let Some(wb) = pf_out.writeback {
                     self.writeback_to_l2(wb, llc);
@@ -510,10 +528,20 @@ impl CoreHierarchy {
         level
     }
 
-    /// Performs one instruction fetch for the line containing `pc`.
+    /// Performs one instruction fetch for the line containing `pc`; a fetch
+    /// from the line of the L1I's newest touch is a
+    /// [`SetAssocCache::repeat_hit`].
     pub fn instr_fetch<P: ReplacementPolicy>(&mut self, pc: u64, llc: &mut SharedLlc<P>) -> ServiceLevel {
+        let line = pc >> 6;
+        if let Some((last, way)) = self.last_l1i {
+            if last == line {
+                self.l1i.repeat_hit(line, way, AccessKind::Load);
+                return ServiceLevel::L1;
+            }
+        }
         let access = Access { pc, addr: pc, kind: AccessKind::Load, core: self.core, seq: 0 };
         let out = self.l1i.access(&access);
+        self.last_l1i = out.way.map(|w| (line, w));
         let level = if out.hit {
             ServiceLevel::L1
         } else {
@@ -525,7 +553,8 @@ impl CoreHierarchy {
             if !self.l1i.contains(pf_addr) {
                 let pf =
                     Access { pc, addr: pf_addr, kind: AccessKind::Prefetch, core: self.core, seq: 0 };
-                self.l1i.access(&pf);
+                let pf_out = self.l1i.access(&pf);
+                self.last_l1i = pf_out.way.map(|w| (pf_addr >> 6, w));
                 self.access_l2(pc, pf_addr, AccessKind::Prefetch, llc);
             }
         }

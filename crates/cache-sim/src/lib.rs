@@ -32,7 +32,6 @@ mod config;
 mod dram;
 mod event;
 mod hierarchy;
-pub mod lanes;
 mod prefetch;
 pub mod reference;
 mod replacement;

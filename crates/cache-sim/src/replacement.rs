@@ -166,6 +166,12 @@ impl TrueLru {
         let i = self.idx(set, way);
         self.stamps[i] = self.clock;
     }
+
+    /// Whether `(set, way)` holds the most recent touch in the whole cache
+    /// (its stamp is the current clock).
+    pub(crate) fn is_newest(&self, set: u32, way: u16) -> bool {
+        self.clock > 0 && self.stamps[self.idx(set, way)] == self.clock
+    }
 }
 
 impl ReplacementPolicy for TrueLru {
@@ -174,19 +180,29 @@ impl ReplacementPolicy for TrueLru {
     }
 
     fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> Decision {
-        // Packed-key lane scan: `(stamp << way_bits) | way`. Stamps are
+        // Min over packed keys `(stamp << way_bits) | way`. Stamps are
         // unique whenever non-zero (the clock ticks on every touch), and
         // zero-stamp ties resolve to the lowest way because the way sits in
         // the low bits — exactly the first-minimum the old `min_by_key`
         // scan returned. 6 way bits leave 2^58 clock ticks of headroom.
+        // Keys are unique, so the fold's order cannot change the minimum:
+        // four independent minima keep the compare chain short.
         let base = self.idx(set, 0);
         let stamps = &self.stamps[base..base + usize::from(self.ways)];
-        let mut keys = [u64::MAX; crate::cache::MAX_WAYS];
-        for (way, (&stamp, key)) in stamps.iter().zip(&mut keys).enumerate() {
-            debug_assert!(stamp < 1 << 58, "LRU clock exceeds the packed-key range");
-            *key = (stamp << 6) | way as u64;
+        let key = |way: usize| {
+            debug_assert!(stamps[way] < 1 << 58, "LRU clock exceeds the packed-key range");
+            (stamps[way] << 6) | way as u64
+        };
+        let mut lanes = [u64::MAX; 4];
+        let quads = stamps.len() / 4 * 4;
+        for first in (0..quads).step_by(4) {
+            for (lane, min) in lanes.iter_mut().enumerate() {
+                *min = (*min).min(key(first + lane));
+            }
         }
-        Decision::Evict((crate::lanes::min_key_lanes(&keys[..stamps.len()]) & 0x3F) as u16)
+        let tail = (quads..stamps.len()).map(key);
+        let best = lanes.into_iter().chain(tail).fold(u64::MAX, u64::min);
+        Decision::Evict((best & 0x3F) as u16)
     }
 
     fn on_hit(&mut self, set: u32, way: u16, _access: &Access) {
@@ -272,6 +288,30 @@ mod tests {
         match lru.select_victim(0, &snapshot(4), &access(999 * 64)) {
             Decision::Evict(w) => assert_eq!(w, 1),
             Decision::Bypass => panic!("LRU never bypasses"),
+        }
+    }
+
+    #[test]
+    fn lru_victim_is_the_first_minimum_at_every_width() {
+        for ways in 1..=32u16 {
+            let cfg = CacheConfig { sets: 2, ways, latency: 1 };
+            for victim in 0..ways {
+                let mut lru = TrueLru::new(&cfg);
+                // Set 1: every way filled, then all but `victim` touched.
+                for way in 0..ways {
+                    lru.on_fill(1, way, &access(0));
+                }
+                for way in (0..ways).rev().filter(|&w| w != victim) {
+                    lru.on_hit(1, way, &access(0));
+                }
+                assert_eq!(lru.select_victim(1, &[], &access(0)), Decision::Evict(victim));
+                // Set 0: only the ways below `victim` touched; the untouched
+                // ways tie at stamp 0 and the lowest of them wins.
+                for way in 0..victim {
+                    lru.on_fill(0, way, &access(0));
+                }
+                assert_eq!(lru.select_victim(0, &[], &access(0)), Decision::Evict(victim));
+            }
         }
     }
 

@@ -218,6 +218,10 @@ struct CoreSlot {
     hierarchy: CoreHierarchy,
     timing: TimingModel,
     stream: Box<dyn Iterator<Item = TraceEntry> + Send>,
+    /// `timing.cycles()` (0 for a fresh model), refreshed after each step
+    /// of this core: only the stepped core's clock moves, so the scheduler
+    /// reads this instead of recomputing every core's cycle count per step.
+    cycles: u64,
     /// Cycles snapshot taken when the core crossed the instruction target.
     finished: Option<(u64, u64)>,
 }
@@ -263,6 +267,7 @@ impl<P: ReplacementPolicy> MultiCoreSystem<P> {
                 hierarchy: CoreHierarchy::new(i as u8, config),
                 timing: TimingModel::new(config),
                 stream,
+                cycles: 0,
                 finished: None,
             })
             .collect();
@@ -303,6 +308,7 @@ impl<P: ReplacementPolicy> MultiCoreSystem<P> {
         for core in &mut self.cores {
             core.hierarchy.reset_stats();
             core.timing = TimingModel::new(&self.config);
+            core.cycles = 0;
             core.finished = None;
         }
         self.llc.reset_stats();
@@ -349,7 +355,7 @@ impl<P: ReplacementPolicy> MultiCoreSystem<P> {
                 if core.finished.is_none() {
                     all_done = false;
                 }
-                let c = core.timing.cycles();
+                let c = core.cycles;
                 if next.is_none_or(|(_, best)| c < best) {
                     next = Some((i, c));
                 }
@@ -369,6 +375,7 @@ impl<P: ReplacementPolicy> MultiCoreSystem<P> {
                 &mut self.traffic,
                 &self.config,
             );
+            core.cycles = core.timing.cycles();
             if core.finished.is_none() && core.timing.instructions() >= instructions {
                 let mut t = core.timing.clone();
                 t.finish();

@@ -156,18 +156,25 @@ pub trait Rng {
 }
 
 /// Unbiased `0..n` via Lemire's multiply-shift rejection method.
+///
+/// The rejection threshold `2^64 mod n` is below `n`, so a low product word
+/// of at least `n` is accepted without it; the division that computes the
+/// threshold runs only in the rare case that the low word is below `n`
+/// (Lemire's original form). Draws and rejections are those of computing
+/// the threshold up front.
 #[inline]
 fn gen_u64_below<R: Rng>(rng: &mut R, n: u64) -> u64 {
     debug_assert!(n > 0);
-    // Reject outputs in the short "wrap-around" zone so every residue is
-    // equally likely.
-    let threshold = n.wrapping_neg() % n;
-    loop {
-        let m = u128::from(rng.next_u64()) * u128::from(n);
-        if (m as u64) >= threshold {
-            return (m >> 64) as u64;
+    let mut m = u128::from(rng.next_u64()) * u128::from(n);
+    if (m as u64) < n {
+        // Reject outputs in the short "wrap-around" zone so every residue
+        // is equally likely.
+        let threshold = n.wrapping_neg() % n;
+        while (m as u64) < threshold {
+            m = u128::from(rng.next_u64()) * u128::from(n);
         }
     }
+    (m >> 64) as u64
 }
 
 /// Types [`Rng::gen`] can produce from their natural uniform distribution.
@@ -380,6 +387,45 @@ mod tests {
         let p: Vec<u64> = (0..8).map(|_| parent.next_u64()).collect();
         let c: Vec<u64> = (0..8).map(|_| child.next_u64()).collect();
         assert_ne!(p, c);
+    }
+
+    /// The eager-threshold loop [`gen_u64_below`] replaced: the threshold
+    /// is computed before the first draw.
+    fn gen_u64_below_eager<R: Rng>(rng: &mut R, n: u64) -> u64 {
+        let threshold = n.wrapping_neg() % n;
+        loop {
+            let m = u128::from(rng.next_u64()) * u128::from(n);
+            if (m as u64) >= threshold {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    /// Draws `draws` values below `n` from both forms off one seed and
+    /// asserts equal outputs and equal final generator states.
+    fn assert_same_draws(seed: u64, n: u64, draws: usize) {
+        let mut lazy = SimRng::seed_from_u64(seed);
+        let mut eager = SimRng::seed_from_u64(seed);
+        for i in 0..draws {
+            let (a, b) = (gen_u64_below(&mut lazy, n), gen_u64_below_eager(&mut eager, n));
+            assert_eq!(a, b, "n = {n}, seed = {seed}, draw {i}");
+            assert!(a < n);
+        }
+        assert_eq!(lazy.state(), eager.state(), "n = {n}, seed = {seed}");
+    }
+
+    #[test]
+    fn lazy_threshold_matches_the_eager_loop() {
+        let edges = [1, 2, 3, 7, 10, (1 << 32) + 1, (1 << 63) + 1, u64::MAX];
+        for (seed, &n) in edges.iter().enumerate() {
+            assert_same_draws(seed as u64, n, 10_000);
+        }
+        let mut pick = SimRng::seed_from_u64(0x5EED);
+        for seed in 0..200 {
+            // Random widths, so small and huge `n` both get random values.
+            let n = (pick.next_u64() >> pick.gen_range(0..64u32)).max(1);
+            assert_same_draws(seed, n, 500);
+        }
     }
 
     #[test]

@@ -133,6 +133,32 @@ pub(crate) enum Node {
     },
 }
 
+/// `(pos + step) % len` for `pos < len`, dividing only when the sum wraps.
+#[inline]
+fn advance(pos: u64, step: u64, len: u64) -> u64 {
+    let next = pos + step;
+    if next < len {
+        next
+    } else {
+        next % len
+    }
+}
+
+/// Hints the host CPU to bring `item` into its cache; no effect on results.
+#[inline]
+fn prefetch<T>(item: &T) {
+    // SAFETY: SSE is part of the x86_64 baseline, and a prefetch neither
+    // reads nor writes memory as far as the program can observe.
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
+            std::ptr::from_ref(item).cast(),
+        );
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = item;
+}
+
 /// Builds a single-cycle pseudo-random permutation (Sattolo's algorithm).
 fn sattolo_cycle(n: usize, rng: &mut SimRng) -> Vec<u32> {
     let mut perm: Vec<u32> = (0..n as u32).collect();
@@ -257,7 +283,7 @@ impl Node {
         match self {
             Node::Cyclic { base, bytes, stride, store_ratio, pos, pc_base } => {
                 let addr = *base + *pos;
-                *pos = (*pos + *stride) % *bytes;
+                *pos = advance(*pos, *stride, *bytes);
                 let is_store = rng.gen::<f32>() < *store_ratio;
                 StepOut {
                     pc: *pc_base + u64::from(is_store) * 4,
@@ -296,6 +322,10 @@ impl Node {
             }
             Node::Chase { base, next, cur, pc_base } => {
                 *cur = next[*cur as usize];
+                // The next step of this chase reads `next[cur]`, a random
+                // slot of a table of up to 8 MB: start that load now, so
+                // the simulation of this access hides its latency.
+                prefetch(&next[*cur as usize]);
                 StepOut {
                     pc: *pc_base,
                     is_store: false,
@@ -306,7 +336,12 @@ impl Node {
             }
             Node::Stencil { base, elems, cols, idx, phase, pc_base } => {
                 let (site, is_store, elem) = match *phase {
-                    0 => (0, false, (*idx + *elems - *cols) % *elems),
+                    // The element one row up, `(idx + elems - cols) % elems`,
+                    // dividing only when the first row wraps to the last.
+                    0 => {
+                        let up = (*idx).checked_sub(*cols);
+                        (0, false, up.unwrap_or_else(|| (*idx + *elems - *cols) % *elems))
+                    }
                     1 => (1, false, *idx),
                     _ => (2, true, *idx),
                 };
@@ -320,7 +355,7 @@ impl Node {
                 *phase += 1;
                 if *phase == 3 {
                     *phase = 0;
-                    *idx = (*idx + 1) % *elems;
+                    *idx = advance(*idx, 1, *elems);
                 }
                 out
             }
@@ -339,7 +374,7 @@ impl Node {
             }
             Node::Interleave { children, turn } => {
                 let pick = *turn;
-                *turn = (*turn + 1) % children.len();
+                *turn = if pick + 1 < children.len() { pick + 1 } else { 0 };
                 children[pick].step(rng)
             }
             Node::Compute { min, max, inner } => {
@@ -350,7 +385,7 @@ impl Node {
             Node::CodeWalk { code_base, bytes, pos, inner } => {
                 let mut out = inner.step(rng);
                 out.pc = *code_base + *pos;
-                *pos = (*pos + 8) % *bytes;
+                *pos = advance(*pos, 8, *bytes);
                 out
             }
         }
@@ -376,6 +411,58 @@ mod tests {
         assert_eq!(addrs[0], addrs[4]);
         assert_eq!(addrs[1], addrs[5]);
         assert_eq!(addrs[1] - addrs[0], 64);
+    }
+
+    #[test]
+    fn cyclic_matches_the_modulo_walk_when_the_stride_spans_the_region() {
+        for (bytes, stride) in [(256, 256), (256, 300), (192, 1000), (4096, 4096 * 3 + 8), (64, 64)] {
+            let (mut node, mut rng) = build(Recipe::Cyclic { bytes, stride, store_ratio: 0.0 });
+            let mut pos = 0u64;
+            for _ in 0..50 {
+                assert_eq!(node.step(&mut rng).addr, DATA_BASE + pos, "bytes {bytes} stride {stride}");
+                pos = (pos + stride) % bytes;
+            }
+        }
+    }
+
+    #[test]
+    fn stencil_matches_the_modulo_walk_across_its_wrap() {
+        // 3 rows of 2 columns: two full passes cover every element, the
+        // first row's look-up wrap and the last element's index wrap.
+        let (mut node, mut rng) = build(Recipe::Stencil { rows: 3, row_bytes: 16 });
+        let (elems, cols) = (6u64, 2u64);
+        for i in 0..2 * elems {
+            let idx = i % elems;
+            let up = node.step(&mut rng);
+            assert_eq!(up.addr, DATA_BASE + (idx + elems - cols) % elems * 8, "element {i}");
+            assert_eq!(node.step(&mut rng).addr, DATA_BASE + idx * 8);
+            assert_eq!(node.step(&mut rng).addr, DATA_BASE + idx * 8);
+        }
+    }
+
+    #[test]
+    fn code_walk_wraps_like_the_modulo_walk() {
+        // 100 bytes is no multiple of the 8-byte step: each wrap lands on
+        // a new offset.
+        let (mut node, mut rng) = build(Recipe::CodeWalk {
+            bytes: 100,
+            inner: Box::new(Recipe::Random { bytes: 4096, store_ratio: 0.0 }),
+        });
+        let mut pos = 0u64;
+        for _ in 0..60 {
+            assert_eq!(node.step(&mut rng).pc, CODE_BASE + pos);
+            pos = (pos + 8) % 100;
+        }
+    }
+
+    #[test]
+    fn interleave_round_robins_its_children() {
+        let child = || Recipe::Cyclic { bytes: 64, stride: 64, store_ratio: 0.0 };
+        let (mut node, mut rng) = build(Recipe::Interleave(vec![child(), child(), child()]));
+        for i in 0..9u64 {
+            let region = (node.step(&mut rng).addr - DATA_BASE) / REGION_ALIGN;
+            assert_eq!(region, i % 3);
+        }
     }
 
     #[test]

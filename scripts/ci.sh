@@ -15,6 +15,20 @@ echo "==> cargo test -q --offline"
 # the fault and crash-consistency walls, and the cell-format fixtures.
 cargo test -q --offline --workspace
 
+echo "==> benchmark contract and seed-0 digests"
+# perfbench is a workspace of its own, so `--workspace` above does not
+# reach it. Its contract test runs sim_1core and serving_tiers at seed 0
+# under hostile RLR_* values and requires the pinned digests; one seed-0
+# sim_4core_event pass must match its digests too. A hot-path change that
+# moves any simulated counter fails here.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+EVENT4="$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload sim_4core_event --seed 0 --seconds 1 --trace 0 | tail -n 1)"
+case "$EVENT4" in
+    *'"correct": true'*) ;;
+    *) echo "ci.sh: sim_4core_event seed-0 digests differ: $EVENT4" >&2; exit 1 ;;
+esac
+
 echo "==> cargo bench --no-run --offline"
 cargo bench --no-run --offline --workspace
 
