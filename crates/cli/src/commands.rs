@@ -272,13 +272,7 @@ pub fn replay(args: &Args) -> Result<(), ArgError> {
         let agent_path = args
             .get("agent")
             .ok_or_else(|| ArgError("--agent <file> required with --policy agent".to_owned()))?;
-        let file =
-            fs::File::open(agent_path).map_err(|e| ArgError(format!("open {agent_path}: {e}")))?;
-        let net = Mlp::load(BufReader::new(file))
-            .map_err(|e| ArgError(format!("load {agent_path}: {e}")))?;
-        let mut agent_config = AgentConfig::default();
-        agent_config.hidden = net.hidden();
-        let agent = Agent::from_net(agent_config, &config.llc, net);
+        let agent = load_agent(agent_path, &config.llc)?;
         let mut model = LlcModel::new(&config.llc, &trace);
         let s = model.run(&trace, &mut |view| agent.decide_greedy(view));
         ("RL agent".to_owned(), s.demand_hit_rate(), s.hits, s.accesses)
@@ -408,6 +402,17 @@ pub fn train(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
+/// The agent around the `MLP1` network in `path`, with the default
+/// configuration at the network's hidden width. A network whose widths do
+/// not fit `llc` and the full feature set is an error, like a malformed
+/// file.
+fn load_agent(path: &str, llc: &cache_sim::CacheConfig) -> Result<Agent, ArgError> {
+    let file = fs::File::open(path).map_err(|e| ArgError(format!("open {path}: {e}")))?;
+    let net = Mlp::load(BufReader::new(file)).map_err(|e| ArgError(format!("load {path}: {e}")))?;
+    let config = AgentConfig { hidden: net.hidden(), ..AgentConfig::default() };
+    Agent::from_net(config, llc, net).map_err(|e| ArgError(format!("load {path}: {e}")))
+}
+
 /// `rlr analyze --agent agent.mlp [--top N]` — weight heat map of a trained
 /// agent.
 pub fn analyze(args: &Args) -> Result<(), ArgError> {
@@ -417,11 +422,7 @@ pub fn analyze(args: &Args) -> Result<(), ArgError> {
         .ok_or_else(|| ArgError("--agent <file> is required".to_owned()))?;
     let top = args.get_num("top", rl::NUM_FEATURES)?;
     let config = SystemConfig::paper_single_core();
-    let file = fs::File::open(agent_path).map_err(|e| ArgError(format!("open {agent_path}: {e}")))?;
-    let net = Mlp::load(BufReader::new(file)).map_err(|e| ArgError(format!("load: {e}")))?;
-    let mut agent_config = AgentConfig::default();
-    agent_config.hidden = net.hidden();
-    let agent = Agent::from_net(agent_config, &config.llc, net);
+    let agent = load_agent(agent_path, &config.llc)?;
     let mut heat = rl::analysis::weight_heatmap(&agent);
     heat.sort_by(|a, b| b.1.total_cmp(&a.1));
     println!("feature importance (mean |first-layer weight|):");

@@ -2,7 +2,7 @@
 //! benchmark, cached on disk so the five RL-driven figures don't retrain.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use cache_sim::{CacheConfig, LlcTrace, SystemConfig};
 use rl::{Agent, AgentConfig, FeatureSet, Mlp, Trainer};
@@ -50,6 +50,30 @@ fn net_path(name: &str, scale: Scale) -> PathBuf {
 
 fn train_ck_path(name: &str, scale: Scale) -> PathBuf {
     cache_dir().join(format!("{}_{}.ck", name.replace('.', "_"), scale))
+}
+
+/// The agent around the cached network at `path`: `None` when there is no
+/// file, an error when the file is unreadable, malformed, or shaped for
+/// another configuration or cache geometry.
+fn load_cached_agent(
+    path: &Path,
+    config: AgentConfig,
+    cache: &CacheConfig,
+) -> Result<Option<Agent>, String> {
+    let f = match fs::File::open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e.to_string()),
+    };
+    let net = Mlp::load(std::io::BufReader::new(f)).map_err(|e| e.to_string())?;
+    if net.hidden() != config.hidden {
+        return Err(format!(
+            "network has {} hidden units, the configuration {}",
+            net.hidden(),
+            config.hidden
+        ));
+    }
+    Agent::from_net(config, cache, net).map(Some).map_err(|e| e.to_string())
 }
 
 /// Captures (or loads from cache) the LLC traces of the eight training
@@ -104,13 +128,13 @@ impl TrainedPipeline {
         let config = agent_config(scale);
         let path = net_path(name, scale);
         if !retrain {
-            if let Ok(f) = fs::File::open(&path) {
-                if let Ok(net) = Mlp::load(std::io::BufReader::new(f)) {
-                    if net.hidden() == config.hidden && net.outputs() == cache.ways as usize {
-                        eprintln!("[pipeline] {name}: loaded cached agent");
-                        return Agent::from_net(config, cache, net);
-                    }
+            match load_cached_agent(&path, config, cache) {
+                Ok(Some(agent)) => {
+                    eprintln!("[pipeline] {name}: loaded cached agent");
+                    return agent;
                 }
+                Ok(None) => {}
+                Err(e) => eprintln!("[pipeline] {name}: unusable cached agent ({e}); retraining"),
             }
         }
         let ck_path = train_ck_path(name, scale);
@@ -157,5 +181,48 @@ impl TrainedPipeline {
         // The finished network supersedes the in-progress checkpoint.
         let _ = fs::remove_file(&ck_path);
         agent
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A file in the system temp directory, removed on drop.
+    struct TempFile(PathBuf);
+
+    impl Drop for TempFile {
+        fn drop(&mut self) {
+            let _ = fs::remove_file(&self.0);
+        }
+    }
+
+    fn write_net(tag: &str, net: &Mlp) -> TempFile {
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("rlr-pipeline-{tag}-{}.mlp", std::process::id()));
+        let mut bytes = Vec::new();
+        net.save(&mut bytes).expect("in-memory save");
+        fs::write(&path, bytes).expect("write the cached net");
+        TempFile(path)
+    }
+
+    #[test]
+    fn a_cached_net_of_the_wrong_width_is_unusable_not_a_panic() {
+        let cache = CacheConfig { sets: 64, ways: 16, latency: 26 };
+        let config = AgentConfig { hidden: 4, ..agent_config(Scale::Small) };
+        // A well-formed MLP1 file whose 10 inputs fit no encoder.
+        let narrow = write_net("narrow", &Mlp::new(10, 4, 16, 1));
+        let err = load_cached_agent(&narrow.0, config, &cache)
+            .expect_err("a 10-input net must be rejected");
+        assert!(err.contains("10 inputs"), "{err}");
+        // Another hidden width is unusable too, and a missing file is no cache.
+        let dims = rl::StateEncoder::new(config.features, 16, cache.sets).dims();
+        let wide = write_net("wide", &Mlp::new(dims, 5, 16, 1));
+        assert!(load_cached_agent(&wide.0, config, &cache).is_err());
+        let missing = std::env::temp_dir().join("rlr-pipeline-no-such-file.mlp");
+        assert!(matches!(load_cached_agent(&missing, config, &cache), Ok(None)));
+        // The right shape loads.
+        let fits = write_net("fits", &Mlp::new(dims, 4, 16, 1));
+        assert!(matches!(load_cached_agent(&fits.0, config, &cache), Ok(Some(_))));
     }
 }

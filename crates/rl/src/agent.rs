@@ -70,6 +70,41 @@ impl AgentConfig {
     }
 }
 
+/// Why a network cannot drive an agent: its shape does not fit the state
+/// encoder or the cache geometry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum NetShapeError {
+    /// The network's input width differs from the encoder's state width.
+    Inputs {
+        /// Inputs of the network.
+        net: usize,
+        /// Width of the encoded state.
+        encoder: usize,
+    },
+    /// The network's output width differs from the cache's ways.
+    Outputs {
+        /// Outputs of the network.
+        net: usize,
+        /// Ways of the cache.
+        ways: usize,
+    },
+}
+
+impl std::fmt::Display for NetShapeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Self::Inputs { net, encoder } => {
+                write!(f, "network has {net} inputs, but the encoded state has {encoder} features")
+            }
+            Self::Outputs { net, ways } => {
+                write!(f, "network has {net} outputs, but the cache has {ways} ways")
+            }
+        }
+    }
+}
+
+impl std::error::Error for NetShapeError {}
+
 /// The victim-selection agent: an MLP estimating per-way eviction quality.
 #[derive(Clone, Debug)]
 pub struct Agent {
@@ -99,25 +134,34 @@ impl Agent {
     }
 
     /// Reconstructs an agent around a previously trained network (e.g. one
-    /// loaded via [`Mlp::load`]).
+    /// loaded via [`Mlp::load`]). The network may come from a file, so a
+    /// well-formed network of the wrong width is an error, not a panic.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the network's dimensions do not match the configuration
-    /// and cache geometry.
-    pub fn from_net(config: AgentConfig, cache: &CacheConfig, net: Mlp) -> Self {
+    /// Returns [`NetShapeError`] when the network's inputs differ from the
+    /// encoder's state width or its outputs from the cache's ways.
+    pub fn from_net(
+        config: AgentConfig,
+        cache: &CacheConfig,
+        net: Mlp,
+    ) -> Result<Self, NetShapeError> {
         let encoder = StateEncoder::new(config.features, cache.ways as usize, cache.sets);
-        assert_eq!(net.inputs(), encoder.dims(), "network inputs must match the encoder");
-        assert_eq!(net.outputs(), cache.ways as usize, "network outputs must match ways");
+        if net.inputs() != encoder.dims() {
+            return Err(NetShapeError::Inputs { net: net.inputs(), encoder: encoder.dims() });
+        }
+        if net.outputs() != cache.ways as usize {
+            return Err(NetShapeError::Outputs { net: net.outputs(), ways: cache.ways as usize });
+        }
         let target_net = (config.target_sync > 0).then(|| net.clone());
-        Self {
+        Ok(Self {
             net,
             target_net,
             updates_since_sync: 0,
             encoder,
             config,
             rng: SimRng::seed_from_u64(config.seed ^ 0x5EED),
-        }
+        })
     }
 
     /// The state encoder in use.

@@ -33,7 +33,7 @@ mod replay;
 pub mod stats;
 mod wire;
 
-pub use agent::{Agent, AgentConfig, Trainer, TrainingReport};
+pub use agent::{Agent, AgentConfig, NetShapeError, Trainer, TrainingReport};
 pub use cachemodel::{LlcModel, ModelStats, StepOutcome};
 pub use features::{
     DecisionView, Feature, FeatureSet, LineView, StateEncoder, NUM_FEATURES,

@@ -11,9 +11,15 @@ use simrng::{Rng, SimRng};
 
 use crate::wire;
 
-/// Register-block width of the forward kernel: this many accumulators stay
-/// live across the whole input loop.
+/// Main register-block width of `affine` in the portable compile: 32
+/// accumulators are eight 4-lane SSE registers.
 const BLOCK: usize = 32;
+
+/// Main register-block width of `affine` in the AVX2 compile: 64
+/// accumulators are eight 8-lane registers, so eight independent add chains
+/// stay in flight, as in the portable compile.
+#[cfg(target_arch = "x86_64")]
+const WIDE_BLOCK: usize = 64;
 
 /// Largest parameter count [`Mlp::load`] accepts (1 GiB of weights).
 const MAX_PARAMS: usize = 1 << 28;
@@ -59,35 +65,92 @@ fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
 /// order, one after another, starting from its bias: the arithmetic of a
 /// row-major dot product, run for a block of outputs at once so the adds
 /// vectorize across outputs instead of chaining within one.
-fn affine(bias: &[f32], weights: &[f32], input: &[f32], out: &mut [f32]) {
+///
+/// Blocks of `MAIN` outputs come first, one walk over the input rows each.
+/// The remainder (fewer than `MAIN`, at most 63) is split into blocks of
+/// 32, 16, 8, 4, 2 and 1 outputs, one of each width its binary form
+/// needs, and all of them walk the rows together: a lone narrow block
+/// would be one add chain waiting on its own latency at every row. Every
+/// block has a const width, so its accumulators live in registers.
+#[inline(always)]
+fn affine<const MAIN: usize>(bias: &[f32], weights: &[f32], input: &[f32], out: &mut [f32]) {
+    const { assert!(MAIN <= 64, "the tail blocks cover at most 63 outputs") };
     let width = bias.len();
-    for (start, (bias, out)) in
-        (0..width).step_by(BLOCK).zip(bias.chunks(BLOCK).zip(out.chunks_mut(BLOCK)))
-    {
-        let n = bias.len();
-        let mut acc = [0.0f32; BLOCK];
-        acc[..n].copy_from_slice(bias);
-        let rows = weights.chunks_exact(width).zip(input);
-        if n == BLOCK {
-            for (row, &x) in rows {
-                let w: &[f32; BLOCK] = row[start..start + BLOCK].try_into().expect("whole block");
-                for (a, w) in acc.iter_mut().zip(w) {
-                    *a += w * x;
-                }
-            }
-        } else {
-            for (row, &x) in rows {
-                for (a, w) in acc[..n].iter_mut().zip(&row[start..start + n]) {
-                    *a += w * x;
-                }
+    let mut start = 0;
+    while width - start >= MAIN {
+        let mut acc = Block::<MAIN>::new(&mut start, bias);
+        for (row, &x) in weights.chunks_exact(width).zip(input) {
+            acc.add(row, x);
+        }
+        acc.store(out);
+    }
+    let mut b32 = Block::<32>::new(&mut start, bias);
+    let mut b16 = Block::<16>::new(&mut start, bias);
+    let mut b8 = Block::<8>::new(&mut start, bias);
+    let mut b4 = Block::<4>::new(&mut start, bias);
+    let mut b2 = Block::<2>::new(&mut start, bias);
+    let mut b1 = Block::<1>::new(&mut start, bias);
+    debug_assert_eq!(start, width, "the tail blocks cover the remainder");
+    for (row, &x) in weights.chunks_exact(width).zip(input) {
+        b32.add(row, x);
+        b16.add(row, x);
+        b8.add(row, x);
+        b4.add(row, x);
+        b2.add(row, x);
+        b1.add(row, x);
+    }
+    b32.store(out);
+    b16.store(out);
+    b8.store(out);
+    b4.store(out);
+    b2.store(out);
+    b1.store(out);
+}
+
+/// The accumulators of `N` consecutive outputs of [`affine`], or of none
+/// when fewer than `N` outputs remain.
+struct Block<const N: usize> {
+    /// First output of the block; `None` when the block is empty.
+    at: Option<usize>,
+    acc: [f32; N],
+}
+
+impl<const N: usize> Block<N> {
+    /// The block at `*start`, starting from its biases, and `*start`
+    /// advanced past it; an empty block when fewer than `N` remain.
+    #[inline(always)]
+    fn new(start: &mut usize, bias: &[f32]) -> Self {
+        let s = *start;
+        if bias.len() - s < N {
+            return Self { at: None, acc: [0.0; N] };
+        }
+        *start = s + N;
+        Self { at: Some(s), acc: bias[s..s + N].try_into().expect("whole block") }
+    }
+
+    /// Adds `row[j] * x` to each accumulator `j` of the block.
+    #[inline(always)]
+    fn add(&mut self, row: &[f32], x: f32) {
+        if let Some(s) = self.at {
+            let w: &[f32; N] = row[s..s + N].try_into().expect("whole block");
+            for (a, w) in self.acc.iter_mut().zip(w) {
+                *a += w * x;
             }
         }
-        out.copy_from_slice(&acc[..n]);
+    }
+
+    /// Writes the block's sums to its outputs.
+    #[inline(always)]
+    fn store(&self, out: &mut [f32]) {
+        if let Some(s) = self.at {
+            out[s..s + N].copy_from_slice(&self.acc);
+        }
     }
 }
 
 /// One SGD-with-momentum step, elementwise: `m ← momentum·m − lr·g`,
 /// `w ← w + m`, with `g = grad(d[j])`.
+#[inline(always)]
 fn sgd(
     w: &mut [f32],
     m: &mut [f32],
@@ -104,6 +167,7 @@ fn sgd(
 
 /// [`sgd`] on a `[rows][d.len()]` matrix whose row `r` has gradient
 /// `d[j] · a[r]`.
+#[inline(always)]
 fn sgd_outer(
     w: &mut [f32],
     m: &mut [f32],
@@ -115,6 +179,84 @@ fn sgd_outer(
     let width = d.len();
     for ((w, m), &a) in w.chunks_exact_mut(width).zip(m.chunks_exact_mut(width)).zip(a) {
         sgd(w, m, d, |d| d * a, learning_rate, momentum);
+    }
+}
+
+/// The forward pass: `affine`, `tanh`, `affine`, into `hidden` and `out`.
+#[inline(always)]
+fn infer_body<const MAIN: usize>(net: &Mlp, input: &[f32], hidden: &mut [f32], out: &mut [f32]) {
+    affine::<MAIN>(&net.b1, &net.w1, input, hidden);
+    for a in hidden.iter_mut() {
+        *a = a.tanh();
+    }
+    affine::<MAIN>(&net.b2, &net.w2, hidden, out);
+}
+
+/// Backpropagation of `d_out` from the activations of the last forward
+/// pass, with one SGD-with-momentum update of every parameter.
+#[inline(always)]
+fn backward_body(net: &mut Mlp, d_out: &[f32], learning_rate: f32, momentum: f32) {
+    // Hidden-layer error: δh = (Σo w2[h,o]·δo) · (1 − tanh²), summed in
+    // output order.
+    let d_hidden: Vec<f32> = net
+        .w2
+        .chunks_exact(net.outputs)
+        .zip(&net.last_hidden)
+        .map(|(row, &a)| {
+            let mut acc = 0.0f32;
+            for (w, d) in row.iter().zip(d_out) {
+                acc += w * d;
+            }
+            acc * (1.0 - a * a)
+        })
+        .collect();
+    let (lr, mu) = (learning_rate, momentum);
+    sgd(&mut net.b2, &mut net.m_b2, d_out, |d| d, lr, mu);
+    sgd_outer(&mut net.w2, &mut net.m_w2, d_out, &net.last_hidden, lr, mu);
+    sgd(&mut net.b1, &mut net.m_b1, &d_hidden, |d| d, lr, mu);
+    sgd_outer(&mut net.w1, &mut net.m_w1, &d_hidden, &net.last_input, lr, mu);
+}
+
+/// Which compile of the kernel bodies runs. Both compute the same bits:
+/// the AVX2 compile only widens the vectors that run across accumulators,
+/// and enables no fused or approximate float operation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernels {
+    /// The target's baseline instruction set; the only compile off x86-64.
+    Portable,
+    /// The same bodies compiled with AVX2. Only [`Kernels::host`] returns
+    /// it, and only on a host that has AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Kernels {
+    /// The widest compile this host runs. std caches the detection, so
+    /// this is a load and a branch per call.
+    fn host() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Self::Avx2;
+        }
+        Self::Portable
+    }
+}
+
+/// The AVX2 compiles of the kernel bodies. `avx2` implies no `fma`, and
+/// Rust never contracts `a * b + c` into a fused op, so every product and
+/// sum rounds exactly as in the portable compile.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{backward_body, infer_body, Mlp, WIDE_BLOCK};
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn infer(net: &Mlp, input: &[f32], hidden: &mut [f32], out: &mut [f32]) {
+        infer_body::<WIDE_BLOCK>(net, input, hidden, out);
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn backward(net: &mut Mlp, d_out: &[f32], learning_rate: f32, momentum: f32) {
+        backward_body(net, d_out, learning_rate, momentum);
     }
 }
 
@@ -199,15 +341,25 @@ impl Mlp {
         transpose(&self.w1, self.inputs, self.hidden)
     }
 
-    /// The hidden activations and outputs for `input`.
-    fn infer(&self, input: &[f32], hidden: &mut [f32]) -> Vec<f32> {
+    /// The hidden activations and outputs for `input`, from `kernels`.
+    fn infer(&self, kernels: Kernels, input: &[f32], hidden: &mut [f32]) -> Vec<f32> {
         assert_eq!(input.len(), self.inputs, "input dimension mismatch");
-        affine(&self.b1, &self.w1, input, hidden);
-        for a in hidden.iter_mut() {
-            *a = a.tanh();
-        }
         let mut out = vec![0.0; self.outputs];
-        affine(&self.b2, &self.w2, hidden, &mut out);
+        match kernels {
+            Kernels::Portable => infer_body::<BLOCK>(self, input, hidden, &mut out),
+            // SAFETY: `Kernels::host` returns `Avx2` only when the host has it.
+            #[cfg(target_arch = "x86_64")]
+            Kernels::Avx2 => unsafe { avx2::infer(self, input, hidden, &mut out) },
+        }
+        out
+    }
+
+    /// [`Mlp::forward`] on `kernels`.
+    fn forward_on(&mut self, kernels: Kernels, input: &[f32]) -> Vec<f32> {
+        let mut hidden = std::mem::take(&mut self.last_hidden);
+        let out = self.infer(kernels, input, &mut hidden);
+        self.last_hidden = hidden;
+        self.last_input.copy_from_slice(input);
         out
     }
 
@@ -218,16 +370,28 @@ impl Mlp {
     ///
     /// Panics if `input.len()` differs from the input dimension.
     pub fn forward(&mut self, input: &[f32]) -> Vec<f32> {
-        let mut hidden = std::mem::take(&mut self.last_hidden);
-        let out = self.infer(input, &mut hidden);
-        self.last_hidden = hidden;
-        self.last_input.copy_from_slice(input);
-        out
+        self.forward_on(Kernels::host(), input)
+    }
+
+    /// [`Mlp::predict`] on `kernels`.
+    fn predict_on(&self, kernels: Kernels, input: &[f32]) -> Vec<f32> {
+        self.infer(kernels, input, &mut vec![0.0; self.hidden])
     }
 
     /// Inference without touching the backprop scratch state.
     pub fn predict(&self, input: &[f32]) -> Vec<f32> {
-        self.infer(input, &mut vec![0.0; self.hidden])
+        self.predict_on(Kernels::host(), input)
+    }
+
+    /// [`Mlp::backward`] on `kernels`.
+    fn backward_on(&mut self, kernels: Kernels, d_out: &[f32], learning_rate: f32, momentum: f32) {
+        assert_eq!(d_out.len(), self.outputs, "gradient dimension mismatch");
+        match kernels {
+            Kernels::Portable => backward_body(self, d_out, learning_rate, momentum),
+            // SAFETY: `Kernels::host` returns `Avx2` only when the host has it.
+            #[cfg(target_arch = "x86_64")]
+            Kernels::Avx2 => unsafe { avx2::backward(self, d_out, learning_rate, momentum) },
+        }
     }
 
     /// Backpropagates `d_out` (∂loss/∂output) from the activations cached
@@ -237,26 +401,7 @@ impl Mlp {
     ///
     /// Panics if `d_out.len()` differs from the output dimension.
     pub fn backward(&mut self, d_out: &[f32], learning_rate: f32, momentum: f32) {
-        assert_eq!(d_out.len(), self.outputs, "gradient dimension mismatch");
-        // Hidden-layer error: δh = (Σo w2[h,o]·δo) · (1 − tanh²), summed
-        // in output order.
-        let d_hidden: Vec<f32> = self
-            .w2
-            .chunks_exact(self.outputs)
-            .zip(&self.last_hidden)
-            .map(|(row, &a)| {
-                let mut acc = 0.0f32;
-                for (w, d) in row.iter().zip(d_out) {
-                    acc += w * d;
-                }
-                acc * (1.0 - a * a)
-            })
-            .collect();
-        let (lr, mu) = (learning_rate, momentum);
-        sgd(&mut self.b2, &mut self.m_b2, d_out, |d| d, lr, mu);
-        sgd_outer(&mut self.w2, &mut self.m_w2, d_out, &self.last_hidden, lr, mu);
-        sgd(&mut self.b1, &mut self.m_b1, &d_hidden, |d| d, lr, mu);
-        sgd_outer(&mut self.w1, &mut self.m_w1, &d_hidden, &self.last_input, lr, mu);
+        self.backward_on(Kernels::host(), d_out, learning_rate, momentum);
     }
 
     /// The dimensions header and the weights (with the momentum buffers
@@ -358,13 +503,26 @@ impl Mlp {
         learning_rate: f32,
         momentum: f32,
     ) -> f32 {
-        let out = self.forward(input);
+        self.train_action_on(Kernels::host(), input, action, target, learning_rate, momentum)
+    }
+
+    /// [`Mlp::train_action`] on `kernels`.
+    fn train_action_on(
+        &mut self,
+        kernels: Kernels,
+        input: &[f32],
+        action: usize,
+        target: f32,
+        learning_rate: f32,
+        momentum: f32,
+    ) -> f32 {
+        let out = self.forward_on(kernels, input);
         let mut d_out = vec![0.0f32; self.outputs];
         let err = out[action] - target;
         // Huber-style gradient clipping keeps large TD errors from blowing
         // up the weights (the standard DQN stabilization).
         d_out[action] = err.clamp(-1.0, 1.0);
-        self.backward(&d_out, learning_rate, momentum);
+        self.backward_on(kernels, &d_out, learning_rate, momentum);
         err * err
     }
 }
@@ -372,6 +530,71 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The forward pass as plain row-major dot products, one output at a
+    /// time: the arithmetic every compile of `infer_body` must reproduce.
+    fn reference_predict(net: &Mlp, input: &[f32]) -> Vec<f32> {
+        let dense = |bias: &[f32], weights: &[f32], x: &[f32]| -> Vec<f32> {
+            let width = bias.len();
+            (0..width)
+                .map(|j| {
+                    let mut acc = bias[j];
+                    for (i, &x) in x.iter().enumerate() {
+                        acc += weights[i * width + j] * x;
+                    }
+                    acc
+                })
+                .collect()
+        };
+        let hidden: Vec<f32> = dense(&net.b1, &net.w1, input).into_iter().map(f32::tanh).collect();
+        dense(&net.b2, &net.w2, &hidden)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The differential wall between the compiles: for every tail shape of
+    /// both layers, the portable compile matches the reference forward pass
+    /// bit for bit, and the host's widest compile matches the portable one
+    /// in its predictions and in the `save_full` bytes after 50 updates.
+    #[test]
+    fn every_compile_computes_the_same_bits() {
+        let wide = Kernels::host();
+        if wide == Kernels::Portable {
+            println!("host has no wider compile: checking the portable kernels only");
+        }
+        let hidden_widths = (1..=33).chain([64, 175, 176]);
+        for hidden in hidden_widths {
+            for outputs in 1..=17 {
+                let seed = (hidden * 100 + outputs) as u64;
+                let mut rng = SimRng::seed_from_u64(seed);
+                let inputs = if hidden >= 175 { 334 } else { rng.gen_range(1..=48) };
+                let shape = format!("{inputs}→{hidden}→{outputs}");
+                let mut portable = Mlp::new(inputs, hidden, outputs, seed);
+                let mut host = portable.clone();
+                let mut x = vec![0.0f32; inputs];
+                for _ in 0..50 {
+                    x.iter_mut().for_each(|v| *v = rng.gen_range(-1.0f32..1.0));
+                    let action = rng.gen_range(0..outputs);
+                    let target = rng.gen_range(-2.0f32..2.0);
+                    let p = portable.predict_on(Kernels::Portable, &x);
+                    assert_eq!(bits(&p), bits(&reference_predict(&portable, &x)), "{shape}");
+                    assert_eq!(bits(&p), bits(&host.predict_on(wide, &x)), "{shape}");
+                    let a =
+                        portable.train_action_on(Kernels::Portable, &x, action, target, 5e-3, 0.9);
+                    let b = host.train_action_on(wide, &x, action, target, 5e-3, 0.9);
+                    assert_eq!(a.to_bits(), b.to_bits(), "{shape}: loss");
+                }
+                let save = |net: &Mlp| {
+                    let mut bytes = Vec::new();
+                    net.save_full(&mut bytes).expect("in-memory save");
+                    bytes
+                };
+                assert!(save(&portable) == save(&host), "{shape}: save_full bytes differ");
+            }
+        }
+    }
 
     #[test]
     fn forward_is_deterministic_per_seed() {

@@ -122,7 +122,9 @@ impl ReplayBuffer {
         if capacity == 0 || len > capacity || (len == capacity && head >= capacity) || (len < capacity && head != 0) {
             return Err(wire::bad_data("implausible replay-buffer geometry"));
         }
-        let mut entries = Vec::with_capacity(len.min(1 << 20));
+        // A transition is 56 bytes before its states: pre-size for few, so
+        // a corrupt length cannot reserve megabytes before the data ends.
+        let mut entries = Vec::with_capacity(len.min(1 << 12));
         for _ in 0..len {
             let state = wire::read_f32s(&mut r)?;
             let action = wire::read_u32(&mut r)?;

@@ -78,7 +78,7 @@ fn trained_network_round_trips_through_disk() {
     let mut buf = Vec::new();
     trainer.agent().net().save(&mut buf).expect("in-memory save");
     let net = rl::Mlp::load(buf.as_slice()).expect("load");
-    let restored = rl::Agent::from_net(config, &llc, net);
+    let restored = rl::Agent::from_net(config, &llc, net).expect("the network fits the cache");
 
     // Greedy decisions must be identical before and after the round trip.
     let mut model_a = LlcModel::new(&llc, &trace);
