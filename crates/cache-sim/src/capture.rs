@@ -1,55 +1,8 @@
-//! LLC access trace capture: the `<PC, access type, address>` records the
-//! paper's offline pipeline (RL agent, Belady oracle) consumes.
-
-use std::io::{self, Read, Write};
+//! In-memory LLC access traces: the `<PC, access type, address>` records the
+//! paper's offline pipeline (RL agent, Belady oracle) consumes. The
+//! on-disk format lives in the `trace-io` crate.
 
 use crate::access::AccessKind;
-
-/// Why a serialized trace could not be decoded.
-#[derive(Debug)]
-pub enum TraceFormatError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// The stream does not start with `LLCT`.
-    BadMagic([u8; 4]),
-    /// A record carries an access-kind byte outside `0..=3`.
-    BadKind {
-        /// Zero-based index of the offending record.
-        index: u64,
-        /// The invalid kind byte.
-        kind: u8,
-    },
-    /// The stream ended before the promised record count.
-    Truncated {
-        /// Records the header promised.
-        expected: u64,
-        /// Records actually present.
-        got: u64,
-    },
-}
-
-impl std::fmt::Display for TraceFormatError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Io(e) => write!(f, "I/O error: {e}"),
-            Self::BadMagic(m) => write!(f, "bad trace magic {m:02x?}"),
-            Self::BadKind { index, kind } => {
-                write!(f, "record {index} has invalid access kind {kind}")
-            }
-            Self::Truncated { expected, got } => {
-                write!(f, "truncated trace: header promised {expected} records, found {got}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TraceFormatError {}
-
-impl From<io::Error> for TraceFormatError {
-    fn from(e: io::Error) -> Self {
-        Self::Io(e)
-    }
-}
 
 /// One captured LLC access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -146,67 +99,6 @@ impl LlcTrace {
         }
         next
     }
-
-    /// Serializes the trace to a compact binary format.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the writer.
-    pub fn write_to<W: Write>(&self, mut w: W) -> io::Result<()> {
-        w.write_all(b"LLCT")?;
-        w.write_all(&(self.records.len() as u64).to_le_bytes())?;
-        for r in &self.records {
-            w.write_all(&r.pc.to_le_bytes())?;
-            w.write_all(&r.line.to_le_bytes())?;
-            w.write_all(&[r.kind.index() as u8, r.core])?;
-        }
-        Ok(())
-    }
-
-    /// Deserializes a trace written by [`LlcTrace::write_to`], validating
-    /// every on-wire field. The header's record count is *not* trusted for
-    /// allocation — memory grows with bytes actually read, so a corrupt
-    /// length field cannot demand gigabytes up front.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceFormatError::BadMagic`] for foreign data,
-    /// [`TraceFormatError::Truncated`] when the stream ends early,
-    /// [`TraceFormatError::BadKind`] for an out-of-range kind byte, or a
-    /// wrapped I/O error.
-    pub fn read_from<R: Read>(mut r: R) -> Result<Self, TraceFormatError> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != b"LLCT" {
-            return Err(TraceFormatError::BadMagic(magic));
-        }
-        let mut len8 = [0u8; 8];
-        r.read_exact(&mut len8)?;
-        let len = u64::from_le_bytes(len8);
-        // Pre-reserve only a bounded amount; Vec growth handles the rest.
-        let mut records = Vec::with_capacity(len.min(1 << 16) as usize);
-        for index in 0..len {
-            let mut buf = [0u8; 18];
-            r.read_exact(&mut buf).map_err(|e| {
-                if e.kind() == io::ErrorKind::UnexpectedEof {
-                    TraceFormatError::Truncated { expected: len, got: index }
-                } else {
-                    TraceFormatError::Io(e)
-                }
-            })?;
-            let pc = u64::from_le_bytes(buf[0..8].try_into().expect("slice is 8 bytes"));
-            let line = u64::from_le_bytes(buf[8..16].try_into().expect("slice is 8 bytes"));
-            let kind = match buf[16] {
-                0 => AccessKind::Load,
-                1 => AccessKind::Rfo,
-                2 => AccessKind::Prefetch,
-                3 => AccessKind::Writeback,
-                k => return Err(TraceFormatError::BadKind { index, kind: k }),
-            };
-            records.push(LlcRecord { pc, line, kind, core: buf[17] });
-        }
-        Ok(Self { records })
-    }
 }
 
 impl FromIterator<LlcRecord> for LlcTrace {
@@ -241,72 +133,5 @@ mod tests {
         assert!(c1.records().iter().all(|r| r.core == 1));
         assert!(c1.records().windows(2).all(|w| w[0].pc < w[1].pc), "order preserved");
         assert!(t.filter_core(9).is_empty());
-    }
-
-    #[test]
-    fn roundtrip_serialization() {
-        let t: LlcTrace = [
-            LlcRecord { pc: 7, line: 42, kind: AccessKind::Prefetch, core: 3 },
-            LlcRecord { pc: 0, line: 9, kind: AccessKind::Writeback, core: 1 },
-        ]
-        .into_iter()
-        .collect();
-        let mut buf = Vec::new();
-        t.write_to(&mut buf).expect("in-memory write cannot fail");
-        let back = LlcTrace::read_from(buf.as_slice()).expect("roundtrip");
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn bad_magic_is_rejected() {
-        assert!(matches!(
-            LlcTrace::read_from(&b"NOPE\0\0\0\0\0\0\0\0"[..]),
-            Err(TraceFormatError::BadMagic(m)) if &m == b"NOPE"
-        ));
-    }
-
-    #[test]
-    fn truncated_stream_is_a_typed_error() {
-        let t: LlcTrace = (0..5).map(rec).collect();
-        let mut buf = Vec::new();
-        t.write_to(&mut buf).expect("in-memory write cannot fail");
-        buf.truncate(buf.len() - 7); // tear the last record
-        assert!(matches!(
-            LlcTrace::read_from(buf.as_slice()),
-            Err(TraceFormatError::Truncated { expected: 5, got: 4 })
-        ));
-    }
-
-    #[test]
-    fn bogus_length_field_does_not_allocate_unboundedly() {
-        // Header promising u64::MAX records with an empty body must fail
-        // fast with a truncation error, not reserve memory for the claim.
-        let mut buf = b"LLCT".to_vec();
-        buf.extend_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(
-            LlcTrace::read_from(buf.as_slice()),
-            Err(TraceFormatError::Truncated { expected: u64::MAX, got: 0 })
-        ));
-    }
-
-    #[test]
-    fn invalid_kind_byte_is_rejected_with_its_index() {
-        let t: LlcTrace = [rec(1), rec(2)].into_iter().collect();
-        let mut buf = Vec::new();
-        t.write_to(&mut buf).expect("in-memory write cannot fail");
-        let kind_byte = buf.len() - 2; // second record's kind
-        buf[kind_byte] = 9;
-        assert!(matches!(
-            LlcTrace::read_from(buf.as_slice()),
-            Err(TraceFormatError::BadKind { index: 1, kind: 9 })
-        ));
-    }
-
-    #[test]
-    fn empty_trace_roundtrips() {
-        let t = LlcTrace::new();
-        let mut buf = Vec::new();
-        t.write_to(&mut buf).expect("in-memory write cannot fail");
-        assert!(LlcTrace::read_from(buf.as_slice()).expect("roundtrip").is_empty());
     }
 }

@@ -42,7 +42,7 @@ mod timing;
 pub use access::{Access, AccessKind};
 pub use cache::{AccessOutcome, SetAssocCache};
 pub use reference::ReferenceCache;
-pub use capture::{LlcRecord, LlcTrace, TraceFormatError};
+pub use capture::{LlcRecord, LlcTrace};
 pub use dram::{DramModel, DramTiming};
 pub use event::{EventCore, MemTraffic};
 pub use config::{CacheConfig, L2PrefetcherKind, SystemConfig};

@@ -12,7 +12,7 @@ use experiments::runner::{
 };
 use experiments::{PolicyKind, Table};
 use rl::{Agent, AgentConfig, FeatureSet, LlcModel, Mlp, Trainer};
-use trace_io::{TraceFormat, TraceReader, TraceWriter};
+use trace_io::{TraceReader, TraceWriter};
 use objcache::{ObjCacheConfig, ObjPolicyKind};
 use workloads::{ObjectTraffic, TenantMix, Workload, CLOUDSUITE, SPEC2006};
 
@@ -197,77 +197,30 @@ pub fn compare(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `rlr capture <bench> --out FILE [--records N] [--warmup N]` — capture an
-/// LLC trace.
-pub fn capture(args: &Args) -> Result<(), ArgError> {
-    args.expect_known(&["out", "records", "warmup"])?;
-    let bench = args
-        .positional()
-        .first()
-        .ok_or_else(|| ArgError("usage: rlr capture <benchmark> --out trace.bin".to_owned()))?;
-    let out = args
-        .get("out")
-        .ok_or_else(|| ArgError("--out <file> is required".to_owned()))?;
-    let records = args.get_num("records", 100_000usize)?;
-    let warmup = args.get_num("warmup", 1_000_000u64)?;
-    let workload = workload_by_name(bench)?;
-
-    let trace = capture_to_memory(&workload, warmup, records)?;
-    let file = fs::File::create(out).map_err(|e| ArgError(format!("create {out}: {e}")))?;
-    trace
-        .write_to(BufWriter::new(file))
-        .map_err(|e| ArgError(format!("write {out}: {e}")))?;
-    println!("captured {} LLC records from {bench} into {out}", trace.len());
-    Ok(())
-}
-
 /// The instruction ceiling of the CLI's single-core captures: the first
 /// 1M-instruction slice past 400M.
 const CLI_CAPTURE_CEILING: u64 = 401_000_000;
 
-/// Captures up to `records` LLC records of `workload` into memory, after
-/// `warmup` unmeasured instructions.
-fn capture_to_memory(
-    workload: &Workload,
-    warmup: u64,
-    records: usize,
-) -> Result<LlcTrace, ArgError> {
-    let mut trace = LlcTrace::new();
-    capture_llc(workload, warmup, records as u64, CLI_CAPTURE_CEILING, |slice| {
-        slice.iter().for_each(|&r| trace.push(r));
-        Ok::<_, ArgError>(())
-    })?;
-    Ok(trace)
-}
-
-/// Loads a whole trace from either on-disk format (legacy `LLCT` or the
-/// compressed `RLT1` container), sniffed by magic.
+/// Loads a whole `RLT1` trace into memory.
 fn load_trace(path: &str) -> Result<LlcTrace, ArgError> {
     trace_io::read_trace_file(Path::new(path)).map_err(|e| ArgError(format!("read {path}: {e}")))
 }
 
 /// `rlr replay <trace> [--policy P|belady|agent] [--agent FILE]` —
-/// trace-driven replay through the LLC-only model or a full cache.
-/// Accepts both trace formats; an online policy over an `RLT1` container
-/// replays block-by-block without loading the trace.
+/// trace-driven replay of an `RLT1` container through the LLC-only model
+/// or a full cache. Belady and the agent load the trace whole; an online
+/// policy streams it block-by-block without loading it.
 pub fn replay(args: &Args) -> Result<(), ArgError> {
     args.expect_known(&["policy", "agent", "hidden"])?;
     let path = args
         .positional()
         .first()
         .ok_or_else(|| ArgError("usage: rlr replay <trace> [--policy P]".to_owned()))?;
-    let format = trace_io::sniff_format(Path::new(path))
-        .map_err(|e| ArgError(format!("read {path}: {e}")))?;
     let config = SystemConfig::paper_single_core();
     let name = args.get_or("policy", "belady").to_lowercase();
 
     // (policy, demand hit rate, hits, accesses)
-    let stats: (String, f64, u64, u64) = if name == "belady" || name == "opt" {
-        let trace = load_trace(path)?;
-        let mut model = LlcModel::new(&config.llc, &trace);
-        let s = model.run_belady(&trace);
-        ("Belady".to_owned(), s.demand_hit_rate(), s.hits, s.accesses)
-    } else if name == "agent" {
+    let stats: (String, f64, u64, u64) = if name == "agent" {
         let trace = load_trace(path)?;
         let agent_path = args
             .get("agent")
@@ -278,9 +231,12 @@ pub fn replay(args: &Args) -> Result<(), ArgError> {
         ("RL agent".to_owned(), s.demand_hit_rate(), s.hits, s.accesses)
     } else {
         let kind = policy_by_name(&name)?;
-        if format == TraceFormat::Rlt && kind != PolicyKind::Belady {
-            // Online policies don't need the trace up front: stream the
-            // container through the cache with O(block) memory.
+        if kind == PolicyKind::Belady {
+            let trace = load_trace(path)?;
+            let mut model = LlcModel::new(&config.llc, &trace);
+            let s = model.run_belady(&trace);
+            ("Belady".to_owned(), s.demand_hit_rate(), s.hits, s.accesses)
+        } else {
             let file = fs::File::open(path).map_err(|e| ArgError(format!("open {path}: {e}")))?;
             let mut reader = TraceReader::new(BufReader::new(file))
                 .map_err(|e| ArgError(format!("read {path}: {e}")))?;
@@ -289,15 +245,6 @@ pub fn replay(args: &Args) -> Result<(), ArgError> {
             let summary = replay_llc_reader(&mut cache, &mut reader)
                 .map_err(|e| ArgError(format!("replay {path}: {e}")))?;
             (kind.name().to_owned(), summary.demand_hit_rate(), summary.hits, summary.accesses)
-        } else {
-            let trace = load_trace(path)?;
-            let mut cache = cache_sim::SetAssocCache::new(
-                "LLC",
-                config.llc,
-                kind.build(&config.llc, Some(&trace)),
-            );
-            let summary = experiments::runner::replay_llc_trace(&mut cache, &trace);
-            (kind.name().to_owned(), summary.demand_hit_rate(), summary.hits, trace.len() as u64)
         }
     };
 
@@ -308,7 +255,7 @@ pub fn replay(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `rlr train <bench|trace.bin> --out agent.mlp [--epochs N] [--hidden N]
+/// `rlr train <bench|trace.rlt> --out agent.mlp [--epochs N] [--hidden N]
 ///  [--records N] [--resume] [--checkpoint FILE] [--stop-after N]` — train
 /// a DQN agent and save its network.
 ///
@@ -324,24 +271,29 @@ pub fn train(args: &Args) -> Result<(), ArgError> {
     let source = args
         .positional()
         .first()
-        .ok_or_else(|| ArgError("usage: rlr train <benchmark|trace.bin> --out agent.mlp".to_owned()))?;
+        .ok_or_else(|| ArgError("usage: rlr train <benchmark|trace.rlt> --out agent.mlp".to_owned()))?;
     let out = args
         .get("out")
         .ok_or_else(|| ArgError("--out <file> is required".to_owned()))?;
     let epochs = args.get_num("epochs", 3usize)?;
     let hidden = args.get_num("hidden", 64usize)?;
-    let records = args.get_num("records", 60_000usize)?;
+    let records = args.get_num("records", 60_000u64)?;
     let seed = args.get_num("seed", 0xCAFEu64)?;
     let ck_path = args.get("checkpoint").map_or_else(|| format!("{out}.ck"), str::to_owned);
     let stop_after = args.get_num("stop-after", 0usize)?;
 
     let config = SystemConfig::paper_single_core();
-    let trace = if source.ends_with(".bin") || source.ends_with(".trace") {
+    let trace = if Path::new(source).is_file() {
         load_trace(source)?
     } else {
         let workload = workload_by_name(source)?;
         println!("capturing {records} LLC records from {source}...");
-        capture_to_memory(&workload, 0, records)?
+        let mut trace = LlcTrace::new();
+        capture_llc(&workload, 0, records, CLI_CAPTURE_CEILING, |slice| {
+            slice.iter().for_each(|&r| trace.push(r));
+            Ok::<_, ArgError>(())
+        })?;
+        trace
     };
 
     let agent_config = AgentConfig {
@@ -452,17 +404,16 @@ pub fn overhead() -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `rlr trace <capture|export|info|verify|convert> ...` — the compressed
+/// `rlr trace <capture|export|info|verify> ...` — the compressed
 /// trace-container toolbox.
 pub fn trace(args: &Args) -> Result<(), ArgError> {
-    let usage = "usage: rlr trace <capture|export|info|verify|convert> ...";
+    let usage = "usage: rlr trace <capture|export|info|verify> ...";
     let action = args.positional().first().ok_or_else(|| ArgError(usage.to_owned()))?.clone();
     match action.as_str() {
         "capture" => trace_capture(args),
         "export" => trace_export(args),
         "info" => trace_info(args),
         "verify" => trace_verify(args),
-        "convert" => trace_convert(args),
         other => Err(ArgError(format!("unknown trace action `{other}`; {usage}"))),
     }
 }
@@ -596,27 +547,17 @@ fn trace_export(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `rlr trace info <FILE>` — summarize either trace format.
+/// `rlr trace info <FILE>` — summarize a container.
 fn trace_info(args: &Args) -> Result<(), ArgError> {
     args.expect_known(&[])?;
     let path = args
         .positional()
         .get(1)
         .ok_or_else(|| ArgError("usage: rlr trace info <file>".to_owned()))?;
-    match trace_io::sniff_format(Path::new(path)).map_err(|e| ArgError(format!("{path}: {e}")))? {
-        TraceFormat::Rlt => {
-            let file = fs::File::open(path).map_err(|e| ArgError(format!("open {path}: {e}")))?;
-            let summary = trace_io::scan(BufReader::new(file))
-                .map_err(|e| ArgError(format!("{path}: {e}")))?;
-            println!("{summary}");
-        }
-        TraceFormat::Legacy => {
-            let trace = load_trace(path)?;
-            println!("format       legacy LLCT (fixed-width records)");
-            println!("records      {}", trace.len());
-            println!("size         {} bytes", 12 + 18 * trace.len());
-        }
-    }
+    let file = fs::File::open(path).map_err(|e| ArgError(format!("open {path}: {e}")))?;
+    let summary =
+        trace_io::scan(BufReader::new(file)).map_err(|e| ArgError(format!("{path}: {e}")))?;
+    println!("{summary}");
     Ok(())
 }
 
@@ -668,37 +609,6 @@ fn trace_verify(args: &Args) -> Result<(), ArgError> {
         "repaired container written to {dest} ({} records in {} blocks)",
         report.recovered_records, report.recovered_blocks
     );
-    Ok(())
-}
-
-/// `rlr trace convert <IN> <OUT> [--block N]` — convert between the legacy
-/// fixed-width format and the compressed container (direction chosen by
-/// the input's magic).
-fn trace_convert(args: &Args) -> Result<(), ArgError> {
-    args.expect_known(&["block"])?;
-    let (input, output) = match (args.positional().get(1), args.positional().get(2)) {
-        (Some(i), Some(o)) => (i.clone(), o.clone()),
-        _ => return Err(ArgError("usage: rlr trace convert <in> <out> [--block N]".to_owned())),
-    };
-    let block = args.get_num("block", trace_io::DEFAULT_BLOCK_LEN)?;
-    let format =
-        trace_io::sniff_format(Path::new(&input)).map_err(|e| ArgError(format!("{input}: {e}")))?;
-    let trace = load_trace(&input)?;
-    match format {
-        TraceFormat::Legacy => {
-            trace_io::write_trace_file(Path::new(&output), &trace, block)
-                .map_err(|e| ArgError(format!("write {output}: {e}")))?;
-            println!("converted {input} (legacy) -> {output} (RLT1, {} records)", trace.len());
-        }
-        TraceFormat::Rlt => {
-            let file =
-                fs::File::create(&output).map_err(|e| ArgError(format!("create {output}: {e}")))?;
-            trace
-                .write_to(BufWriter::new(file))
-                .map_err(|e| ArgError(format!("write {output}: {e}")))?;
-            println!("converted {input} (RLT1) -> {output} (legacy, {} records)", trace.len());
-        }
-    }
     Ok(())
 }
 
@@ -1064,11 +974,9 @@ COMMANDS:
                                                      [--timing analytic|event]
   compare <bench...>            speedup-over-LRU     [--policies a,b,c] [--instructions N]
                                                      [--jobs N] [--timing analytic|event]
-  capture <bench>               record an LLC trace  --out FILE [--records N]
-                                                     (legacy format; see `trace capture`)
-  replay <trace>                trace-driven replay  [--policy P|belady|agent] [--agent FILE]
-                                (either format; RLT1 + online policy streams block-by-block)
-  train <bench|trace.bin>       train a DQN agent    --out FILE [--epochs N] [--hidden N]
+  replay <trace.rlt>            trace-driven replay  [--policy P|belady|agent] [--agent FILE]
+                                (an online policy streams the container block-by-block)
+  train <bench|trace.rlt>       train a DQN agent    --out FILE [--epochs N] [--hidden N]
                                                      [--resume] [--checkpoint FILE]
                                                      [--stop-after N]
   analyze                       agent weight heatmap --agent FILE [--top N]
@@ -1081,10 +989,9 @@ COMMANDS:
   trace export <bench>          workload demand stream -> container  --out FILE [--records N]
                                 (<file.rlt> --core N filters one core's records
                                 out of a multi-core capture)
-  trace info <file>             summarize a trace file (either format)
+  trace info <file>             summarize an RLT1 container
   trace verify <file>           checksum-verify an RLT1 container  [--repair] [--out FILE]
                                 (--repair salvages intact blocks into a clean container)
-  trace convert <in> <out>      legacy <-> RLT1 (direction by input magic)  [--block N]
   objcache run                  object-cache replay  [--policy lru|slru|gdsf|rlr]
                                                      [--requests N] [--capacity-mib N]
   objcache compare              serving-tier roster  [--policies a,b,c] [--jobs N]

@@ -20,7 +20,6 @@ fn main() {
         "list" => commands::list(),
         "run" => commands::run(&parsed),
         "compare" => commands::compare(&parsed),
-        "capture" => commands::capture(&parsed),
         "replay" => commands::replay(&parsed),
         "train" => commands::train(&parsed),
         "analyze" => commands::analyze(&parsed),

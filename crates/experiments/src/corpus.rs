@@ -1,13 +1,11 @@
 //! The trace corpus: capture-once / replay-many storage for LLC traces.
 //!
-//! Every trace-driven experiment used to re-capture its traces (or cache
-//! them in the legacy fixed-width format, fully resident). The corpus
-//! stores each `(benchmark, scale)` trace exactly once, as a compressed
-//! `RLT1` container under `results/corpus/`, and hands it to any number of
-//! replays. Publication is atomic ([`crate::checkpoint::write_atomic`]),
-//! so an interrupted capture can never be mistaken for a complete trace —
-//! complementing the container's own end-frame truncation detection — and
-//! an existing legacy `.trace` cache is migrated in place of re-simulating.
+//! The corpus stores each `(benchmark, scale)` trace exactly once, as a
+//! compressed `RLT1` container under `results/corpus/`, and hands it to
+//! any number of replays. Publication is atomic
+//! ([`crate::checkpoint::write_atomic`]), so an interrupted capture can
+//! never be mistaken for a complete trace — complementing the container's
+//! own end-frame truncation detection.
 //!
 //! A *corrupt* container (checksum failure, torn tail, garbage) never
 //! fails a sweep: [`load_or_capture`] quarantines it into
@@ -110,11 +108,6 @@ pub fn quarantine_file(path: &Path) -> std::io::Result<PathBuf> {
     Ok(dest)
 }
 
-/// The legacy pipeline cache file this corpus entry supersedes.
-fn legacy_path(name: &str, scale: Scale) -> PathBuf {
-    results_dir().join("cache").join(format!("{}_{}.trace", name.replace('.', "_"), scale))
-}
-
 /// Reads the container at `path` through the fault seam. A missing file
 /// surfaces as `CorpusError::Io` with `NotFound`; anything else that fails
 /// is damage.
@@ -128,10 +121,9 @@ fn read_container(path: &Path) -> Result<LlcTrace, CorpusError> {
 ///
 /// 1. an existing corpus container with at least half the scale's target
 ///    record count (so a smaller-scale capture is never silently reused);
-/// 2. a legacy `results/cache/*.trace` file, migrated into the corpus;
-/// 3. a fresh capture, published atomically.
+/// 2. a fresh capture, published atomically.
 ///
-/// `retrain` (the pipeline's `RLR_RETRAIN` switch) skips 1 and 2.
+/// `retrain` (the pipeline's `RLR_RETRAIN` switch) skips 1.
 ///
 /// A container that exists but is *damaged* (bad checksum, torn tail,
 /// garbage bytes) is quarantined into `quarantine/` beside it — evidence
@@ -185,15 +177,6 @@ pub fn load_or_capture_in(
                      re-capturing over it"
                 ),
             },
-        }
-        if let Ok(f) = fs::File::open(legacy_path(name, scale)) {
-            if let Ok(trace) = LlcTrace::read_from(std::io::BufReader::new(f)) {
-                if trace.len() >= min_len {
-                    eprintln!("[corpus] {name}: migrating legacy trace ({} records)", trace.len());
-                    publish(&path, &trace)?;
-                    return Ok(trace);
-                }
-            }
         }
     }
     eprintln!("[corpus] {name}: capturing LLC trace...");

@@ -111,9 +111,7 @@ impl TrainedPipeline {
 
     fn load_or_capture_trace(name: &'static str, scale: Scale, retrain: bool) -> LlcTrace {
         // The corpus handles the whole resolution chain: an existing
-        // compressed container, migration of this module's old
-        // `results/cache/*.trace` files, or a fresh capture published
-        // atomically.
+        // compressed container or a fresh capture published atomically.
         crate::corpus::load_or_capture(name, scale, retrain)
             .unwrap_or_else(|e| panic!("[pipeline] {name}: trace unavailable: {e}"))
     }

@@ -459,14 +459,21 @@ impl Mlp {
         self.write(w, b"MLP1", false)
     }
 
-    /// Deserializes a network written by [`Mlp::save`].
+    /// Deserializes a network written by [`Mlp::save`]. The network must
+    /// end the stream: a header dimension flipped smaller would otherwise
+    /// load a smaller net from misaligned weights.
     ///
     /// # Errors
     ///
     /// Returns an error on I/O failure or malformed input, including a
-    /// header whose dimensions are zero or too large.
-    pub fn load<R: Read>(r: R) -> io::Result<Self> {
-        Self::read(r, b"MLP1", false)
+    /// header whose dimensions are zero or too large and bytes after the
+    /// last weight.
+    pub fn load<R: Read>(mut r: R) -> io::Result<Self> {
+        let net = Self::read(&mut r, b"MLP1", false)?;
+        if r.bytes().next().transpose()?.is_some() {
+            return Err(wire::bad_data("trailing bytes after the MLP weights"));
+        }
+        Ok(net)
     }
 
     /// Serializes the network *including* the SGD momentum buffers, so a
@@ -482,7 +489,9 @@ impl Mlp {
         self.write(w, b"MLPF", true)
     }
 
-    /// Deserializes a network written by [`Mlp::save_full`].
+    /// Deserializes a network written by [`Mlp::save_full`]. Unlike
+    /// [`Mlp::load`] it stops at the last weight, since checkpoints carry
+    /// more sections after the network.
     ///
     /// # Errors
     ///

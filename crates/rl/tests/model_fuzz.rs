@@ -178,6 +178,20 @@ fn every_bit_flip_is_rejected_or_fits_its_bytes() {
 }
 
 #[test]
+fn every_header_dimension_flip_of_an_mlp1_blob_is_rejected() {
+    // Bytes 4..28 hold the three `u64` dimensions. A flip that grows one
+    // runs out of weights; one that shrinks it leaves trailing bytes.
+    let blob = mlp_blob(false);
+    let mut flipped = blob.clone();
+    for bit in 4 * 8..28 * 8 {
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        let outcome = probe(read_mlp1, &flipped).unwrap_or_else(|e| panic!("bit {bit}: {e}"));
+        assert_eq!(outcome, None, "bit {bit}: a flipped header dimension loaded");
+        flipped[bit / 8] ^= 1 << (bit % 8);
+    }
+}
+
+#[test]
 fn random_bytes_are_rejected() {
     for (name, read, blob) in readers() {
         check(

@@ -22,7 +22,7 @@ use std::fs;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-use cache_sim::{AccessKind, LlcRecord, LlcTrace, TraceFormatError};
+use cache_sim::{AccessKind, LlcRecord, LlcTrace};
 
 use crate::lz;
 use crate::varint;
@@ -74,16 +74,13 @@ pub enum TraceIoError {
         /// Records actually decoded.
         actual: u64,
     },
-    /// The file is a legacy `LLCT` trace and failed *that* format's
-    /// validation.
-    Legacy(TraceFormatError),
 }
 
 impl std::fmt::Display for TraceIoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Io(e) => write!(f, "I/O error: {e}"),
-            Self::BadMagic(m) => write!(f, "not an RLT1 trace (magic {m:02x?})"),
+            Self::BadMagic(m) => write!(f, "not an RLT1 trace (magic \"{}\")", m.escape_ascii()),
             Self::UnsupportedVersion(v) => write!(f, "unsupported trace version {v}"),
             Self::Truncated(what) => write!(f, "truncated trace: {what}"),
             Self::Corrupt(what) => write!(f, "corrupt trace: {what}"),
@@ -94,7 +91,6 @@ impl std::fmt::Display for TraceIoError {
             Self::CountMismatch { expected, actual } => {
                 write!(f, "record count mismatch (end frame says {expected}, decoded {actual})")
             }
-            Self::Legacy(e) => write!(f, "legacy trace: {e}"),
         }
     }
 }
@@ -554,7 +550,7 @@ impl<R: Read> TraceReader<R> {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-container summaries, file helpers, legacy interop
+// Whole-container summaries and file helpers
 // ---------------------------------------------------------------------------
 
 /// What a full verifying scan of a container found.
@@ -577,8 +573,8 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
-    /// Equivalent size of the legacy fixed-width (`LLCT`) encoding,
-    /// the baseline the compression ratio is quoted against.
+    /// Size of a fixed-width encoding (12-byte header, 18 bytes per
+    /// record), the baseline the compression ratio is quoted against.
     pub fn fixed_width_bytes(&self) -> u64 {
         12 + 18 * self.records
     }
@@ -634,46 +630,14 @@ pub fn scan<R: Read>(r: R) -> Result<TraceSummary, TraceIoError> {
     })
 }
 
-/// On-disk trace flavours [`sniff_format`] can tell apart.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// This crate's compressed container.
-    Rlt,
-    /// The legacy fixed-width `LLCT` format
-    /// ([`LlcTrace::write_to`]/[`LlcTrace::read_from`]).
-    Legacy,
-}
-
-/// Identifies a trace file by its magic.
+/// Loads a whole `RLT1` trace into memory.
 ///
 /// # Errors
 ///
-/// Returns [`TraceIoError::BadMagic`] for anything else, or truncation
-/// for a file shorter than four bytes.
-pub fn sniff_format(path: &Path) -> Result<TraceFormat, TraceIoError> {
-    let mut f = fs::File::open(path)?;
-    let mut magic = [0u8; 4];
-    read_exact_or(&mut f, &mut magic, "file magic")?;
-    match &magic {
-        b"RLT1" => Ok(TraceFormat::Rlt),
-        b"LLCT" => Ok(TraceFormat::Legacy),
-        _ => Err(TraceIoError::BadMagic(magic)),
-    }
-}
-
-/// Loads a whole trace from either format, sniffing the magic.
-///
-/// # Errors
-///
-/// Returns format, validation, or I/O errors from whichever decoder ran.
+/// Returns [`TraceIoError::BadMagic`] for any other file, or the
+/// reader's validation and I/O errors.
 pub fn read_trace_file(path: &Path) -> Result<LlcTrace, TraceIoError> {
-    match sniff_format(path)? {
-        TraceFormat::Rlt => {
-            TraceReader::new(io::BufReader::new(fs::File::open(path)?))?.read_to_trace()
-        }
-        TraceFormat::Legacy => LlcTrace::read_from(io::BufReader::new(fs::File::open(path)?))
-            .map_err(TraceIoError::Legacy),
-    }
+    TraceReader::new(io::BufReader::new(fs::File::open(path)?))?.read_to_trace()
 }
 
 /// Writes `trace` to `path` as an `RLT1` container.

@@ -185,36 +185,20 @@ diff "$SMOKE_DIR/event1.txt" "$SMOKE_DIR/event2.txt" || {
 }
 
 echo "==> trace container smoke test"
-# A captured legacy trace converted to the compressed container must
-# verify, and converting it back must reproduce the legacy file
-# byte-for-byte. Also checks the committed golden fixture still verifies.
-"$RLR" capture 429.mcf --out "$SMOKE_DIR/mcf.trace" --records 4096 \
-    > /dev/null 2>&1
-"$RLR" trace convert "$SMOKE_DIR/mcf.trace" "$SMOKE_DIR/mcf.rlt" > /dev/null
-"$RLR" trace verify "$SMOKE_DIR/mcf.rlt" || {
-    echo "ci.sh: converted container failed verification" >&2; exit 1;
-}
-"$RLR" trace convert "$SMOKE_DIR/mcf.rlt" "$SMOKE_DIR/mcf.back.trace" > /dev/null
-cmp "$SMOKE_DIR/mcf.trace" "$SMOKE_DIR/mcf.back.trace" || {
-    echo "ci.sh: legacy -> container -> legacy round-trip is not byte-identical" >&2
+# `rlr trace capture` counts its record quota from the end of warm-up: it
+# must write every record asked for, and the container it writes must
+# verify. Also checks the committed golden fixture still verifies.
+"$RLR" trace capture 429.mcf --out "$SMOKE_DIR/mcf100k.rlt" --records 100000 \
+    > "$SMOKE_DIR/capture100k.txt"
+grep -q "^captured 100000 LLC records" "$SMOKE_DIR/capture100k.txt" || {
+    echo "ci.sh: rlr trace capture wrote short: $(cat "$SMOKE_DIR/capture100k.txt")" >&2
     exit 1
+}
+"$RLR" trace verify "$SMOKE_DIR/mcf100k.rlt" || {
+    echo "ci.sh: captured container failed verification" >&2; exit 1;
 }
 "$RLR" trace verify crates/trace-io/tests/data/golden_429mcf.rlt || {
     echo "ci.sh: committed golden fixture failed verification" >&2; exit 1;
-}
-# `rlr capture` counts its record quota from the end of warm-up: it must
-# write every record asked for, and its legacy file converted to the
-# container must equal a direct `trace capture` of the same window.
-"$RLR" capture 429.mcf --out "$SMOKE_DIR/mcf100k.trace" --records 100000 \
-    > "$SMOKE_DIR/capture100k.txt"
-grep -q "^captured 100000 LLC records" "$SMOKE_DIR/capture100k.txt" || {
-    echo "ci.sh: rlr capture wrote short: $(cat "$SMOKE_DIR/capture100k.txt")" >&2; exit 1;
-}
-"$RLR" trace convert "$SMOKE_DIR/mcf100k.trace" "$SMOKE_DIR/mcf100k.rlt" > /dev/null
-"$RLR" trace capture 429.mcf --out "$SMOKE_DIR/mcf100k.direct.rlt" --records 100000 \
-    > /dev/null
-cmp "$SMOKE_DIR/mcf100k.rlt" "$SMOKE_DIR/mcf100k.direct.rlt" || {
-    echo "ci.sh: rlr capture and rlr trace capture wrote different streams" >&2; exit 1;
 }
 
 echo "==> object-cache CLI smoke test"
