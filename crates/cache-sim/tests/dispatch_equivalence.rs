@@ -8,8 +8,10 @@
 //! access (hit/miss, fill way, eviction, writeback, bypass), the same
 //! final [`cache_sim::CacheStats`], and the same per-way line state.
 //!
-//! The roster comes from `experiments::PolicyKind::ALL_ONLINE` (plus the
-//! Belady oracle), so every policy the paper evaluates crosses this wall.
+//! The roster comes from `experiments::PolicyKind::ALL_ONLINE` (its 15
+//! online policies, plus the Belady oracle), so every policy the repo
+//! simulates crosses this wall. The designs that appear only in Table I
+//! are storage formulas there, with no simulator to compare.
 
 use cache_sim::{
     Access, AccessKind, AccessOutcome, CacheConfig, LlcRecord, LlcTrace, ReferenceCache,

@@ -53,8 +53,17 @@ fn timing_by_args(args: &Args) -> Result<TimingMode, ArgError> {
     }
 }
 
+/// Resolves a policy that runs online inside a simulation: Belady needs
+/// the whole future of a captured trace, so only `rlr replay` runs it.
+fn online_policy_by_name(name: &str) -> Result<PolicyKind, ArgError> {
+    match policy_by_name(name)? {
+        PolicyKind::Belady => Err(ArgError("Belady is replay-only; use `rlr replay`".to_owned())),
+        kind => Ok(kind),
+    }
+}
+
 fn parse_policies(raw: &str) -> Result<Vec<PolicyKind>, ArgError> {
-    raw.split(',').map(policy_by_name).collect()
+    raw.split(',').map(online_policy_by_name).collect()
 }
 
 /// `rlr list` — available benchmarks and policies.
@@ -87,7 +96,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         .first()
         .ok_or_else(|| ArgError("usage: rlr run <benchmark> [--policy P]".to_owned()))?;
     let workload = workload_by_name(bench)?;
-    let kind = policy_by_name(args.get_or("policy", "RLR"))?;
+    let kind = online_policy_by_name(args.get_or("policy", "RLR"))?;
     let instructions = args.get_num("instructions", 10_000_000u64)?;
     let warmup = args.get_num("warmup", 2_000_000u64)?;
     let timing = timing_by_args(args)?;
@@ -122,9 +131,6 @@ pub fn compare(args: &Args) -> Result<(), ArgError> {
         return Err(ArgError("usage: rlr compare <benchmark...> [--policies a,b,c]".to_owned()));
     }
     let kinds = parse_policies(args.get_or("policies", "DRRIP,KPC-R,SHiP,RLR,Hawkeye,SHiP++"))?;
-    if kinds.contains(&PolicyKind::Belady) {
-        return Err(ArgError("Belady is replay-only; use `rlr replay`".to_owned()));
-    }
     let instructions = args.get_num("instructions", 10_000_000u64)?;
     let warmup = args.get_num("warmup", 2_000_000u64)?;
     let jobs = args.get_num("jobs", 0usize)?;
@@ -211,7 +217,7 @@ fn load_trace(path: &str) -> Result<LlcTrace, ArgError> {
 /// or a full cache. Belady and the agent load the trace whole; an online
 /// policy streams it block-by-block without loading it.
 pub fn replay(args: &Args) -> Result<(), ArgError> {
-    args.expect_known(&["policy", "agent", "hidden"])?;
+    args.expect_known(&["policy", "agent"])?;
     let path = args
         .positional()
         .first()
@@ -257,7 +263,8 @@ pub fn replay(args: &Args) -> Result<(), ArgError> {
 
 /// `rlr train <bench|trace.rlt> --out agent.mlp [--epochs N] [--hidden N]
 ///  [--records N] [--resume] [--checkpoint FILE] [--stop-after N]` — train
-/// a DQN agent and save its network.
+/// a DQN agent and save its network. `--records` sizes the capture of a
+/// benchmark; a trace file trains whole, so it rejects `--records`.
 ///
 /// Training checkpoints after every epoch (atomically, to `--checkpoint`,
 /// default `<out>.ck`); `--resume` continues an interrupted run from that
@@ -284,6 +291,11 @@ pub fn train(args: &Args) -> Result<(), ArgError> {
 
     let config = SystemConfig::paper_single_core();
     let trace = if Path::new(source).is_file() {
+        if args.get("records").is_some() {
+            return Err(ArgError(format!(
+                "--records applies to a benchmark capture; {source} is a trace file and trains whole"
+            )));
+        }
         load_trace(source)?
     } else {
         let workload = workload_by_name(source)?;
@@ -977,8 +989,8 @@ COMMANDS:
   replay <trace.rlt>            trace-driven replay  [--policy P|belady|agent] [--agent FILE]
                                 (an online policy streams the container block-by-block)
   train <bench|trace.rlt>       train a DQN agent    --out FILE [--epochs N] [--hidden N]
-                                                     [--resume] [--checkpoint FILE]
-                                                     [--stop-after N]
+                                                     [--records N (bench only)] [--resume]
+                                                     [--checkpoint FILE] [--stop-after N]
   analyze                       agent weight heatmap --agent FILE [--top N]
   characterize <bench>          workload personality [--entries N]
   overhead                      Table I (policy metadata budgets)

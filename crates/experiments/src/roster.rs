@@ -4,10 +4,7 @@
 use cache_sim::{
     Access, CacheConfig, Decision, LineSnapshot, LlcTrace, RandomLite, ReplacementPolicy, TrueLru,
 };
-use policies::{
-    Belady, Brrip, CounterBased, Drrip, Eva, Fifo, Glider, Hawkeye, KpcR, Mpppb, Pdp, Ship,
-    ShipPp, Srrip,
-};
+use policies::{Belady, Brrip, Drrip, Eva, Fifo, Hawkeye, KpcR, Pdp, Ship, ShipPp, Srrip};
 use rlr::RlrPolicy;
 
 /// Every LLC replacement policy as one concrete enum, so the simulator's
@@ -43,12 +40,6 @@ pub enum LlcPolicy {
     ShipPp(ShipPp),
     /// Hawkeye.
     Hawkeye(Hawkeye),
-    /// Glider.
-    Glider(Glider),
-    /// MPPPB.
-    Mpppb(Box<Mpppb>),
-    /// Counter-based AIP.
-    CounterBased(CounterBased),
     /// PDP.
     Pdp(Pdp),
     /// EVA.
@@ -74,9 +65,6 @@ macro_rules! dispatch {
             LlcPolicy::Ship($p) => $body,
             LlcPolicy::ShipPp($p) => $body,
             LlcPolicy::Hawkeye($p) => $body,
-            LlcPolicy::Glider($p) => $body,
-            LlcPolicy::Mpppb($p) => $body,
-            LlcPolicy::CounterBased($p) => $body,
             LlcPolicy::Pdp($p) => $body,
             LlcPolicy::Eva($p) => $body,
             LlcPolicy::Rlr($p) => $body,
@@ -138,12 +126,6 @@ pub enum PolicyKind {
     ShipPp,
     /// Hawkeye (PC-based, OPTgen).
     Hawkeye,
-    /// Glider (PC-based, integer SVM over PC history).
-    Glider,
-    /// MPPPB (PC-based, multiperspective perceptron).
-    Mpppb,
-    /// Counter-based AIP (PC-indexed interval prediction).
-    CounterBased,
     /// Protecting Distance based Policy.
     Pdp,
     /// Economic Value Added.
@@ -183,7 +165,7 @@ impl PolicyKind {
     ];
 
     /// Every implementable policy (excludes Belady's oracle).
-    pub const ALL_ONLINE: [PolicyKind; 18] = [
+    pub const ALL_ONLINE: [PolicyKind; 15] = [
         PolicyKind::Lru,
         PolicyKind::Fifo,
         PolicyKind::Random,
@@ -194,9 +176,6 @@ impl PolicyKind {
         PolicyKind::Ship,
         PolicyKind::ShipPp,
         PolicyKind::Hawkeye,
-        PolicyKind::Glider,
-        PolicyKind::Mpppb,
-        PolicyKind::CounterBased,
         PolicyKind::Pdp,
         PolicyKind::Eva,
         PolicyKind::Rlr,
@@ -217,9 +196,6 @@ impl PolicyKind {
             PolicyKind::Ship => "SHiP",
             PolicyKind::ShipPp => "SHiP++",
             PolicyKind::Hawkeye => "Hawkeye",
-            PolicyKind::Glider => "Glider",
-            PolicyKind::Mpppb => "MPPPB",
-            PolicyKind::CounterBased => "Counter(AIP)",
             PolicyKind::Pdp => "PDP",
             PolicyKind::Eva => "EVA",
             PolicyKind::Rlr => "RLR",
@@ -232,15 +208,7 @@ impl PolicyKind {
     /// Whether the policy requires PC information at the LLC (Table I's
     /// "Uses PC" column).
     pub fn uses_pc(self) -> bool {
-        matches!(
-            self,
-            PolicyKind::Ship
-                | PolicyKind::ShipPp
-                | PolicyKind::Hawkeye
-                | PolicyKind::Glider
-                | PolicyKind::Mpppb
-                | PolicyKind::CounterBased
-        )
+        matches!(self, PolicyKind::Ship | PolicyKind::ShipPp | PolicyKind::Hawkeye)
     }
 
     /// Builds the policy for a cache geometry. `trace` is required only for
@@ -261,9 +229,6 @@ impl PolicyKind {
             PolicyKind::Ship => LlcPolicy::Ship(Ship::new(config)),
             PolicyKind::ShipPp => LlcPolicy::ShipPp(ShipPp::new(config)),
             PolicyKind::Hawkeye => LlcPolicy::Hawkeye(Hawkeye::new(config)),
-            PolicyKind::Glider => LlcPolicy::Glider(Glider::new(config)),
-            PolicyKind::Mpppb => LlcPolicy::Mpppb(Box::new(Mpppb::new(config))),
-            PolicyKind::CounterBased => LlcPolicy::CounterBased(CounterBased::new(config)),
             PolicyKind::Pdp => LlcPolicy::Pdp(Pdp::new(config)),
             PolicyKind::Eva => LlcPolicy::Eva(Eva::new(config)),
             PolicyKind::Rlr => LlcPolicy::Rlr(RlrPolicy::optimized(config)),

@@ -2,10 +2,7 @@
 //! in-tree `simrng::prop` harness.
 
 use cache_sim::{Access, AccessKind, CacheConfig, LlcRecord, LlcTrace, SetAssocCache, TrueLru};
-use policies::{
-    Belady, Brrip, CounterBased, Drrip, Eva, Fifo, Glider, Hawkeye, KpcR, Mpppb, Pdp, Ship,
-    ShipPp, Srrip,
-};
+use policies::{Belady, Brrip, Drrip, Eva, Fifo, Hawkeye, KpcR, Pdp, Ship, ShipPp, Srrip};
 use simrng::prop::{check, Config};
 use simrng::{prop_assert, Rng};
 
@@ -65,9 +62,6 @@ fn every_policy_maintains_invariants() {
                 Box::new(|c| Box::new(Ship::new(c))),
                 Box::new(|c| Box::new(ShipPp::new(c))),
                 Box::new(|c| Box::new(Hawkeye::new(c))),
-                Box::new(|c| Box::new(Glider::new(c))),
-                Box::new(|c| Box::new(Mpppb::new(c))),
-                Box::new(|c| Box::new(CounterBased::new(c))),
                 Box::new(|c| Box::new(Pdp::new(c))),
                 Box::new(|c| Box::new(Eva::new(c))),
             ];

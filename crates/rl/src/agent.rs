@@ -263,6 +263,87 @@ impl TrainingReport {
     }
 }
 
+/// One training epoch over `trace` for agents that split the cache sets
+/// by `set % agents.len()`: each decision goes to the agent owning its set
+/// (ε-greedy), earns its reward from the Belady oracle, and becomes a
+/// transition in that partition's replay memory. Every `train_every`-th
+/// decision overall trains the deciding partition on `batch_size` samples
+/// drawn with the shared `rng`. One agent is the paper's single network.
+pub(crate) fn train_partitions(
+    agents: &mut [Agent],
+    replays: &mut [ReplayBuffer],
+    rng: &mut SimRng,
+    trace: &LlcTrace,
+    cache: &CacheConfig,
+) -> TrainingReport {
+    let mut model = LlcModel::new(cache, trace);
+    let mut report = TrainingReport::default();
+    // Per partition, the latest decision awaiting its successor state.
+    let mut pending: Vec<Option<(Vec<f32>, u16, f32)>> = vec![None; agents.len()];
+    let mut losses = 0.0f64;
+    let mut updates = 0u64;
+    let train_every = agents[0].config().train_every.max(1);
+    let batch = agents[0].config().batch_size;
+    let mut decision_count = 0u32;
+    let n = agents.len();
+
+    for record in trace.records() {
+        let mut decided: Option<(usize, Vec<f32>, u16)> = None;
+        let outcome = model.step(record, &mut |view| {
+            let partition = view.set_number as usize % n;
+            let (state, action) = agents[partition].decide(view);
+            decided = Some((partition, state, action));
+            action
+        });
+        if let StepOutcome::Evicted { victim_next_use, farthest_next_use, inserted_next_use, .. } =
+            outcome
+        {
+            let (partition, state, action) = decided.expect("chooser ran");
+            // Paper reward: +1 for evicting the farthest-reuse line, −1 for
+            // evicting a line that would be reused before the inserted one,
+            // 0 otherwise.
+            let reward = if victim_next_use == farthest_next_use {
+                report.optimal_decisions += 1;
+                1.0
+            } else if victim_next_use < inserted_next_use {
+                report.harmful_decisions += 1;
+                -1.0
+            } else {
+                0.0
+            };
+            // Complete the partition's previous transition with this
+            // decision's state as its successor.
+            if let Some((ps, pa, pr)) = pending[partition].take() {
+                replays[partition].push(Transition {
+                    state: ps,
+                    action: pa,
+                    reward: pr,
+                    next_state: state.clone(),
+                });
+            }
+            pending[partition] = Some((state, action, reward));
+
+            decision_count += 1;
+            if decision_count.is_multiple_of(train_every) && !replays[partition].is_empty() {
+                for _ in 0..batch {
+                    let t = replays[partition].sample(rng).expect("buffer checked non-empty");
+                    losses += f64::from(agents[partition].learn(t));
+                    updates += 1;
+                }
+            }
+        }
+    }
+    // Flush each partition's final decision as a terminal transition.
+    for (replay, last) in replays.iter_mut().zip(pending) {
+        if let Some((ps, pa, pr)) = last {
+            replay.push(Transition { state: ps, action: pa, reward: pr, next_state: Vec::new() });
+        }
+    }
+    report.stats = *model.stats();
+    report.mean_loss = if updates == 0 { 0.0 } else { losses / updates as f64 };
+    report
+}
+
 /// Drives agent training over captured LLC traces (Fig. 2's loop).
 #[derive(Clone, Debug)]
 pub struct Trainer {
@@ -294,74 +375,13 @@ impl Trainer {
     /// Runs one training epoch over `trace` (ε-greedy decisions, rewards
     /// from the Belady oracle, experience replay updates).
     pub fn train_epoch(&mut self, trace: &LlcTrace, cache: &CacheConfig) -> TrainingReport {
-        let mut model = LlcModel::new(cache, trace);
-        let mut report = TrainingReport::default();
-        let mut pending: Option<(Vec<f32>, u16, f32)> = None;
-        let mut losses = 0.0f64;
-        let mut updates = 0u64;
-        let train_every = self.agent.config().train_every.max(1);
-        let batch = self.agent.config().batch_size;
-        let mut decision_count = 0u32;
-
-        for record in trace.records() {
-            let agent = &mut self.agent;
-            let mut decided: Option<(Vec<f32>, u16)> = None;
-            let outcome = model.step(record, &mut |view| {
-                let (state, action) = agent.decide(view);
-                let a = action;
-                decided = Some((state, action));
-                a
-            });
-            if let StepOutcome::Evicted {
-                victim_next_use,
-                farthest_next_use,
-                inserted_next_use,
-                ..
-            } = outcome
-            {
-                let (state, action) = decided.expect("chooser ran");
-                // Paper reward: +1 for evicting the farthest-reuse line,
-                // −1 for evicting a line that would be reused before the
-                // inserted one, 0 otherwise.
-                let reward = if victim_next_use == farthest_next_use {
-                    report.optimal_decisions += 1;
-                    1.0
-                } else if victim_next_use < inserted_next_use {
-                    report.harmful_decisions += 1;
-                    -1.0
-                } else {
-                    0.0
-                };
-                // Complete the previous transition with this decision's
-                // state as its successor.
-                if let Some((ps, pa, pr)) = pending.take() {
-                    self.replay.push(Transition {
-                        state: ps,
-                        action: pa,
-                        reward: pr,
-                        next_state: state.clone(),
-                    });
-                }
-                pending = Some((state, action, reward));
-
-                decision_count += 1;
-                if decision_count.is_multiple_of(train_every) && !self.replay.is_empty() {
-                    for _ in 0..batch {
-                        let t =
-                            self.replay.sample(&mut self.rng).expect("buffer checked non-empty");
-                        losses += f64::from(self.agent.learn(t));
-                        updates += 1;
-                    }
-                }
-            }
-        }
-        // Flush the final decision as a terminal transition.
-        if let Some((ps, pa, pr)) = pending {
-            self.replay.push(Transition { state: ps, action: pa, reward: pr, next_state: Vec::new() });
-        }
-        report.stats = *model.stats();
-        report.mean_loss = if updates == 0 { 0.0 } else { losses / updates as f64 };
-        report
+        train_partitions(
+            std::slice::from_mut(&mut self.agent),
+            std::slice::from_mut(&mut self.replay),
+            &mut self.rng,
+            trace,
+            cache,
+        )
     }
 
     /// Evaluates the current agent greedily (no exploration, no learning).

@@ -10,18 +10,15 @@
 use cache_sim::{CacheConfig, LlcTrace};
 use simrng::SimRng;
 
-use crate::agent::{Agent, AgentConfig, TrainingReport};
-use crate::cachemodel::{LlcModel, ModelStats, StepOutcome};
-use crate::replay::{ReplayBuffer, Transition};
+use crate::agent::{train_partitions, Agent, AgentConfig, TrainingReport};
+use crate::cachemodel::{LlcModel, ModelStats};
+use crate::replay::ReplayBuffer;
 
 /// A group of agents partitioned over the cache sets.
 pub struct MultiAgentTrainer {
     agents: Vec<Agent>,
     replays: Vec<ReplayBuffer>,
-    /// Per-partition pending transition awaiting its successor state.
-    pending: Vec<Option<(Vec<f32>, u16, f32)>>,
     rng: SimRng,
-    config: AgentConfig,
 }
 
 impl MultiAgentTrainer {
@@ -41,9 +38,7 @@ impl MultiAgentTrainer {
                 })
                 .collect(),
             replays: (0..agents).map(|_| ReplayBuffer::new(config.replay_capacity)).collect(),
-            pending: vec![None; agents],
             rng: SimRng::seed_from_u64(config.seed ^ 0x3417),
-            config,
         }
     }
 
@@ -60,76 +55,7 @@ impl MultiAgentTrainer {
     /// One ε-greedy training epoch over the trace, routing every decision
     /// to the owning partition.
     pub fn train_epoch(&mut self, trace: &LlcTrace, cache: &CacheConfig) -> TrainingReport {
-        let mut model = LlcModel::new(cache, trace);
-        let mut report = TrainingReport::default();
-        let mut losses = 0.0f64;
-        let mut updates = 0u64;
-        let train_every = self.config.train_every.max(1);
-        let batch = self.config.batch_size;
-        let mut decisions = 0u32;
-
-        for record in trace.records() {
-            let n = self.agents.len();
-            let agents = &mut self.agents;
-            let mut decided: Option<(usize, Vec<f32>, u16)> = None;
-            let outcome = model.step(record, &mut |view| {
-                let partition = view.set_number as usize % n;
-                let (state, action) = agents[partition].decide(view);
-                decided = Some((partition, state, action));
-                action
-            });
-            if let StepOutcome::Evicted {
-                victim_next_use,
-                farthest_next_use,
-                inserted_next_use,
-                ..
-            } = outcome
-            {
-                let (partition, state, action) = decided.expect("chooser ran");
-                let reward = if victim_next_use == farthest_next_use {
-                    report.optimal_decisions += 1;
-                    1.0
-                } else if victim_next_use < inserted_next_use {
-                    report.harmful_decisions += 1;
-                    -1.0
-                } else {
-                    0.0
-                };
-                if let Some((ps, pa, pr)) = self.pending[partition].take() {
-                    self.replays[partition].push(Transition {
-                        state: ps,
-                        action: pa,
-                        reward: pr,
-                        next_state: state.clone(),
-                    });
-                }
-                self.pending[partition] = Some((state, action, reward));
-
-                decisions += 1;
-                if decisions.is_multiple_of(train_every) && !self.replays[partition].is_empty() {
-                    for _ in 0..batch {
-                        let t = self.replays[partition]
-                            .sample(&mut self.rng)
-                            .expect("buffer checked non-empty");
-                        losses += f64::from(self.agents[partition].learn(t));
-                        updates += 1;
-                    }
-                }
-            }
-        }
-        for (partition, pending) in self.pending.iter_mut().enumerate() {
-            if let Some((ps, pa, pr)) = pending.take() {
-                self.replays[partition].push(Transition {
-                    state: ps,
-                    action: pa,
-                    reward: pr,
-                    next_state: Vec::new(),
-                });
-            }
-        }
-        report.stats = *model.stats();
-        report.mean_loss = if updates == 0 { 0.0 } else { losses / updates as f64 };
-        report
+        train_partitions(&mut self.agents, &mut self.replays, &mut self.rng, trace, cache)
     }
 
     /// Greedy evaluation, each decision routed to the owning partition.
@@ -194,6 +120,31 @@ mod tests {
         // Training proceeds without degenerating (loss finite, stats sane).
         assert!(second.mean_loss.is_finite());
         assert!(second.stats.accesses == t.len() as u64);
+    }
+
+    /// Pins two epochs of a three-partition trainer and its greedy
+    /// evaluation to the bit: decision counts, reward tallies, the mean
+    /// loss's bits and every model counter.
+    #[test]
+    fn training_and_evaluation_are_pinned() {
+        let t = trace(3000);
+        let cache = cache();
+        let mut trainer = MultiAgentTrainer::new(3, AgentConfig::small(FeatureSet::full(), 11), &cache);
+        let digest = |r: &TrainingReport| {
+            (r.optimal_decisions, r.harmful_decisions, r.mean_loss.to_bits(), r.stats)
+        };
+        let first = trainer.train_epoch(&t, &cache);
+        let second = trainer.train_epoch(&t, &cache);
+        let stats = |hits: u64, decisions: u64| ModelStats {
+            accesses: 3000,
+            hits,
+            demand_accesses: 3000,
+            demand_hits: hits,
+            decisions,
+        };
+        assert_eq!(digest(&first), (841, 552, 4_600_837_673_532_444_632, stats(1591, 1393)));
+        assert_eq!(digest(&second), (1083, 186, 4_596_381_083_134_879_862, stats(1715, 1269)));
+        assert_eq!(trainer.evaluate(&t, &cache), stats(1772, 1212));
     }
 
     #[test]

@@ -12,7 +12,10 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline"
 # Every suite runs here exactly once: the differential walls (seed, scan,
 # dispatch, partition, timing, objcache), the golden hierarchy counters,
-# the fault and crash-consistency walls, and the cell-format fixtures.
+# the fault and crash-consistency walls, the cell-format fixtures, and the
+# Table I pin (tests/experiments_smoke.rs renders Table I, including its
+# MPPPB, Glider and Counter(AIP) storage formulas, byte for byte against
+# the committed results/ CSV).
 cargo test -q --offline --workspace
 
 echo "==> benchmark contract and seed-0 digests"

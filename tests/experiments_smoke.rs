@@ -49,3 +49,24 @@ fn csv_artifacts_are_written() {
     assert!(content.lines().count() > 10);
     assert!(content.starts_with("policy,"));
 }
+
+/// The committed Table I CSV is the pin: every row, including the three
+/// storage-formula rows (MPPPB, Glider, Counter(AIP)), must render byte for
+/// byte as it is stored under `results/`.
+#[test]
+fn table1_csv_matches_the_committed_artifact() {
+    let dir = std::env::temp_dir().join(format!("rlr_table1_pin_{}", std::process::id()));
+    let path = tables::table1().write_csv(&dir).expect("csv written");
+    let written = std::fs::read(&path).expect("readable");
+    let _ = std::fs::remove_dir_all(&dir);
+    let committed = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/results/table_i__hardware_overhead__16_way_2mb_llc.csv"
+    ))
+    .expect("committed Table I CSV");
+    assert_eq!(
+        String::from_utf8_lossy(&written),
+        String::from_utf8_lossy(&committed),
+        "Table I drifted from results/"
+    );
+}
