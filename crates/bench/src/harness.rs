@@ -1,5 +1,5 @@
 //! A minimal wall-clock harness for the `ci_smoke` timing target:
-//! [`bench`] prints an ungated row, [`paired_ratios`] measures a gated
+//! [`bench()`] prints an ungated row, [`paired_ratios`] measures a gated
 //! A/B ratio, and [`Bound::holds`] is the one rule every gate applies.
 //!
 //! Replaces the external `criterion` dependency so `cargo bench` works in
@@ -44,7 +44,7 @@ fn nearest_rank<T: Copy>(sorted: &[T], q: f64) -> T {
     sorted[(((n as f64) * q).ceil() as usize).clamp(1, n) - 1]
 }
 
-/// Times `f` over [`WARMUP_ITERS`] discarded + [`TIMED_ITERS`] timed
+/// Times `f` over `WARMUP_ITERS` discarded + `TIMED_ITERS` timed
 /// iterations and prints a one-line median/p90 summary.
 pub fn bench<R>(name: &str, mut f: impl FnMut() -> R) -> Measurement {
     for _ in 0..WARMUP_ITERS {

@@ -66,24 +66,25 @@ fn parse_policies(raw: &str) -> Result<Vec<PolicyKind>, ArgError> {
     raw.split(',').map(online_policy_by_name).collect()
 }
 
-/// `rlr list` — available benchmarks and policies.
-pub fn list() -> Result<(), ArgError> {
-    println!("SPEC CPU 2006 benchmarks ({}):", SPEC2006.len());
+/// What `rlr list` prints: the benchmarks, then one policy per line,
+/// each under a name [`policy_by_name`] resolves back to it.
+pub fn listing() -> String {
+    let mut out = format!("SPEC CPU 2006 benchmarks ({}):\n", SPEC2006.len());
     for chunk in SPEC2006.chunks(5) {
-        println!("  {}", chunk.join("  "));
+        out += &format!("  {}\n", chunk.join("  "));
     }
-    println!("\nCloudSuite benchmarks ({}):", CLOUDSUITE.len());
-    println!("  {}", CLOUDSUITE.join("  "));
-    println!("\nPolicies:");
+    out += &format!("\nCloudSuite benchmarks ({}):\n", CLOUDSUITE.len());
+    out += &format!("  {}\n", CLOUDSUITE.join("  "));
+    out += "\nPolicies:\n";
     for kind in PolicyKind::ALL_ONLINE {
-        println!(
-            "  {:12} {}",
-            kind.name(),
-            if kind.uses_pc() { "(PC-based)" } else { "" }
-        );
+        // The multicore RLR is `RLR` in figures and checkpoint keys, like
+        // the single-core design; list the alias that reaches it.
+        let name = if kind == PolicyKind::RlrMulticore { "RLR-MC" } else { kind.name() };
+        let note = if kind.uses_pc() { "(PC-based)" } else { "" };
+        out += &format!("  {name:12} {note}\n");
     }
-    println!("  {:12} (offline optimum; replay only)", "Belady");
-    Ok(())
+    out += &format!("  {:12} (offline optimum; replay only)\n", "Belady");
+    out
 }
 
 /// `rlr run <bench> [--policy P] [--instructions N] [--warmup N]

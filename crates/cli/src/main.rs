@@ -17,7 +17,10 @@ fn main() {
         }
     };
     let result = match parsed.command() {
-        "list" => commands::list(),
+        "list" => {
+            print!("{}", commands::listing());
+            Ok(())
+        }
         "run" => commands::run(&parsed),
         "compare" => commands::compare(&parsed),
         "replay" => commands::replay(&parsed),
@@ -47,7 +50,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use crate::commands::policy_by_name;
+    use crate::commands::{listing, policy_by_name};
     use experiments::PolicyKind;
 
     #[test]
@@ -58,5 +61,19 @@ mod tests {
         assert_eq!(policy_by_name("ship++").expect("shippp"), PolicyKind::ShipPp);
         assert_eq!(policy_by_name("OPT").expect("belady"), PolicyKind::Belady);
         assert!(policy_by_name("nonsense").is_err());
+    }
+
+    #[test]
+    fn every_listed_policy_name_resolves_to_a_distinct_policy() {
+        let listing = listing();
+        let (_, policies) = listing.split_once("Policies:\n").expect("a policy section");
+        let mut kinds = Vec::new();
+        for line in policies.lines() {
+            let name = line.split_whitespace().next().expect("a policy name");
+            let kind = policy_by_name(name).unwrap_or_else(|e| panic!("`{name}`: {e}"));
+            assert!(!kinds.contains(&kind), "`{name}` resolves to {kind:?} a second time");
+            kinds.push(kind);
+        }
+        assert_eq!(kinds.len(), PolicyKind::ALL_ONLINE.len() + 1, "every online policy and Belady");
     }
 }

@@ -13,7 +13,8 @@ const CORE_HIT_MAX: u32 = (1 << 12) - 1;
 ///
 /// See the [crate-level documentation](crate) for the algorithm. Construct
 /// with [`RlrPolicy::optimized`], [`RlrPolicy::unoptimized`],
-/// [`RlrPolicy::multicore`], or [`RlrPolicy::with_config`] for ablations.
+/// [`RlrPolicy::multicore`], [`RlrPolicy::with_config`] for ablations, or
+/// [`RlrPolicy::with_core_ranks`] for a fixed `P_core` table.
 #[derive(Clone, Debug)]
 pub struct RlrPolicy {
     config: RlrConfig,
@@ -110,6 +111,27 @@ impl RlrPolicy {
         }
     }
 
+    /// Builds RLR whose `P_core` term reads the fixed per-core table
+    /// `core_ranks`, never re-ranked (`core_priority_cores` stays 0); an
+    /// empty table turns `P_core` off, as [`RlrPolicy::with_config`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`RlrConfig::validate`] or ranks
+    /// cores itself, or if a rank overflows the victim key's 10-bit field.
+    pub fn with_core_ranks(config: RlrConfig, cache: &CacheConfig, core_ranks: Vec<u32>) -> Self {
+        assert_eq!(config.core_priority_cores, 0, "a fixed rank table replaces the hit ranking");
+        let top = u64::from(core_ranks.iter().copied().max().unwrap_or(0));
+        let fits = u64::from(config.age_weight) + 2 + top <= 1023;
+        assert!(fits, "maximum line priority must fit the victim key's 10-bit field");
+        let mut policy = Self::with_config(config, cache);
+        if !core_ranks.is_empty() {
+            policy.line_core = vec![0; cache.lines() as usize];
+        }
+        policy.core_priority = core_ranks;
+        policy
+    }
+
     /// The active configuration.
     pub fn config(&self) -> &RlrConfig {
         &self.config
@@ -186,32 +208,16 @@ impl RlrPolicy {
             *h /= 2;
         }
     }
-}
 
-impl ReplacementPolicy for RlrPolicy {
-    fn name(&self) -> String {
-        match (self.config == RlrConfig::optimized(), self.config == RlrConfig::unoptimized()) {
-            (true, _) => "RLR".to_owned(),
-            (_, true) => "RLR(unopt)".to_owned(),
-            _ if self.config.core_priority_cores > 0 => "RLR-MC".to_owned(),
-            _ => "RLR(custom)".to_owned(),
-        }
+    /// [`ReplacementPolicy::select_victim`] over only the ways in `mask`
+    /// (bit `w` = way `w`): ways outside it cast neither a key nor a
+    /// bypass vote. Panics if `mask` names no way of the set.
+    pub fn select_victim_masked(&self, set: u32, mask: u32) -> Decision {
+        self.victim(set, Some(mask))
     }
 
-    fn on_miss(&mut self, set: u32, _access: &Access) {
-        self.access_clock[set as usize] += 1;
-        self.miss_count[set as usize] += 1;
-        self.record_access();
-    }
-
-    fn uses_line_snapshots(&self) -> bool {
-        // Every input of the victim scan — including the per-line core for
-        // P_core — lives in the policy's own tables, so the cache never
-        // needs to build a snapshot for RLR.
-        false
-    }
-
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> Decision {
+    /// The victim of `set`, over every way or only the ways in `mask`.
+    fn victim(&self, set: u32, mask: Option<u32>) -> Decision {
         // The victim scan is the policy's hot loop: every set-wide value
         // (clock/epoch, RD, the configuration knobs, the slice bases) is
         // hoisted here, and the per-way argmin over the packed
@@ -246,11 +252,42 @@ impl ReplacementPolicy for RlrPolicy {
             cores: if self.line_core.is_empty() { &[] } else { &self.line_core[base..base + ways] },
             core_rank: &self.core_priority,
         };
-        let outcome = scan::scan_lanes(&params, &scan_ways);
+        let outcome = match mask {
+            None => scan::scan_lanes(&params, &scan_ways),
+            Some(mask) => scan::scan_masked_lanes(&params, &scan_ways, mask),
+        };
         if self.config.bypass && !outcome.any_past_rd {
             return Decision::Bypass;
         }
         Decision::Evict(outcome.victim())
+    }
+}
+
+impl ReplacementPolicy for RlrPolicy {
+    fn name(&self) -> String {
+        match (self.config == RlrConfig::optimized(), self.config == RlrConfig::unoptimized()) {
+            (true, _) => "RLR".to_owned(),
+            (_, true) => "RLR(unopt)".to_owned(),
+            _ if self.config.core_priority_cores > 0 => "RLR-MC".to_owned(),
+            _ => "RLR(custom)".to_owned(),
+        }
+    }
+
+    fn on_miss(&mut self, set: u32, _access: &Access) {
+        self.access_clock[set as usize] += 1;
+        self.miss_count[set as usize] += 1;
+        self.record_access();
+    }
+
+    fn uses_line_snapshots(&self) -> bool {
+        // Every input of the victim scan — including the per-line core for
+        // P_core — lives in the policy's own tables, so the cache never
+        // needs to build a snapshot for RLR.
+        false
+    }
+
+    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> Decision {
+        self.victim(set, None)
     }
 
     fn on_hit(&mut self, set: u32, way: u16, access: &Access) {
@@ -529,6 +566,67 @@ mod tests {
             Decision::Evict(w) => assert_eq!(w, 0, "low-hit core's line is the victim"),
             Decision::Bypass => panic!("unexpected bypass"),
         }
+    }
+
+    #[test]
+    fn fixed_core_ranks_protect_high_rank_cores_and_never_rerank() {
+        let mut p =
+            RlrPolicy::with_core_ranks(RlrConfig::unoptimized(), &cache_cfg(), vec![0, 5]);
+        p.rd = 31;
+        for w in 0..4 {
+            p.on_miss(0, &access(AccessKind::Load, (w % 2) as u8));
+            p.on_fill(0, w, &access(AccessKind::Load, (w % 2) as u8));
+        }
+        // Demand hits from core 0 alone would re-rank a multicore policy.
+        for _ in 0..2100 {
+            p.on_hit(0, 0, &access(AccessKind::Load, 0));
+        }
+        assert_eq!(p.core_priority, [0, 5], "a fixed table is never re-ranked");
+        assert_eq!(p.config().core_priority_cores, 0);
+        // Way 0 was hit (and refreshed); way 2 is core 0's other line.
+        assert_eq!(victim(&mut p, 0), 2, "the rank-0 core's line goes first");
+    }
+
+    #[test]
+    fn empty_core_ranks_are_the_plain_policy() {
+        let mut plain = RlrPolicy::unoptimized(&cache_cfg());
+        let mut ranked =
+            RlrPolicy::with_core_ranks(RlrConfig::unoptimized(), &cache_cfg(), Vec::new());
+        for (w, core) in [(0u16, 1u8), (1, 0), (2, 1), (3, 0)] {
+            for p in [&mut plain, &mut ranked] {
+                p.on_miss(0, &access(AccessKind::Load, core));
+                p.on_fill(0, w, &access(AccessKind::Load, core));
+            }
+        }
+        assert!(ranked.line_core.is_empty());
+        assert_eq!(victim(&mut ranked, 0), victim(&mut plain, 0));
+    }
+
+    #[test]
+    fn masked_victims_stay_inside_the_mask() {
+        let mut p = RlrPolicy::unoptimized(&cache_cfg());
+        p.rd = 31;
+        for w in 0..4 {
+            p.on_miss(0, &access(AccessKind::Load, 0));
+            p.on_fill(0, w, &access(AccessKind::Load, 0));
+        }
+        // Unmasked, exact recency evicts the newest fill (way 3).
+        assert_eq!(victim(&mut p, 0), 3);
+        assert_eq!(p.select_victim_masked(0, 0b0111), Decision::Evict(2));
+        assert_eq!(p.select_victim_masked(0, 0b0001), Decision::Evict(0));
+        assert_eq!(p.select_victim_masked(0, 0b1111), Decision::Evict(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "replaces the hit ranking")]
+    fn fixed_ranks_reject_a_multicore_config() {
+        RlrPolicy::with_core_ranks(RlrConfig::multicore(2), &cache_cfg(), vec![1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "10-bit field")]
+    fn fixed_ranks_must_fit_the_priority_field() {
+        RlrPolicy::with_core_ranks(RlrConfig::unoptimized(), &cache_cfg(), vec![1014, 0]);
     }
 
     #[test]

@@ -424,7 +424,7 @@ const TIMED_REPLAY_LEADING: u32 = 2;
 /// Replays a demand data stream through one core's private hierarchy and a
 /// shared LLC *under the timing model selected by `config.timing`*,
 /// returning simulated time. Each request retires a fixed
-/// [`TIMED_REPLAY_LEADING`]-instruction compute burst, then one
+/// `TIMED_REPLAY_LEADING`-instruction compute burst, then one
 /// independent memory op at whatever [`ServiceLevel`] the functional
 /// hierarchy reports — so the functional stream (and every hit/miss
 /// counter) is identical across timing modes, while cycles reflect the

@@ -206,7 +206,7 @@ const TICK_EVERY: usize = 4096;
 /// accesses, returning one [`run_tenant_mix`] result per mode.
 ///
 /// The interleave does not depend on the mode, so it is drawn once: each
-/// block of [`BLOCK`] accesses feeds every mode's [`MultiTenantLlc`] in
+/// block of `BLOCK` accesses feeds every mode's [`MultiTenantLlc`] in
 /// turn, and each mode sees exactly the stream it would see alone.
 pub fn run_tenant_modes(
     mix: &TenantMix,

@@ -17,7 +17,7 @@
 //!    - the *admission head* sees only what the runtime admission point
 //!      can afford for a non-resident object: the frequency-sketch
 //!      estimate (simulated over the trace with the same
-//!      [`FreqSketch`](crate::policy::FreqSketch) the cache runs), log
+//!      [`crate::policy::FreqSketch`] the cache runs), log
 //!      size, and TTL.
 //! 3. **Weight analysis** — each head's weights are rescaled to small
 //!    integers (max magnitude 8, the budget RLR's hardware rule uses).

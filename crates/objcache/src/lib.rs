@@ -13,7 +13,7 @@
 //!   differentially tested against.
 //! - [`policy`] — the shared policy contract: LRU / SLRU / GDSF baselines
 //!   and the integer-weight derived rule ([`DerivedWeights`]).
-//! - [`derive`] — the offline derivation loop that produces those weights
+//! - [`derive`](mod@derive) — the offline derivation loop that produces those weights
 //!   from a traffic trace.
 //!
 //! # Request semantics

@@ -57,6 +57,11 @@ impl Default for AgentConfig {
 }
 
 impl AgentConfig {
+    /// The largest `batch_size` [`Trainer::load_checkpoint`] accepts:
+    /// 2048× the in-tree configurations' 32, seconds per training round at
+    /// paper width (one bit flip can make 2^40, a year-long round).
+    pub const MAX_BATCH_SIZE: usize = 1 << 16;
+
     /// A reduced configuration for fast exploration (hill climbing, tests):
     /// a small hidden layer and lighter replay traffic.
     pub fn small(features: FeatureSet, seed: u64) -> Self {
@@ -442,7 +447,8 @@ impl Trainer {
     /// `InvalidData` error when a network, the target network or a replay
     /// transition does not fit `cache`'s geometry or the checkpoint's own
     /// configuration — a checkpoint that would otherwise panic on its first
-    /// update.
+    /// update — or when its `batch_size` is 0 or above
+    /// [`AgentConfig::MAX_BATCH_SIZE`].
     pub fn load_checkpoint<R: std::io::Read>(
         mut r: R,
         cache: &CacheConfig,
@@ -469,6 +475,9 @@ impl Trainer {
             target_sync: wire::read_u32(&mut r)?,
             seed: wire::read_u64(&mut r)?,
         };
+        if config.batch_size == 0 || config.batch_size > AgentConfig::MAX_BATCH_SIZE {
+            return Err(wire::bad_data("checkpoint batch size is out of range"));
+        }
         let mut states = [0u64; 8];
         for s in &mut states {
             *s = wire::read_u64(&mut r)?;

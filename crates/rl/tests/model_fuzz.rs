@@ -192,6 +192,26 @@ fn every_header_dimension_flip_of_an_mlp1_blob_is_rejected() {
 }
 
 #[test]
+fn every_high_bit_flip_of_the_checkpoint_batch_size_is_rejected() {
+    // Magic, version, epoch, feature bits, hidden width, four f32
+    // hyperparameters and the replay capacity precede the `u64` batch size.
+    const BATCH: usize = 4 + 4 + 8 + 4 + 8 + 4 * 4 + 8;
+    let blob = checkpoint_blob();
+    let field = u64::from_le_bytes(blob[BATCH..BATCH + 8].try_into().expect("8 bytes"));
+    assert_eq!(field, 32, "the batch size field sits at byte {BATCH}");
+    let ceiling = AgentConfig::MAX_BATCH_SIZE.trailing_zeros() as usize;
+    // Every flip at or above the ceiling's bit, plus the one that zeroes it.
+    let mut flipped = blob.clone();
+    for bit in (ceiling..64).chain([5]) {
+        let at = BATCH * 8 + bit;
+        flipped[at / 8] ^= 1 << (at % 8);
+        let outcome = probe(read_checkpoint, &flipped).unwrap_or_else(|e| panic!("bit {bit}: {e}"));
+        assert_eq!(outcome, None, "bit {bit}: a batch size of {} loaded", field ^ 1 << bit);
+        flipped[at / 8] ^= 1 << (at % 8);
+    }
+}
+
+#[test]
 fn random_bytes_are_rejected() {
     for (name, read, blob) in readers() {
         check(

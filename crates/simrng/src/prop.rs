@@ -3,7 +3,7 @@
 //!
 //! Replaces the external `proptest` dependency for the workspace's
 //! invariant suites. A property is a closure from a generated case to
-//! `Result<(), String>`; the [`prop_assert!`] family produces the `Err`
+//! `Result<(), String>`; the [`prop_assert!`](crate::prop_assert!) family produces the `Err`
 //! side with context. On failure the harness shrinks the case (halving
 //! vectors, halving scalars toward zero), then panics with the per-case
 //! seed so the exact failure replays under `PROP_SEED`.

@@ -4,12 +4,13 @@
 //! layers tenant identity, isolation, and QoS accounting over the packed
 //! [`cache_sim::SetAssocCache`]:
 //!
-//! * [`TenantPolicy`] — RLR's victim key extended with per-tenant state,
-//!   under one of three [`IsolationMode`]s: `Shared` (free-for-all),
-//!   `WayPartition` (per-tenant way masks enforced by the cache's fill
-//!   mask and the masked victim scan `rlr::scan::scan_masked`), and
-//!   `LearnedPriority` (a derived per-tenant priority table riding the
-//!   scan's packed core-rank path).
+//! * [`TenantPolicy`] — `RLR(unopt)` ([`rlr::RlrPolicy`]) in an isolation
+//!   shell, under one of three [`IsolationMode`]s: `Shared`
+//!   (free-for-all), `WayPartition` (per-tenant way masks enforced by the
+//!   cache's fill mask and the masked victim query
+//!   [`rlr::RlrPolicy::select_victim_masked`]), and `LearnedPriority` (a
+//!   derived per-tenant priority table as RLR's `P_core` term with a fixed
+//!   table, [`rlr::RlrPolicy::with_core_ranks`]).
 //! * [`MultiTenantLlc`] — the serving wrapper: tags every line with its
 //!   owning tenant, maintains per-tenant occupancy/hit/miss counters and
 //!   exact p50/p99 miss-latency histograms fed by the event timing

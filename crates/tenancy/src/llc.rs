@@ -13,7 +13,7 @@ use cache_sim::{
     SystemConfig,
 };
 
-use crate::policy::{IsolationMode, TenantPolicy, MAX_TENANTS};
+use crate::policy::{IsolationMode, TenantPolicy};
 
 /// Ticks the LLC's clock advances per access — the arrival cadence of the
 /// serving tier's request stream at the memory controller.
@@ -107,7 +107,7 @@ impl TenantQos {
     }
 }
 
-/// A shared LLC serving up to [`MAX_TENANTS`] tenants under one
+/// A shared LLC serving up to [`crate::MAX_TENANTS`] tenants under one
 /// [`IsolationMode`], with per-tenant QoS accounting.
 ///
 /// ```
@@ -123,7 +123,6 @@ impl TenantQos {
 /// ```
 pub struct MultiTenantLlc {
     cache: SetAssocCache<TenantPolicy>,
-    config: CacheConfig,
     tenants: u8,
     /// Per line slot: owning tenant + 1, 0 when the slot is empty. The
     /// mirror the occupancy counters are maintained from.
@@ -144,12 +143,10 @@ impl MultiTenantLlc {
     /// Panics on invalid tenant counts or mode tables (see
     /// [`TenantPolicy::new`]).
     pub fn new(config: &SystemConfig, tenants: u8, mode: IsolationMode) -> Self {
-        assert!(usize::from(tenants) <= MAX_TENANTS);
         let llc = config.llc;
         let policy = TenantPolicy::new(&llc, tenants, mode);
         Self {
             cache: SetAssocCache::new("MT-LLC", llc, policy),
-            config: llc,
             tenants,
             owner: vec![0; llc.lines() as usize],
             qos: vec![TenantQos::default(); usize::from(tenants)],
@@ -167,7 +164,7 @@ impl MultiTenantLlc {
 
     /// The LLC geometry.
     pub fn config(&self) -> &CacheConfig {
-        &self.config
+        self.cache.config()
     }
 
     /// The active isolation mode.
@@ -189,8 +186,8 @@ impl MultiTenantLlc {
     /// property walls cross-check per-set occupancy against way masks with
     /// this.
     pub fn set_owners(&self, set: u32) -> Vec<Option<u8>> {
-        let base = set as usize * usize::from(self.config.ways);
-        (0..usize::from(self.config.ways))
+        let base = set as usize * usize::from(self.cache.config().ways);
+        (0..usize::from(self.cache.config().ways))
             .map(|w| {
                 let o = self.owner[base + w];
                 (o != 0).then(|| o - 1)
@@ -211,7 +208,7 @@ impl MultiTenantLlc {
         let out = self.cache.access(&access);
 
         let line = addr >> 6;
-        let set = self.config.set_of(addr) as usize;
+        let set = self.cache.config().set_of(addr) as usize;
         let q = &mut self.qos[usize::from(tenant)];
         q.accesses += 1;
         if kind.is_demand() {
@@ -240,7 +237,7 @@ impl MultiTenantLlc {
         // hit, whose tag-store core field the cache rewrites) hands the
         // slot to `tenant`.
         if let Some(w) = out.way {
-            let idx = set * usize::from(self.config.ways) + usize::from(w);
+            let idx = set * usize::from(self.cache.config().ways) + usize::from(w);
             let prev = self.owner[idx];
             if prev != tenant + 1 {
                 if prev != 0 {

@@ -1,45 +1,33 @@
 //! The tenant-aware replacement policy behind [`crate::MultiTenantLlc`].
 //!
-//! [`TenantPolicy`] is RLR's victim key — `P = 8·P_age + P_type + P_hit`
-//! with exact-recency tie-breaking and the dynamically estimated reuse
-//! distance — extended for a serving tier where up to [`MAX_TENANTS`]
-//! tenants share one LLC. The tenant id rides in [`Access::core`] (the
-//! cache already tags every line with its last toucher there), and the
-//! [`IsolationMode`] decides what the victim scan does with it:
+//! [`TenantPolicy`] is `RLR(unopt)` — one [`RlrPolicy`] built from
+//! [`RlrConfig::unoptimized`], with 5-bit ages in set accesses, exact
+//! recency and the dynamically estimated reuse distance — in an isolation
+//! shell for up to [`MAX_TENANTS`] tenants sharing one LLC. The tenant id
+//! rides in [`Access::core`] (the cache already tags every line with its
+//! last toucher there), and the [`IsolationMode`] decides what the victim
+//! scan does with it:
 //!
 //! * [`IsolationMode::Shared`] — the id is ignored; plain RLR over the
 //!   whole set.
 //! * [`IsolationMode::WayPartition`] — each tenant owns a way mask;
-//!   fills are confined to it via [`ReplacementPolicy::fill_mask`] and the
-//!   victim scan runs the masked lane kernel ([`rlr::scan::scan_masked`])
-//!   over the tenant's slice only, so no tenant can evict outside its
-//!   partition.
+//!   fills are confined to it via [`ReplacementPolicy::fill_mask`] and
+//!   [`RlrPolicy::select_victim_masked`] scans the tenant's slice only, so
+//!   no tenant can evict outside its partition.
 //! * [`IsolationMode::LearnedPriority`] — the per-tenant priority table
 //!   (derived offline by the weight-analysis loop in
-//!   `experiments::tenancy`) feeds the scan's packed core-rank path: a
-//!   tenant's rank is added to every one of its lines' priorities, exactly
-//!   like the paper's `P_core` but with learned levels instead of
+//!   `experiments::tenancy`) is RLR's `P_core` term with a fixed table
+//!   ([`RlrPolicy::with_core_ranks`]): a tenant's rank is added to every
+//!   one of its lines' priorities, with learned levels instead of
 //!   demand-hit ranks.
 
-use cache_sim::{Access, AccessKind, CacheConfig, Decision, LineSnapshot, ReplacementPolicy};
-use rlr::packed::LineMeta;
-use rlr::scan::{self, ScanParams, ScanWays};
+use cache_sim::{Access, CacheConfig, Decision, LineSnapshot, ReplacementPolicy};
+use rlr::{RlrConfig, RlrPolicy};
 
 /// Most tenants one LLC serves: the scan's packed rank path covers 8
 /// cores, and tenant ids share that plumbing.
 pub const MAX_TENANTS: usize = 8;
 
-/// Saturation bound of the per-line age counter (5-bit, the unoptimized
-/// RLR age so partitions as narrow as 2 ways still resolve ages).
-const MAX_AGE: u64 = 31;
-/// Weight of the age term in the victim key.
-const AGE_WEIGHT: u32 = 8;
-/// Demand hits per RD-estimator window.
-const DEMAND_HIT_WINDOW: u32 = 32;
-/// RD = `RD_MULTIPLIER ×` average preuse distance.
-const RD_MULTIPLIER: f64 = 2.0;
-/// Accesses tolerated without an RD update before the estimate resets.
-const RD_STALE_LIMIT: u64 = 2048;
 /// Largest learned priority level (fits the scan's packed one-byte ranks
 /// and keeps the summed priority far below the key's 10-bit field).
 pub const MAX_PRIORITY: u32 = 255;
@@ -117,31 +105,15 @@ pub fn partition_by_weight(ways: u16, weights: &[u32]) -> Vec<u32> {
     masks
 }
 
-/// The tenant-aware RLR policy. See the [module docs](self) for the three
-/// isolation modes.
+/// The tenant-aware RLR policy: `RLR(unopt)` under one of the three
+/// [`IsolationMode`]s.
 #[derive(Clone, Debug)]
 pub struct TenantPolicy {
     mode: IsolationMode,
-    ways: u16,
     tenants: u8,
-    /// Per-set access clock (ages count set accesses; exact recency).
-    access_clock: Vec<u64>,
-    /// Per-line: access-clock stamp at last touch.
-    access_stamp: Vec<u64>,
-    /// Per-line: packed hit/type metadata.
-    meta: Vec<LineMeta>,
-    /// Per-line: owning tenant (inserted or last touched), the scan's
-    /// `cores` input.
-    line_tenant: Vec<u8>,
-    /// Predicted reuse distance (set accesses).
-    rd: u64,
-    preuse_accum: u64,
-    window_hits: u32,
-    accesses_since_rd_update: u64,
-    /// Per-tenant priority levels (LearnedPriority), else empty.
-    tenant_rank: Vec<u32>,
-    /// Per-tenant fill masks (WayPartition), else empty.
-    fill_masks: Vec<u32>,
+    /// The replacement state machine: `RLR(unopt)`, whose fixed `P_core`
+    /// table holds the tenant ranks under `LearnedPriority`.
+    rlr: RlrPolicy,
 }
 
 impl TenantPolicy {
@@ -156,46 +128,27 @@ impl TenantPolicy {
     pub fn new(cache: &CacheConfig, tenants: u8, mode: IsolationMode) -> Self {
         assert!(tenants >= 1, "at least one tenant");
         assert!(usize::from(tenants) <= MAX_TENANTS, "at most {MAX_TENANTS} tenants");
-        let ways_bits: u32 = if usize::from(cache.ways) >= 32 {
-            u32::MAX
-        } else {
-            (1u32 << cache.ways) - 1
-        };
-        let (tenant_rank, fill_masks) = match &mode {
-            IsolationMode::Shared => (Vec::new(), Vec::new()),
+        let ways_bits = ((1u64 << cache.ways.min(32)) - 1) as u32;
+        let ranks = match &mode {
+            IsolationMode::Shared => Vec::new(),
             IsolationMode::WayPartition(masks) => {
                 assert_eq!(masks.len(), usize::from(tenants), "one mask per tenant");
                 for (t, &m) in masks.iter().enumerate() {
                     assert!(m & ways_bits != 0, "tenant {t} has an empty way mask");
                     assert!(m & !ways_bits == 0, "tenant {t}'s mask reaches outside the set");
                 }
-                (Vec::new(), masks.clone())
+                Vec::new()
             }
             IsolationMode::LearnedPriority(ranks) => {
                 assert_eq!(ranks.len(), usize::from(tenants), "one rank per tenant");
                 for (t, &r) in ranks.iter().enumerate() {
                     assert!(r <= MAX_PRIORITY, "tenant {t}'s priority {r} exceeds {MAX_PRIORITY}");
                 }
-                (ranks.clone(), Vec::new())
+                ranks.clone()
             }
         };
-        let lines = cache.lines() as usize;
-        Self {
-            mode,
-            ways: cache.ways,
-            tenants,
-            access_clock: vec![0; cache.sets as usize],
-            access_stamp: vec![0; lines],
-            meta: vec![LineMeta::default(); lines],
-            line_tenant: vec![0; lines],
-            // Fully protective until the estimator has seen real reuse.
-            rd: MAX_AGE,
-            preuse_accum: 0,
-            window_hits: 0,
-            accesses_since_rd_update: 0,
-            tenant_rank,
-            fill_masks,
-        }
+        let rlr = RlrPolicy::with_core_ranks(RlrConfig::unoptimized(), cache, ranks);
+        Self { mode, tenants, rlr }
     }
 
     /// The active isolation mode.
@@ -205,25 +158,13 @@ impl TenantPolicy {
 
     /// The current predicted reuse distance (set accesses).
     pub fn predicted_reuse_distance(&self) -> u64 {
-        self.rd
-    }
-
-    fn idx(&self, set: u32, way: u16) -> usize {
-        set as usize * usize::from(self.ways) + usize::from(way)
+        self.rlr.predicted_reuse_distance()
     }
 
     fn tenant_of(&self, access: &Access) -> usize {
         let t = usize::from(access.core);
         assert!(t < usize::from(self.tenants), "access from unknown tenant {t}");
         t
-    }
-
-    fn record_access(&mut self) {
-        self.accesses_since_rd_update += 1;
-        if self.accesses_since_rd_update > RD_STALE_LIMIT {
-            self.rd = MAX_AGE;
-            self.accesses_since_rd_update = 0;
-        }
     }
 }
 
@@ -232,9 +173,8 @@ impl ReplacementPolicy for TenantPolicy {
         format!("Tenant[{}]", self.mode.name())
     }
 
-    fn on_miss(&mut self, set: u32, _access: &Access) {
-        self.access_clock[set as usize] += 1;
-        self.record_access();
+    fn on_miss(&mut self, set: u32, access: &Access) {
+        self.rlr.on_miss(set, access);
     }
 
     fn uses_line_snapshots(&self) -> bool {
@@ -244,78 +184,29 @@ impl ReplacementPolicy for TenantPolicy {
 
     fn fill_mask(&self, access: &Access) -> u32 {
         match &self.mode {
-            IsolationMode::WayPartition(_) => self.fill_masks[self.tenant_of(access)],
+            IsolationMode::WayPartition(masks) => masks[self.tenant_of(access)],
             _ => u32::MAX,
         }
     }
 
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], access: &Access) -> Decision {
-        let ways = usize::from(self.ways);
-        let base = self.idx(set, 0);
-        let clock = self.access_clock[set as usize];
-        let params = ScanParams {
-            now: clock,
-            clock,
-            rd: self.rd,
-            max_age: MAX_AGE,
-            age_weight: AGE_WEIGHT,
-            use_type: true,
-            use_hit: true,
-            exact_recency: true,
-        };
-        let stamps = &self.access_stamp[base..base + ways];
-        let scan_ways = ScanWays {
-            age_stamps: stamps,
-            rec_stamps: stamps,
-            metas: &self.meta[base..base + ways],
-            cores: &self.line_tenant[base..base + ways],
-            core_rank: &self.tenant_rank,
-        };
-        let outcome = match &self.mode {
-            // The masked kernel can only name a way inside the tenant's
+    fn select_victim(&mut self, set: u32, lines: &[LineSnapshot], access: &Access) -> Decision {
+        match &self.mode {
+            // The masked query can only name a way inside the tenant's
             // slice, and the cache filled every invalid slice way before
             // consulting us, so the scanned metadata is always live.
-            IsolationMode::WayPartition(_) => {
-                let mask = self.fill_masks[self.tenant_of(access)];
-                scan::scan_masked_lanes(&params, &scan_ways, mask)
+            IsolationMode::WayPartition(masks) => {
+                self.rlr.select_victim_masked(set, masks[self.tenant_of(access)])
             }
-            _ => scan::scan_lanes(&params, &scan_ways),
-        };
-        Decision::Evict(outcome.victim())
+            _ => self.rlr.select_victim(set, lines, access),
+        }
     }
 
     fn on_hit(&mut self, set: u32, way: u16, access: &Access) {
-        let i = self.idx(set, way);
-        // Preuse distance: the line's age at the moment of the hit.
-        let preuse = (self.access_clock[set as usize] - self.access_stamp[i]).min(MAX_AGE);
-        self.access_clock[set as usize] += 1;
-        self.record_access();
-        if access.kind.is_demand() {
-            if self.meta[i].last_demand() {
-                self.preuse_accum += preuse;
-                self.window_hits += 1;
-            }
-            if self.window_hits == DEMAND_HIT_WINDOW {
-                let avg = self.preuse_accum as f64 / f64::from(DEMAND_HIT_WINDOW);
-                self.rd = (avg * RD_MULTIPLIER).round() as u64;
-                self.preuse_accum = 0;
-                self.window_hits = 0;
-                self.accesses_since_rd_update = 0;
-            }
-        }
-        let meta = &mut self.meta[i];
-        meta.set_hit_count((meta.hit_count() + 1).min(LineMeta::HIT_MASK));
-        meta.set_access_type(access.kind == AccessKind::Prefetch, access.kind.is_demand());
-        self.line_tenant[i] = access.core;
-        self.access_stamp[i] = self.access_clock[set as usize];
+        self.rlr.on_hit(set, way, access);
     }
 
     fn on_fill(&mut self, set: u32, way: u16, access: &Access) {
-        let i = self.idx(set, way);
-        self.meta[i] =
-            LineMeta::filled(access.kind == AccessKind::Prefetch, access.kind.is_demand());
-        self.line_tenant[i] = access.core;
-        self.access_stamp[i] = self.access_clock[set as usize];
+        self.rlr.on_fill(set, way, access);
     }
 
     fn overhead_bits(&self, config: &CacheConfig) -> u64 {
@@ -333,6 +224,8 @@ impl ReplacementPolicy for TenantPolicy {
 
 #[cfg(test)]
 mod tests {
+    use cache_sim::AccessKind;
+
     use super::*;
 
     fn cfg() -> CacheConfig {

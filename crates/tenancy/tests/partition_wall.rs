@@ -13,12 +13,12 @@
 //! Failures shrink toward a minimal counterexample and report a
 //! `PROP_SEED` for exact replay, like the other differential walls.
 
-use cache_sim::{AccessKind, CacheConfig, SystemConfig};
+use cache_sim::{Access, AccessKind, AccessOutcome, CacheConfig, SetAssocCache, SystemConfig};
 use rlr::packed::LineMeta;
 use rlr::scan::{self, ScanParams, ScanWays};
 use simrng::prop::{check, Config};
 use simrng::{prop_assert, prop_assert_eq, Rng, SimRng};
-use tenancy::{partition_by_weight, IsolationMode, MultiTenantLlc};
+use tenancy::{partition_by_weight, IsolationMode, MultiTenantLlc, TenantPolicy};
 
 /// One way's generated inputs: `(age_stamp, rec_stamp, meta_bits, core)`.
 type WayInput = (u64, u64, u8, u8);
@@ -242,4 +242,87 @@ fn one_way_partition_pins_a_tenant_to_one_line_per_set() {
         assert_eq!(owners[0], Some(0), "the partition's single way is in use");
         assert!(owners[1..].iter().all(Option::is_none), "ways 1..3 stay empty");
     }
+}
+
+/// FNV-1a over the little-endian bytes of `word`, chained from `hash`.
+fn fnv1a_word(hash: u64, word: u64) -> u64 {
+    word.to_le_bytes()
+        .iter()
+        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Runs a fixed mixed-kind, three-tenant stream through a bare
+/// `SetAssocCache<TenantPolicy>` and digests every [`AccessOutcome`],
+/// the predicted reuse distance every 512 accesses, and its final value.
+/// Returns `(digest, distinct RD values seen)`.
+fn tenant_policy_digest(mode: IsolationMode) -> (u64, usize) {
+    let llc = CacheConfig { sets: 16, ways: 8, latency: 26 };
+    let mut cache = SetAssocCache::new("pin", llc, TenantPolicy::new(&llc, 3, mode));
+    let mut rng = SimRng::seed_from_u64(0x5eed_7e4a_4c1e_0024);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut rds = Vec::new();
+    for seq in 0..24_000u64 {
+        let tenant = rng.gen_range(0..3u64) as u8;
+        // Reuse-heavy phases around a pure streaming phase: the RD
+        // estimator sees demand-hit windows, then the stale-RD escape.
+        let streaming = (9_000..13_000).contains(&seq);
+        let line = if streaming {
+            (1 << 30) + seq
+        } else {
+            match rng.gen_range(0..8u64) {
+                // A region every tenant touches (ownership moves on hits).
+                0 => rng.gen_range(0..32u64),
+                1..=4 => rng.gen_range(0..96u64) | (u64::from(tenant) + 1) << 20,
+                _ => rng.gen_range(0..1_024u64) | (u64::from(tenant) + 1) << 20,
+            }
+        };
+        let kind = AccessKind::ALL[rng.gen_range(0..4u64) as usize];
+        let pc = 0x400 + 4 * rng.gen_range(0..6u64);
+        let out: AccessOutcome =
+            cache.access(&Access { pc, addr: line << 6, kind, core: tenant, seq });
+        let option = |o: Option<u64>| o.map_or(0, |v| v + 1);
+        for word in [
+            u64::from(out.hit),
+            option(out.way.map(u64::from)),
+            u64::from(out.bypassed),
+            option(out.writeback),
+            option(out.evicted),
+        ] {
+            hash = fnv1a_word(hash, word);
+        }
+        if seq % 512 == 0 {
+            let rd = cache.policy().predicted_reuse_distance();
+            hash = fnv1a_word(hash, rd);
+            rds.push(rd);
+        }
+    }
+    let rd = cache.policy().predicted_reuse_distance();
+    rds.push(rd);
+    rds.sort_unstable();
+    rds.dedup();
+    (fnv1a_word(hash, rd), rds.len())
+}
+
+/// Pins `TenantPolicy`'s exact victim choices and RD trajectory in every
+/// isolation mode on a stream that mixes all four access kinds — the
+/// prefetch and writeback kinds drive the RD filter and the type term,
+/// which the Load-only tenancy mixes never reach. Any change to the
+/// policy's replacement state machine moves these digests.
+#[test]
+fn tenant_policy_outcomes_are_pinned_on_mixed_kind_streams() {
+    let modes = [
+        IsolationMode::Shared,
+        IsolationMode::WayPartition(partition_by_weight(8, &[4, 2, 1])),
+        IsolationMode::LearnedPriority(vec![4, 1, 0]),
+    ];
+    let digests: Vec<(u64, usize)> = modes.into_iter().map(tenant_policy_digest).collect();
+    for &(_, distinct_rds) in &digests {
+        assert!(distinct_rds > 2, "the RD estimator must move during the stream");
+    }
+    let digests: Vec<u64> = digests.iter().map(|d| d.0).collect();
+    assert_eq!(
+        digests,
+        [0xe210_41ae_16ed_fecd, 0xbb0a_7738_9b70_ad1d, 0x9dc4_1ac8_353d_11ef],
+        "digests {digests:#018x?}"
+    );
 }

@@ -10,7 +10,7 @@
 //! ```
 //!
 //! Each block holds up to `block_len` records, columnar-encoded
-//! ([`encode_block`]) and compressed with the in-tree LZ codec; a payload
+//! (`encode_block`) and compressed with the in-tree LZ codec; a payload
 //! that does not shrink is stored raw, signalled by `comp_len == raw_len`.
 //! Blocks are self-contained (delta bases restart at zero), so a reader
 //! needs O(block) memory, corruption is confined to one block, and the

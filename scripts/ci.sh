@@ -9,6 +9,13 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
+echo "==> cargo doc --offline (warnings are errors)"
+# Every intra-doc link must resolve and may name only public items, so a
+# renamed or deleted item fails here instead of rotting in the docs.
+# `--lib` leaves out the `rlr` binary, whose doc output would collide with
+# the `rlr` library's.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --lib
+
 echo "==> cargo test -q --offline"
 # Every suite runs here exactly once: the differential walls (seed, scan,
 # dispatch, partition, timing, objcache), the golden hierarchy counters,
