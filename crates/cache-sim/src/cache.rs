@@ -19,7 +19,7 @@
 
 use crate::access::{Access, AccessKind};
 use crate::config::CacheConfig;
-use crate::replacement::{Decision, LineSnapshot, ReplacementPolicy, TrueLru};
+use crate::replacement::{LineSnapshot, ReplacementPolicy, TrueLru};
 use crate::stats::CacheStats;
 
 /// Maximum associativity supported without heap allocation on the victim
@@ -31,10 +31,8 @@ pub(crate) const MAX_WAYS: usize = 32;
 pub struct AccessOutcome {
     /// The access hit.
     pub hit: bool,
-    /// The way that served or received the line (`None` if bypassed).
-    pub way: Option<u16>,
-    /// The policy chose to bypass the fill.
-    pub bypassed: bool,
+    /// The way that served or received the line: every miss allocates.
+    pub way: u16,
     /// Line address of a dirty victim that must be written back below.
     pub writeback: Option<u64>,
     /// Line address of the evicted victim, dirty or clean.
@@ -50,8 +48,8 @@ pub struct AccessOutcome {
 /// * invalid ways are filled before the policy is consulted (lowest index
 ///   first),
 /// * dirty victims produce a writeback to the level below,
-/// * [`Decision::Bypass`] is honoured only when bypass is enabled and the
-///   access is not a writeback.
+/// * otherwise the way [`ReplacementPolicy::select_victim`] returns is
+///   evicted; no fill is ever declined.
 ///
 /// ```
 /// use cache_sim::{Access, AccessKind, CacheConfig, SetAssocCache, TrueLru};
@@ -84,7 +82,6 @@ pub struct SetAssocCache<P: ReplacementPolicy = Box<dyn ReplacementPolicy>> {
     /// construction.
     wants_snapshots: bool,
     stats: CacheStats,
-    allow_bypass: bool,
     /// If set, RFO accesses dirty the line (used at L1, where RFO models a
     /// store; at L2/LLC an RFO is a read and data is dirtied only by a
     /// later writeback).
@@ -119,14 +116,8 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
             policy,
             wants_snapshots,
             stats: CacheStats::default(),
-            allow_bypass: false,
             rfo_dirties: false,
         }
-    }
-
-    /// Enables honouring [`Decision::Bypass`] from the policy.
-    pub fn set_allow_bypass(&mut self, allow: bool) {
-        self.allow_bypass = allow;
     }
 
     /// Makes RFO accesses mark lines dirty (L1 store semantics).
@@ -228,7 +219,7 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
             }
             self.cores[base + way as usize] = access.core;
             self.policy.on_hit(set as u32, way, access);
-            return AccessOutcome { hit: true, way: Some(way), ..AccessOutcome::default() };
+            return AccessOutcome { hit: true, way, ..AccessOutcome::default() };
         }
 
         self.stats.record(access.kind, false);
@@ -238,11 +229,10 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
         // (the default mask is all-ones, so unpartitioned policies keep the
         // plain invalid-way scan).
         let free = !self.valid[set] & self.ways_mask & self.policy.fill_mask(access);
-        let (victim_way, mut outcome) = if free != 0 {
-            let w = free.trailing_zeros() as u16;
-            (w, AccessOutcome { hit: false, way: Some(w), ..AccessOutcome::default() })
+        let outcome = if free != 0 {
+            AccessOutcome { way: free.trailing_zeros() as u16, ..AccessOutcome::default() }
         } else {
-            let decision = if self.wants_snapshots {
+            let w = if self.wants_snapshots {
                 let valid = self.valid[set];
                 let dirty = self.dirty[set];
                 let mut snapshot =
@@ -263,27 +253,16 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
             } else {
                 self.policy.select_victim(set as u32, &[], access)
             };
-            match decision {
-                Decision::Evict(w) => {
-                    assert!(
-                        (w as usize) < ways,
-                        "policy {} chose way {w} of {ways} in cache {}",
-                        self.policy.name(),
-                        self.name
-                    );
-                    self.evict(set, base, w)
-                }
-                Decision::Bypass => {
-                    if self.allow_bypass && access.kind != AccessKind::Writeback {
-                        self.stats.bypasses += 1;
-                        return AccessOutcome { hit: false, bypassed: true, ..AccessOutcome::default() };
-                    }
-                    // Bypass not permitted here: fall back deterministically.
-                    self.evict(set, base, 0)
-                }
-            }
+            assert!(
+                (w as usize) < ways,
+                "policy {} chose way {w} of {ways} in cache {}",
+                self.policy.name(),
+                self.name
+            );
+            self.evict(set, base, w)
         };
 
+        let victim_way = outcome.way;
         self.valid[set] |= 1 << victim_way;
         self.tags[base + victim_way as usize] = line;
         let dirties = access.kind == AccessKind::Writeback
@@ -295,29 +274,19 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
         }
         self.cores[base + victim_way as usize] = access.core;
         self.policy.on_fill(set as u32, victim_way, access);
-        outcome.way = Some(victim_way);
         outcome
     }
 
     /// Evicts way `w` of a full `set`, accounting the writeback if dirty.
     #[inline]
-    fn evict(&mut self, set: usize, base: usize, w: u16) -> (u16, AccessOutcome) {
+    fn evict(&mut self, set: usize, base: usize, w: u16) -> AccessOutcome {
         let victim_line = self.tags[base + w as usize];
         let writeback = (self.dirty[set] & (1 << w) != 0).then_some(victim_line);
         if writeback.is_some() {
             self.stats.writebacks_out += 1;
         }
         self.stats.evictions += 1;
-        (
-            w,
-            AccessOutcome {
-                hit: false,
-                way: Some(w),
-                writeback,
-                evicted: Some(victim_line),
-                ..AccessOutcome::default()
-            },
-        )
+        AccessOutcome { hit: false, way: w, writeback, evicted: Some(victim_line) }
     }
 }
 
@@ -506,13 +475,12 @@ mod tests {
             "SlicedLRU".to_owned()
         }
 
-        fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> Decision {
+        fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> u16 {
             let base = set as usize * usize::from(self.ways);
-            let w = (0..self.ways)
+            (0..self.ways)
                 .filter(|&w| self.mask & (1 << w) != 0)
                 .min_by_key(|&w| self.stamps[base + usize::from(w)])
-                .expect("mask has eligible ways");
-            Decision::Evict(w)
+                .expect("mask has eligible ways")
         }
 
         fn on_hit(&mut self, set: u32, way: u16, _access: &Access) {
@@ -550,7 +518,7 @@ mod tests {
         );
         for i in 0..8 {
             let out = c.access(&load(i * 64));
-            let w = out.way.expect("filled");
+            let w = out.way;
             assert!(0b0110 & (1 << w) != 0, "fill landed outside the mask");
         }
         // Ways outside the slice never became valid.

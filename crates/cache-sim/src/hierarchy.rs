@@ -117,11 +117,6 @@ impl<P: ReplacementPolicy> SharedLlc<P> {
         self.capture.as_mut().map(std::mem::take)
     }
 
-    /// Allows the policy's [`crate::Decision::Bypass`] to be honoured.
-    pub fn set_allow_bypass(&mut self, allow: bool) {
-        self.cache.set_allow_bypass(allow);
-    }
-
     /// Starts recording background memory traffic (prefetch fill reads and
     /// dirty writebacks) for the event timing model. Purely observational:
     /// functional behaviour is unchanged.
@@ -502,7 +497,7 @@ impl CoreHierarchy {
         }
         let access = Access { pc, addr, kind, core: self.core, seq: 0 };
         let out = self.l1d.access(&access);
-        self.last_l1d = out.way.map(|w| (line, w));
+        self.last_l1d = Some((line, out.way));
         let level = if out.hit {
             ServiceLevel::L1
         } else {
@@ -518,7 +513,7 @@ impl CoreHierarchy {
                 let pf =
                     Access { pc, addr: pf_addr, kind: AccessKind::Prefetch, core: self.core, seq: 0 };
                 let pf_out = self.l1d.access(&pf);
-                self.last_l1d = pf_out.way.map(|w| (pf_addr >> 6, w));
+                self.last_l1d = Some((pf_addr >> 6, pf_out.way));
                 self.access_l2(pc, pf_addr, AccessKind::Prefetch, llc);
                 if let Some(wb) = pf_out.writeback {
                     self.writeback_to_l2(wb, llc);
@@ -541,7 +536,7 @@ impl CoreHierarchy {
         }
         let access = Access { pc, addr: pc, kind: AccessKind::Load, core: self.core, seq: 0 };
         let out = self.l1i.access(&access);
-        self.last_l1i = out.way.map(|w| (line, w));
+        self.last_l1i = Some((line, out.way));
         let level = if out.hit {
             ServiceLevel::L1
         } else {
@@ -554,7 +549,7 @@ impl CoreHierarchy {
                 let pf =
                     Access { pc, addr: pf_addr, kind: AccessKind::Prefetch, core: self.core, seq: 0 };
                 let pf_out = self.l1i.access(&pf);
-                self.last_l1i = pf_out.way.map(|w| (pf_addr >> 6, w));
+                self.last_l1i = Some((pf_addr >> 6, pf_out.way));
                 self.access_l2(pc, pf_addr, AccessKind::Prefetch, llc);
             }
         }

@@ -48,7 +48,7 @@ pub use event::{EventCore, MemTraffic};
 pub use config::{CacheConfig, L2PrefetcherKind, SystemConfig};
 pub use hierarchy::{CoreHierarchy, DataRequest, LlcOutcome, ServiceLevel, SharedLlc};
 pub use prefetch::{IpStridePrefetcher, KpcPrefetcher, NextLinePrefetcher, PrefetchRequest, Prefetcher};
-pub use replacement::{Decision, LineSnapshot, RandomLite, ReplacementPolicy, TrueLru};
+pub use replacement::{LineSnapshot, RandomLite, ReplacementPolicy, TrueLru};
 pub use stats::{CacheStats, KindCounts};
 pub use system::{MultiCoreSystem, RunStats, SingleCoreSystem};
 pub use timing::{CoreTiming, TimingMode, TimingModel};

@@ -14,7 +14,7 @@
 use crate::access::{Access, AccessKind};
 use crate::cache::AccessOutcome;
 use crate::config::CacheConfig;
-use crate::replacement::{Decision, LineSnapshot, ReplacementPolicy};
+use crate::replacement::{LineSnapshot, ReplacementPolicy};
 use crate::stats::CacheStats;
 
 /// Maximum associativity supported without heap allocation on the victim
@@ -39,7 +39,6 @@ pub struct ReferenceCache {
     lines: Vec<Line>,
     policy: Box<dyn ReplacementPolicy>,
     stats: CacheStats,
-    allow_bypass: bool,
     rfo_dirties: bool,
 }
 
@@ -64,14 +63,8 @@ impl ReferenceCache {
             lines: vec![Line::default(); config.lines() as usize],
             policy,
             stats: CacheStats::default(),
-            allow_bypass: false,
             rfo_dirties: false,
         }
-    }
-
-    /// Enables honouring [`Decision::Bypass`] from the policy.
-    pub fn set_allow_bypass(&mut self, allow: bool) {
-        self.allow_bypass = allow;
     }
 
     /// Makes RFO accesses mark lines dirty (L1 store semantics).
@@ -139,7 +132,7 @@ impl ReferenceCache {
             }
             l.core = access.core;
             self.policy.on_hit(set, way, access);
-            return AccessOutcome { hit: true, way: Some(way), ..AccessOutcome::default() };
+            return AccessOutcome { hit: true, way, ..AccessOutcome::default() };
         }
 
         self.stats.record(access.kind, false);
@@ -147,73 +140,36 @@ impl ReferenceCache {
 
         // Fill an invalid way if one exists.
         let invalid_way = (0..ways).find(|&w| !self.lines[base + w].valid).map(|w| w as u16);
-        let (victim_way, mut outcome) = if let Some(w) = invalid_way {
-            (w, AccessOutcome { hit: false, way: Some(w), ..AccessOutcome::default() })
+        let outcome = if let Some(w) = invalid_way {
+            AccessOutcome { hit: false, way: w, ..AccessOutcome::default() }
         } else {
             let mut snapshot = [LineSnapshot { valid: false, line: 0, dirty: false, core: 0 }; MAX_WAYS];
-            for w in 0..ways {
-                let l = &self.lines[base + w];
-                snapshot[w] = LineSnapshot { valid: l.valid, line: l.line, dirty: l.dirty, core: l.core };
+            for (slot, l) in snapshot.iter_mut().zip(&self.lines[base..base + ways]) {
+                *slot = LineSnapshot { valid: l.valid, line: l.line, dirty: l.dirty, core: l.core };
             }
-            match self.policy.select_victim(set, &snapshot[..ways], access) {
-                Decision::Evict(w) => {
-                    assert!(
-                        (w as usize) < ways,
-                        "policy {} chose way {w} of {ways} in cache {}",
-                        self.policy.name(),
-                        self.name
-                    );
-                    let victim = self.lines[base + w as usize];
-                    let writeback = victim.dirty.then_some(victim.line);
-                    if writeback.is_some() {
-                        self.stats.writebacks_out += 1;
-                    }
-                    self.stats.evictions += 1;
-                    (
-                        w,
-                        AccessOutcome {
-                            hit: false,
-                            way: Some(w),
-                            writeback,
-                            evicted: Some(victim.line),
-                            ..AccessOutcome::default()
-                        },
-                    )
-                }
-                Decision::Bypass => {
-                    if self.allow_bypass && access.kind != AccessKind::Writeback {
-                        self.stats.bypasses += 1;
-                        return AccessOutcome { hit: false, bypassed: true, ..AccessOutcome::default() };
-                    }
-                    // Bypass not permitted here: fall back deterministically.
-                    let victim = self.lines[base];
-                    let writeback = victim.dirty.then_some(victim.line);
-                    if writeback.is_some() {
-                        self.stats.writebacks_out += 1;
-                    }
-                    self.stats.evictions += 1;
-                    (
-                        0,
-                        AccessOutcome {
-                            hit: false,
-                            way: Some(0),
-                            writeback,
-                            evicted: Some(victim.line),
-                            ..AccessOutcome::default()
-                        },
-                    )
-                }
+            let w = self.policy.select_victim(set, &snapshot[..ways], access);
+            assert!(
+                (w as usize) < ways,
+                "policy {} chose way {w} of {ways} in cache {}",
+                self.policy.name(),
+                self.name
+            );
+            let victim = self.lines[base + w as usize];
+            let writeback = victim.dirty.then_some(victim.line);
+            if writeback.is_some() {
+                self.stats.writebacks_out += 1;
             }
+            self.stats.evictions += 1;
+            AccessOutcome { hit: false, way: w, writeback, evicted: Some(victim.line) }
         };
 
-        let slot = &mut self.lines[base + victim_way as usize];
+        let slot = &mut self.lines[base + outcome.way as usize];
         slot.valid = true;
         slot.line = line;
         slot.dirty = access.kind == AccessKind::Writeback
             || (self.rfo_dirties && access.kind == AccessKind::Rfo);
         slot.core = access.core;
-        self.policy.on_fill(set, victim_way, access);
-        outcome.way = Some(victim_way);
+        self.policy.on_fill(set, outcome.way, access);
         outcome
     }
 }

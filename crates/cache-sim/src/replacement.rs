@@ -19,23 +19,13 @@ pub struct LineSnapshot {
     pub core: u8,
 }
 
-/// A replacement decision for a fill into a full set.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Decision {
-    /// Evict the line in this way and fill into it.
-    Evict(u16),
-    /// Do not cache the incoming line. Only honoured for non-writeback
-    /// accesses in caches with bypass enabled; otherwise the cache falls
-    /// back to way 0.
-    Bypass,
-}
-
 /// An LLC replacement policy.
 ///
 /// The cache drives the policy with three callbacks:
 ///
 /// * [`select_victim`](ReplacementPolicy::select_victim) — on a miss whose
-///   set is full, pick a way to evict (or bypass).
+///   set is full, pick the way to evict. Every miss allocates: no policy
+///   can decline a fill.
 /// * [`on_hit`](ReplacementPolicy::on_hit) — the access hit in `way`.
 /// * [`on_fill`](ReplacementPolicy::on_fill) — the missing line was inserted
 ///   into `way` (after any eviction).
@@ -53,8 +43,8 @@ pub trait ReplacementPolicy: Send {
     /// invalid ways, so policies can count set misses exactly.
     fn on_miss(&mut self, _set: u32, _access: &Access) {}
 
-    /// Chooses a victim way for `access`, which missed in full `set`.
-    fn select_victim(&mut self, set: u32, lines: &[LineSnapshot], access: &Access) -> Decision;
+    /// Chooses the way to evict for `access`, which missed in full `set`.
+    fn select_victim(&mut self, set: u32, lines: &[LineSnapshot], access: &Access) -> u16;
 
     /// Notifies the policy that `access` hit in `(set, way)`.
     fn on_hit(&mut self, set: u32, way: u16, access: &Access);
@@ -101,7 +91,7 @@ impl<P: ReplacementPolicy + ?Sized> ReplacementPolicy for Box<P> {
         (**self).on_miss(set, access);
     }
 
-    fn select_victim(&mut self, set: u32, lines: &[LineSnapshot], access: &Access) -> Decision {
+    fn select_victim(&mut self, set: u32, lines: &[LineSnapshot], access: &Access) -> u16 {
         (**self).select_victim(set, lines, access)
     }
 
@@ -179,7 +169,7 @@ impl ReplacementPolicy for TrueLru {
         "LRU".to_owned()
     }
 
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> Decision {
+    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> u16 {
         // Min over packed keys `(stamp << way_bits) | way`. Stamps are
         // unique whenever non-zero (the clock ticks on every touch), and
         // zero-stamp ties resolve to the lowest way because the way sits in
@@ -202,7 +192,7 @@ impl ReplacementPolicy for TrueLru {
         }
         let tail = (quads..stamps.len()).map(key);
         let best = lanes.into_iter().chain(tail).fold(u64::MAX, u64::min);
-        Decision::Evict((best & 0x3F) as u16)
+        (best & 0x3F) as u16
     }
 
     fn on_hit(&mut self, set: u32, way: u16, _access: &Access) {
@@ -242,11 +232,11 @@ impl ReplacementPolicy for RandomLite {
         "Random".to_owned()
     }
 
-    fn select_victim(&mut self, _set: u32, _lines: &[LineSnapshot], _access: &Access) -> Decision {
+    fn select_victim(&mut self, _set: u32, _lines: &[LineSnapshot], _access: &Access) -> u16 {
         self.state ^= self.state << 13;
         self.state ^= self.state >> 7;
         self.state ^= self.state << 17;
-        Decision::Evict((self.state % u64::from(self.ways)) as u16)
+        (self.state % u64::from(self.ways)) as u16
     }
 
     fn on_hit(&mut self, _set: u32, _way: u16, _access: &Access) {}
@@ -285,10 +275,7 @@ mod tests {
             lru.on_fill(0, way, &access(way as u64 * 64));
         }
         lru.on_hit(0, 0, &access(0)); // way 0 becomes MRU; way 1 is now LRU
-        match lru.select_victim(0, &snapshot(4), &access(999 * 64)) {
-            Decision::Evict(w) => assert_eq!(w, 1),
-            Decision::Bypass => panic!("LRU never bypasses"),
-        }
+        assert_eq!(lru.select_victim(0, &snapshot(4), &access(999 * 64)), 1);
     }
 
     #[test]
@@ -304,13 +291,13 @@ mod tests {
                 for way in (0..ways).rev().filter(|&w| w != victim) {
                     lru.on_hit(1, way, &access(0));
                 }
-                assert_eq!(lru.select_victim(1, &[], &access(0)), Decision::Evict(victim));
+                assert_eq!(lru.select_victim(1, &[], &access(0)), victim);
                 // Set 0: only the ways below `victim` touched; the untouched
                 // ways tie at stamp 0 and the lowest of them wins.
                 for way in 0..victim {
                     lru.on_fill(0, way, &access(0));
                 }
-                assert_eq!(lru.select_victim(0, &[], &access(0)), Decision::Evict(victim));
+                assert_eq!(lru.select_victim(0, &[], &access(0)), victim);
             }
         }
     }
@@ -328,10 +315,7 @@ mod tests {
         let cfg = CacheConfig { sets: 2, ways: 8, latency: 1 };
         let mut r = RandomLite::new(&cfg);
         for i in 0..100 {
-            match r.select_victim(0, &snapshot(8), &access(i * 64)) {
-                Decision::Evict(w) => assert!(w < 8),
-                Decision::Bypass => panic!("RandomLite never bypasses"),
-            }
+            assert!(r.select_victim(0, &snapshot(8), &access(i * 64)) < 8);
         }
     }
 }

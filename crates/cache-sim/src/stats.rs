@@ -36,7 +36,9 @@ pub struct CacheStats {
     pub by_kind: [KindCounts; 4],
     /// Dirty evictions sent to the level below.
     pub writebacks_out: u64,
-    /// Fills the policy chose to bypass.
+    /// Fills declined by the cache. Always 0: every miss allocates. The
+    /// field stays because checkpoint cells and benchmark digest lines
+    /// carry it, and dropping it would change their bytes.
     pub bypasses: u64,
     /// Lines evicted (valid victims replaced).
     pub evictions: u64,

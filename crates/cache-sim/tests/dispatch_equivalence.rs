@@ -5,7 +5,7 @@
 //! here replays an identical access stream through the oracle and through
 //! the packed, statically-dispatched [`SetAssocCache`] and requires
 //! **bit-identical** behaviour: the same [`AccessOutcome`] for every
-//! access (hit/miss, fill way, eviction, writeback, bypass), the same
+//! access (hit/miss, fill way, eviction, writeback), the same
 //! final [`cache_sim::CacheStats`], and the same per-way line state.
 //!
 //! The roster comes from `experiments::PolicyKind::ALL_ONLINE` (its 15
@@ -137,32 +137,18 @@ fn belady_is_dispatch_equivalent() {
     run_kind(PolicyKind::Belady, Some(&trace), &stream);
 }
 
-/// Bypass decisions (RLR's §IV-C option) must flow through both paths
-/// identically — including the deterministic way-0 fallback when the cache
-/// refuses the bypass.
+/// RFO-dirtying (L1 store semantics) must flow through both paths
+/// identically under RLR.
 #[test]
-fn bypass_and_rfo_modes_are_dispatch_equivalent() {
+fn rfo_mode_is_dispatch_equivalent() {
     let cfg = geometry();
     let stream = random_stream(0xD1FF_0003, 12_000);
-    let mut bypass_cfg = rlr::RlrConfig::optimized();
-    bypass_cfg.bypass = true;
-    for allow in [false, true] {
-        let build = || LlcPolicy::Rlr(rlr::RlrPolicy::with_config(bypass_cfg, &cfg));
-        let mut old = ReferenceCache::new("ref", cfg, Box::new(build()));
-        let mut new = SetAssocCache::new("packed", cfg, build());
-        old.set_allow_bypass(allow);
-        new.set_allow_bypass(allow);
-        old.set_rfo_dirties(true);
-        new.set_rfo_dirties(true);
-        let label = format!("RLR-bypass(allow={allow})");
-        let outcomes = assert_equivalent(&label, &mut old, &mut new, &stream);
-        if allow {
-            assert!(
-                outcomes.iter().any(|o| o.bypassed),
-                "stream never triggered a bypass — weak test"
-            );
-        }
-    }
+    let build = || LlcPolicy::Rlr(rlr::RlrPolicy::with_config(rlr::RlrConfig::optimized(), &cfg));
+    let mut old = ReferenceCache::new("ref", cfg, Box::new(build()));
+    let mut new = SetAssocCache::new("packed", cfg, build());
+    old.set_rfo_dirties(true);
+    new.set_rfo_dirties(true);
+    assert_equivalent("RLR-rfo", &mut old, &mut new, &stream);
 }
 
 /// Randomized differential property with shrinking: arbitrary short

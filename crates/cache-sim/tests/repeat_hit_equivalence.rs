@@ -71,7 +71,7 @@ fn repeat_hit_matches_full_accesses() {
                 match last {
                     Some((last_line, way)) if last_line == line => {
                         prop_assert!(expected.hit, "access {i}: a repeat must hit");
-                        prop_assert_eq!(expected.way, Some(way), "access {i}: repeat moved way");
+                        prop_assert_eq!(expected.way, way, "access {i}: repeat moved way");
                         fast.repeat_hit(line, way, kind);
                         repeats += 1;
                     }
@@ -82,7 +82,7 @@ fn repeat_hit_matches_full_accesses() {
                             expected,
                             "access {i} ({line:#x}, {kind:?}): {got:?} vs {expected:?}"
                         );
-                        last = got.way.map(|w| (line, w));
+                        last = Some((line, got.way));
                     }
                 }
             }
@@ -103,7 +103,7 @@ fn repeat_hit_records_the_kind_and_dirties_like_access() {
         for kind in KINDS {
             let setup = Setup { config, rfo_dirties };
             let (mut full, mut fast) = (cache(setup), cache(setup));
-            let way = full.access(&access(5, AccessKind::Load)).way.expect("filled");
+            let way = full.access(&access(5, AccessKind::Load)).way;
             fast.access(&access(5, AccessKind::Load));
             full.access(&access(5, kind));
             fast.repeat_hit(5, way, kind);

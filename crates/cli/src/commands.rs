@@ -180,7 +180,7 @@ pub fn compare(args: &Args) -> Result<(), ArgError> {
         match &results[base] {
             Err(e) => {
                 failures.push(format!("{bench}/LRU: {}", e.kind));
-                row.extend(std::iter::repeat("n/a".to_owned()).take(all_kinds.len()));
+                row.extend(std::iter::repeat_n("n/a".to_owned(), all_kinds.len()));
             }
             Ok(lru) => {
                 row.push(format!("{:.4}", lru.ipc()));
@@ -285,6 +285,9 @@ pub fn train(args: &Args) -> Result<(), ArgError> {
         .ok_or_else(|| ArgError("--out <file> is required".to_owned()))?;
     let epochs = args.get_num("epochs", 3usize)?;
     let hidden = args.get_num("hidden", 64usize)?;
+    if hidden == 0 {
+        return Err(ArgError("--hidden must be positive".to_owned()));
+    }
     let records = args.get_num("records", 60_000u64)?;
     let seed = args.get_num("seed", 0xCAFEu64)?;
     let ck_path = args.get("checkpoint").map_or_else(|| format!("{out}.ck"), str::to_owned);
@@ -405,6 +408,9 @@ pub fn characterize(args: &Args) -> Result<(), ArgError> {
         .first()
         .ok_or_else(|| ArgError("usage: rlr characterize <benchmark>".to_owned()))?;
     let entries = args.get_num("entries", 500_000u64)?;
+    if entries == 0 {
+        return Err(ArgError("--entries must be positive".to_owned()));
+    }
     let workload = workload_by_name(bench)?;
     println!("benchmark        {bench}");
     println!("{}", workloads::Characterization::measure(&workload, entries));
@@ -826,7 +832,7 @@ fn tenancy_ranks(args: &Args, tenants: usize, default: Vec<u32>) -> Result<Vec<u
     if ranks.len() != tenants {
         return Err(ArgError(format!("--ranks needs {tenants} comma-separated values")));
     }
-    if let Some(bad) = ranks.iter().find(|&&r| r > u32::from(tenancy::MAX_PRIORITY)) {
+    if let Some(bad) = ranks.iter().find(|&&r| r > tenancy::MAX_PRIORITY) {
         return Err(ArgError(format!("rank {bad} exceeds the maximum {}", tenancy::MAX_PRIORITY)));
     }
     Ok(ranks)

@@ -43,3 +43,24 @@ fn train_from_a_file_rejects_records() {
     assert!(!written, "no agent is written when --records is rejected");
     assert_user_error(&out, "--records");
 }
+
+#[test]
+fn characterize_rejects_zero_entries() {
+    let out = rlr(&["characterize", "429.mcf", "--entries", "0"]);
+    assert_user_error(&out, "--entries must be positive");
+}
+
+#[test]
+fn train_rejects_a_zero_hidden_width() {
+    let agent: PathBuf =
+        std::env::temp_dir().join(format!("rlr-train-hidden-{}.mlp", std::process::id()));
+    let agent_arg = agent.to_str().expect("utf-8 path");
+    let out = rlr(&[
+        "train", "429.mcf", "--out", agent_arg, "--hidden", "0", "--records", "2000", "--epochs", "1",
+    ]);
+    let written = agent.exists();
+    let _ = std::fs::remove_file(&agent);
+    let _ = std::fs::remove_file(format!("{agent_arg}.ck"));
+    assert!(!written, "no agent is written when --hidden is rejected");
+    assert_user_error(&out, "--hidden must be positive");
+}

@@ -4,9 +4,11 @@ use cache_sim::{ReplacementPolicy, SingleCoreSystem, SystemConfig, TrueLru};
 use policies::{Drrip, Hawkeye, KpcR, Ship, ShipPp};
 use rlr::RlrPolicy;
 
+type MakePolicy = Box<dyn Fn() -> Box<dyn ReplacementPolicy>>;
+
 fn main() {
     let cfg = SystemConfig::paper_single_core();
-    let mk: Vec<(&str, Box<dyn Fn() -> Box<dyn ReplacementPolicy>>)> = vec![
+    let mk: Vec<(&str, MakePolicy)> = vec![
         ("LRU", Box::new(|| Box::new(TrueLru::new(&SystemConfig::paper_single_core().llc)))),
         ("DRRIP", Box::new(|| Box::new(Drrip::new(&SystemConfig::paper_single_core().llc)))),
         ("KPC-R", Box::new(|| Box::new(KpcR::new(&SystemConfig::paper_single_core().llc)))),

@@ -67,8 +67,6 @@ pub struct RlrConfig {
     pub rd_ignores_non_demand_preuse: bool,
     /// Recency tie-breaking mode.
     pub recency: RecencyMode,
-    /// Request bypass when no line has aged past RD (needs cache support).
-    pub bypass: bool,
     /// Enable the multicore `P_core` term for this many cores (0 = off).
     pub core_priority_cores: u8,
     /// LLC accesses between core-priority re-rankings (paper: 2000).
@@ -89,7 +87,6 @@ impl RlrConfig {
             demand_hit_window: 32,
             rd_ignores_non_demand_preuse: true,
             recency: RecencyMode::AgeApprox,
-            bypass: false,
             core_priority_cores: 0,
             core_update_period: 2000,
         }

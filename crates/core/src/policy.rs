@@ -1,6 +1,6 @@
 //! The RLR replacement policy (paper §IV).
 
-use cache_sim::{Access, AccessKind, CacheConfig, Decision, LineSnapshot, ReplacementPolicy};
+use cache_sim::{Access, AccessKind, CacheConfig, LineSnapshot, ReplacementPolicy};
 
 use crate::config::{AgeUnit, RecencyMode, RlrConfig};
 use crate::packed::LineMeta;
@@ -210,14 +210,14 @@ impl RlrPolicy {
     }
 
     /// [`ReplacementPolicy::select_victim`] over only the ways in `mask`
-    /// (bit `w` = way `w`): ways outside it cast neither a key nor a
-    /// bypass vote. Panics if `mask` names no way of the set.
-    pub fn select_victim_masked(&self, set: u32, mask: u32) -> Decision {
+    /// (bit `w` = way `w`): ways outside it can never be the victim.
+    /// Panics if `mask` names no way of the set.
+    pub fn select_victim_masked(&self, set: u32, mask: u32) -> u16 {
         self.victim(set, Some(mask))
     }
 
     /// The victim of `set`, over every way or only the ways in `mask`.
-    fn victim(&self, set: u32, mask: Option<u32>) -> Decision {
+    fn victim(&self, set: u32, mask: Option<u32>) -> u16 {
         // The victim scan is the policy's hot loop: every set-wide value
         // (clock/epoch, RD, the configuration knobs, the slice bases) is
         // hoisted here, and the per-way argmin over the packed
@@ -256,10 +256,7 @@ impl RlrPolicy {
             None => scan::scan_lanes(&params, &scan_ways),
             Some(mask) => scan::scan_masked_lanes(&params, &scan_ways, mask),
         };
-        if self.config.bypass && !outcome.any_past_rd {
-            return Decision::Bypass;
-        }
-        Decision::Evict(outcome.victim())
+        outcome.victim()
     }
 }
 
@@ -286,7 +283,7 @@ impl ReplacementPolicy for RlrPolicy {
         false
     }
 
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> Decision {
+    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> u16 {
         self.victim(set, None)
     }
 
@@ -387,10 +384,7 @@ mod tests {
     }
 
     fn victim(p: &mut RlrPolicy, set: u32) -> u16 {
-        match p.select_victim(set, &lines(4), &access(AccessKind::Load, 0)) {
-            Decision::Evict(w) => w,
-            Decision::Bypass => panic!("unexpected bypass"),
-        }
+        p.select_victim(set, &lines(4), &access(AccessKind::Load, 0))
     }
 
     #[test]
@@ -511,21 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn bypass_triggers_when_nothing_aged_past_rd() {
-        let mut cfg = RlrConfig::optimized();
-        cfg.bypass = true;
-        let mut p = RlrPolicy::with_config(cfg, &cache_cfg());
-        p.rd = 3;
-        for w in 0..4 {
-            p.on_fill(0, w, &access(AccessKind::Load, 0));
-        }
-        assert_eq!(
-            p.select_victim(0, &lines(4), &access(AccessKind::Load, 0)),
-            Decision::Bypass
-        );
-    }
-
-    #[test]
     fn disabling_type_priority_removes_prefetch_penalty() {
         let mut cfg = RlrConfig::unoptimized();
         cfg.use_type_priority = false;
@@ -562,10 +541,11 @@ mod tests {
         for w in 0..4 {
             q.on_fill(1, w, &access(AccessKind::Load, snapshot[w as usize].core));
         }
-        match q.select_victim(1, &snapshot, &access(AccessKind::Load, 0)) {
-            Decision::Evict(w) => assert_eq!(w, 0, "low-hit core's line is the victim"),
-            Decision::Bypass => panic!("unexpected bypass"),
-        }
+        assert_eq!(
+            q.select_victim(1, &snapshot, &access(AccessKind::Load, 0)),
+            0,
+            "low-hit core's line is the victim"
+        );
     }
 
     #[test]
@@ -612,9 +592,9 @@ mod tests {
         }
         // Unmasked, exact recency evicts the newest fill (way 3).
         assert_eq!(victim(&mut p, 0), 3);
-        assert_eq!(p.select_victim_masked(0, 0b0111), Decision::Evict(2));
-        assert_eq!(p.select_victim_masked(0, 0b0001), Decision::Evict(0));
-        assert_eq!(p.select_victim_masked(0, 0b1111), Decision::Evict(3));
+        assert_eq!(p.select_victim_masked(0, 0b0111), 2);
+        assert_eq!(p.select_victim_masked(0, 0b0001), 0);
+        assert_eq!(p.select_victim_masked(0, 0b1111), 3);
     }
 
     #[test]

@@ -69,14 +69,12 @@ pub struct ScanWays<'a> {
     pub core_rank: &'a [u32],
 }
 
-/// What a scan found: the minimum packed key (victim way in the low 16
-/// bits) and whether any way aged past RD (the bypass predicate).
+/// What a scan found: the minimum packed key, victim way in the low 16
+/// bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScanOutcome {
     /// Minimum `(priority | staleness | way)` key over the set.
     pub best_key: u64,
-    /// `true` when at least one way's age exceeded RD.
-    pub any_past_rd: bool,
 }
 
 impl ScanOutcome {
@@ -87,10 +85,10 @@ impl ScanOutcome {
     }
 }
 
-/// Key and bypass flag for a single way — the shared per-element kernel of
-/// both backends, so they can only differ in reduction schedule.
+/// Key of a single way — the shared per-element kernel of both backends,
+/// so they can only differ in reduction schedule.
 #[inline(always)]
-fn way_key(p: &ScanParams, ways: &ScanWays, way: usize) -> (u64, bool) {
+fn way_key(p: &ScanParams, ways: &ScanWays, way: usize) -> u64 {
     let age = (p.now - ways.age_stamps[way]).min(p.max_age);
     let meta = ways.metas[way];
     let mut prio = u32::from(age <= p.rd) * p.age_weight
@@ -102,8 +100,7 @@ fn way_key(p: &ScanParams, ways: &ScanWays, way: usize) -> (u64, bool) {
     }
     let staleness = if p.exact_recency { p.clock - ways.rec_stamps[way] } else { age };
     debug_assert!(prio < 1024, "priority must fit the key's 10-bit field");
-    let key = (u64::from(prio) << 54) | (staleness.min(REC_MASK) << 16) | way as u64;
-    (key, age > p.rd)
+    (u64::from(prio) << 54) | (staleness.min(REC_MASK) << 16) | way as u64
 }
 
 fn check_shape(ways: &ScanWays) -> usize {
@@ -123,28 +120,23 @@ fn check_shape(ways: &ScanWays) -> usize {
 pub fn scan_scalar(params: &ScanParams, ways: &ScanWays) -> ScanOutcome {
     let n = check_shape(ways);
     let mut best_key = u64::MAX;
-    let mut any_past_rd = false;
     for way in 0..n {
-        let (key, past_rd) = way_key(params, ways, way);
-        best_key = best_key.min(key);
-        any_past_rd |= past_rd;
+        best_key = best_key.min(way_key(params, ways, way));
     }
-    ScanOutcome { best_key, any_past_rd }
+    ScanOutcome { best_key }
 }
 
 /// Lane-parallel scan: [`LANES`] independent accumulators consume the ways
-/// in stripes, the remainder folds in scalarly, and a horizontal min/or
+/// in stripes, the remainder folds in scalarly, and a horizontal min
 /// merges the lanes. Identical result to [`scan_scalar`] for any input —
-/// the keys are unique, so the min is reduction-order-insensitive, and the
-/// bypass flag is an `or`, which is too.
+/// the keys are unique, so the min is reduction-order-insensitive.
 pub fn scan_lanes(params: &ScanParams, ways: &ScanWays) -> ScanOutcome {
     by_core_mode::<false>(params, ways, 0)
 }
 
 /// Lane-parallel masked scan: the same stripe kernel as [`scan_lanes`],
 /// with ineligible lanes forced to `u64::MAX` keys (so they can never win
-/// the argmin) and their bypass votes suppressed. Identical result to
-/// [`scan_masked_scalar`] for any input.
+/// the argmin). Identical result to [`scan_masked_scalar`] for any input.
 ///
 /// Ineligible ways' stamps are still *read* (then discarded), which is
 /// sound because every stamp in a set is written from the same per-set
@@ -259,7 +251,6 @@ mod avx512 {
         let rank_len = splat(ways.core_rank.len() as u64);
 
         let mut best = splat(u64::MAX);
-        let mut past: __mmask8 = 0;
         let mut idx = _mm256_set_epi64x(3, 2, 1, 0);
         let step = splat(LANES as u64);
         let mut way = 0;
@@ -306,7 +297,6 @@ mod avx512 {
                 idx,
             );
             best = _mm256_min_epu64(best, key);
-            past |= _mm256_cmpgt_epu64_mask(age, rd);
             idx = _mm256_add_epi64(idx, step);
             way += LANES;
         }
@@ -314,14 +304,11 @@ mod avx512 {
         let mut lanes = [0u64; LANES];
         _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), best);
         let mut best_key = lanes.into_iter().fold(u64::MAX, u64::min);
-        let mut any_past_rd = past != 0;
         while way < n {
-            let (key, past_rd) = way_key(params, ways, way);
-            best_key = best_key.min(key);
-            any_past_rd |= past_rd;
+            best_key = best_key.min(way_key(params, ways, way));
             way += 1;
         }
-        ScanOutcome { best_key, any_past_rd }
+        ScanOutcome { best_key }
     }
 }
 
@@ -334,8 +321,8 @@ mod avx512 {
 /// equals the table entry the gather would load, with out-of-range cores
 /// masked to the same 0). Masked scans add a per-lane keep word from the
 /// mask bit: `key | !keep` is `key` for eligible lanes and `u64::MAX` for
-/// ineligible ones, and `past & keep` drops ineligible bypass votes —
-/// unmasked scans keep every lane, and the select folds away.
+/// ineligible ones — unmasked scans keep every lane, and the select folds
+/// away.
 #[inline(always)]
 fn scan_lanes_impl<const MODE: u8, const MASKED: bool>(
     params: &ScanParams,
@@ -360,7 +347,6 @@ fn scan_lanes_impl<const MODE: u8, const MASKED: bool>(
     };
     let rank_len = ways.core_rank.len() as u64;
     let mut best = [u64::MAX; LANES];
-    let mut past = [0u64; LANES];
     let mut way = 0;
     while way + LANES <= n {
         let stripe = way..way + LANES;
@@ -396,21 +382,17 @@ fn scan_lanes_impl<const MODE: u8, const MASKED: bool>(
             let staleness = (exact & p.clock.wrapping_sub(rec_s[lane])) | (!exact & age);
             let key = (prio << 54) | (staleness.min(REC_MASK) << 16) | (way + lane) as u64;
             best[lane] = best[lane].min(key | !keep);
-            past[lane] |= u64::from(age > p.rd) & keep;
         }
         way += LANES;
     }
     let mut best_key = best.into_iter().fold(u64::MAX, u64::min);
-    let mut any_past_rd = past.into_iter().fold(0, |a, b| a | b) != 0;
     while way < n {
         if !MASKED || mask & (1 << way) != 0 {
-            let (key, past_rd) = way_key(params, ways, way);
-            best_key = best_key.min(key);
-            any_past_rd |= past_rd;
+            best_key = best_key.min(way_key(params, ways, way));
         }
         way += 1;
     }
-    ScanOutcome { best_key, any_past_rd }
+    ScanOutcome { best_key }
 }
 
 /// Validates a way mask for the masked scan: at least one eligible way,
@@ -425,22 +407,18 @@ fn check_mask(mask: u32, n: usize) -> u32 {
 
 /// One-accumulator reference for the masked scan: identical to
 /// [`scan_scalar`] over the subset of ways whose bit is set in `mask`.
-/// Ineligible ways contribute nothing — neither a key nor a bypass vote —
-/// so a partitioned victim scan can never name a way outside its mask.
+/// Ineligible ways contribute no key, so a partitioned victim scan can
+/// never name a way outside its mask.
 pub fn scan_masked_scalar(params: &ScanParams, ways: &ScanWays, mask: u32) -> ScanOutcome {
     let n = check_shape(ways);
     let mask = check_mask(mask, n);
     let mut best_key = u64::MAX;
-    let mut any_past_rd = false;
     for way in 0..n {
-        if mask & (1 << way) == 0 {
-            continue;
+        if mask & (1 << way) != 0 {
+            best_key = best_key.min(way_key(params, ways, way));
         }
-        let (key, past_rd) = way_key(params, ways, way);
-        best_key = best_key.min(key);
-        any_past_rd |= past_rd;
     }
-    ScanOutcome { best_key, any_past_rd }
+    ScanOutcome { best_key }
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! It is deliberately not maintained for speed; any behavioural change to
 //! [`crate::RlrPolicy`] must be mirrored here first (and justified).
 
-use cache_sim::{Access, AccessKind, CacheConfig, Decision, LineSnapshot, ReplacementPolicy};
+use cache_sim::{Access, AccessKind, CacheConfig, LineSnapshot, ReplacementPolicy};
 
 use crate::config::{AgeUnit, RecencyMode, RlrConfig};
 
@@ -222,16 +222,12 @@ impl ReplacementPolicy for SeedRlrPolicy {
         self.record_access();
     }
 
-    fn select_victim(&mut self, set: u32, lines: &[LineSnapshot], _access: &Access) -> Decision {
+    fn select_victim(&mut self, set: u32, lines: &[LineSnapshot], _access: &Access) -> u16 {
         let mut best: Option<(u32, u64, u16)> = None;
-        let mut any_past_rd = false;
         for (w, line) in lines.iter().enumerate() {
             let way = w as u16;
             let p = self.priority(set, way, line);
             let rec = self.recency_key(set, way);
-            if self.age(set, way) > self.rd {
-                any_past_rd = true;
-            }
             // Strict comparisons keep the lowest way index on full ties.
             let better = match best {
                 None => true,
@@ -241,11 +237,8 @@ impl ReplacementPolicy for SeedRlrPolicy {
                 best = Some((p, rec, way));
             }
         }
-        if self.config.bypass && !any_past_rd {
-            return Decision::Bypass;
-        }
         let (_, _, way) = best.expect("non-empty set");
-        Decision::Evict(way)
+        way
     }
 
     fn on_hit(&mut self, set: u32, way: u16, access: &Access) {

@@ -43,7 +43,7 @@ fn drive(config: RlrConfig, accesses: &[(u16, u8)]) {
             seq: i as u64,
         };
         let out = cache.access(&access);
-        // Bypass is disabled on this cache, so every access ends resident.
+        // Every miss allocates, so every access ends resident.
         assert!(cache.contains(access.addr));
         if out.hit {
             assert!(out.evicted.is_none());
@@ -104,7 +104,7 @@ fn rd_is_bounded() {
         Config::with_cases(48),
         |rng| line_tag_seq(rng, 64, 16, 1..800),
         |seq| {
-            use cache_sim::{Decision, LineSnapshot, ReplacementPolicy};
+            use cache_sim::{LineSnapshot, ReplacementPolicy};
             let geometry = CacheConfig { sets: 4, ways: 4, latency: 1 };
             let config = RlrConfig::unoptimized();
             let mut policy = RlrPolicy::with_config(config, &geometry);
@@ -137,10 +137,7 @@ fn rd_is_bounded() {
                                 core: 0,
                             })
                             .collect();
-                        match policy.select_victim(set as u32, &snapshot, &access) {
-                            Decision::Evict(w) => w as usize,
-                            Decision::Bypass => 0,
-                        }
+                        usize::from(policy.select_victim(set as u32, &snapshot, &access))
                     };
                     tags[base + w] = line;
                     policy.on_fill(set as u32, w as u16, &access);

@@ -36,14 +36,11 @@ fn stream(seed: u64, len: usize) -> Vec<Access> {
         .collect()
 }
 
-fn variants() -> [(&'static str, RlrConfig); 4] {
-    let mut bypass = RlrConfig::optimized();
-    bypass.bypass = true;
+fn variants() -> [(&'static str, RlrConfig); 3] {
     [
         ("optimized", RlrConfig::optimized()),
         ("unoptimized", RlrConfig::unoptimized()),
         ("multicore", RlrConfig::multicore(4)),
-        ("bypass", bypass),
     ]
 }
 
@@ -56,10 +53,6 @@ fn packed_policy_matches_seed_policy_on_long_streams() {
             ReferenceCache::new("seed", cfg, Box::new(SeedRlrPolicy::with_config(rlr_cfg, &cfg)));
         let mut packed =
             ReferenceCache::new("packed", cfg, Box::new(RlrPolicy::with_config(rlr_cfg, &cfg)));
-        if rlr_cfg.bypass {
-            seed.set_allow_bypass(true);
-            packed.set_allow_bypass(true);
-        }
         for (i, access) in accesses.iter().enumerate() {
             let a = seed.access(access);
             let b = packed.access(access);

@@ -160,7 +160,6 @@ fn saturated_staleness_ties_break_identically() {
         let lanes = scan::scan_lanes(&params, &scan_ways);
         assert_eq!(scalar, lanes, "{ways} ways");
         assert_eq!(scalar.victim(), 0, "{ways} ways: full tie must keep the lowest way");
-        assert!(scalar.any_past_rd, "{ways} ways: everything aged past rd=4");
     }
 }
 

@@ -18,11 +18,11 @@
 //!
 //! [`write_atomic`] provides *atomic visibility* and *rename durability*:
 //!
-//! * Data goes to a pid-suffixed scratch file (`.{name}.tmp.{pid}`) in the
-//!   target directory, is `fsync`ed there, and only then `rename`d into
-//!   place. A reader therefore sees either no file or the complete file —
-//!   never a torn one — and the renamed file's *contents* are on stable
-//!   storage before the name appears.
+//! * Data goes to a scratch file of its own (`.{name}.tmp.{pid}.{n}`, `n`
+//!   unique per call) in the target directory, is `fsync`ed there, and
+//!   only then `rename`d into place. A reader therefore sees either no
+//!   file or the complete file — never a torn one — and the renamed
+//!   file's *contents* are on stable storage before the name appears.
 //! * After a successful rename the parent **directory** is `fsync`ed too
 //!   (on Unix), so the new directory entry itself survives power loss; a
 //!   checkpoint that `write_atomic` returned `Ok` for cannot silently
@@ -41,6 +41,7 @@
 use std::fs;
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use cache_sim::{CacheStats, KindCounts, RunStats};
 
@@ -265,12 +266,16 @@ fn store_done<C: Cell>(cell: &C, opts: &SweepOptions, out: &C::Out) {
 pub fn write_atomic(path: &Path, contents: &[u8]) -> std::io::Result<()> {
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
     fs::create_dir_all(dir)?;
-    // Pid-suffixed scratch name so concurrent processes can't tear each
-    // other's writes; rename within one directory is atomic on POSIX.
+    // A scratch name unique to this call (pid plus a process-wide counter),
+    // so neither concurrent processes nor two threads storing the same cell
+    // can share, truncate or steal each other's scratch file; rename within
+    // one directory is atomic on POSIX.
+    static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
     let scratch = dir.join(format!(
-        ".{}.tmp.{}",
+        ".{}.tmp.{}.{}",
         path.file_name().and_then(|n| n.to_str()).unwrap_or("checkpoint"),
-        std::process::id()
+        std::process::id(),
+        SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
     let mut f = FaultWriter::new(fs::File::create(&scratch)?);
     f.write_all(contents)?;
@@ -301,12 +306,13 @@ fn sync_dir(dir: &Path) {
 }
 
 /// `true` for the scratch-file names [`write_atomic`] uses
-/// (`.{name}.tmp.{pid}`), i.e. the residue of a killed or failed write.
+/// (`.{name}.tmp.{pid}.{n}`), i.e. the residue of a killed or failed write.
+/// Older `.{name}.tmp.{pid}` residue matches too.
 pub(crate) fn is_scratch_name(name: &str) -> bool {
     name.starts_with('.') && name.contains(".tmp.")
 }
 
-/// Deletes orphaned scratch files (`.{name}.tmp.{pid}` leftovers from
+/// Deletes orphaned scratch files (`.{name}.tmp.{pid}.{n}` leftovers from
 /// killed or fault-injected runs) in `dir`, returning how many were
 /// removed. Final-name checkpoints are never touched. Called when a sweep
 /// opens its checkpoint directory; racing a *live* writer's scratch file
@@ -366,6 +372,8 @@ impl CellCodec for KindCounts {
     }
 }
 
+// `bypasses` is always 0 (every miss allocates) but stays in the format:
+// dropping it would change the bytes of every stored cell.
 cell_object!(CacheStats { by_kind, writebacks_out, bypasses, evictions });
 
 cell_object!(RunStats {
@@ -515,6 +523,30 @@ mod tests {
         assert!(dir.join(".keepme").exists(), "non-scratch dotfiles survive");
         assert_eq!(sweep_orphans(&dir), 0, "sweep is idempotent");
         assert_eq!(sweep_orphans(Path::new("/nonexistent/rlr")), 0, "missing dir is a no-op");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_cell_never_share_a_scratch_file() {
+        let dir = std::env::temp_dir().join(format!("rlr_race_test_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let key = cell_key("429.mcf", "LRU", "small");
+        let path = dir.join(key.file_name());
+        let encoded = encode_cell(&key, &sample_stats(5));
+        std::thread::scope(|scope| {
+            for thread in 0..8 {
+                let (path, encoded) = (&path, &encoded);
+                scope.spawn(move || {
+                    for call in 0..50 {
+                        write_atomic(path, encoded.as_bytes()).unwrap_or_else(|e| {
+                            panic!("thread {thread}, call {call}: {e}")
+                        });
+                    }
+                });
+            }
+        });
+        assert_eq!(fs::read(&path).expect("published cell"), encoded.as_bytes());
+        assert_eq!(sweep_orphans(&dir), 0, "no scratch file is left behind");
         let _ = fs::remove_dir_all(&dir);
     }
 

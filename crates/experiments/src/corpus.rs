@@ -189,7 +189,7 @@ pub fn load_or_capture_in(
 }
 
 /// Encodes `trace` and publishes it atomically at `path`.
-fn publish(path: &PathBuf, trace: &LlcTrace) -> Result<(), CorpusError> {
+fn publish(path: &Path, trace: &LlcTrace) -> Result<(), CorpusError> {
     if let Some(dir) = path.parent() {
         fs::create_dir_all(dir)?;
     }

@@ -5,7 +5,7 @@
 //! corpus containers — and a crash (or bad media) can damage any of them.
 //! The doctor walks one results root and applies a uniform policy:
 //!
-//! * **Orphaned scratch files** (`.{name}.tmp.{pid}` crash residue) are
+//! * **Orphaned scratch files** (`.{name}.tmp.{pid}.{n}` crash residue) are
 //!   deleted ([`crate::checkpoint::sweep_orphans`]).
 //! * **Checkpoint cells** (`cache/sweep/*.json`) must parse and embed a
 //!   key whose FNV-1a hash matches their file name; anything else is

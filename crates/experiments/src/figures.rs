@@ -244,7 +244,7 @@ pub fn speedup_table(title: &str, sweep: &ResilientSweep) -> Table {
         match &runs[0].1 {
             Err(e) => {
                 failures.push(format!("{name}/LRU: {}", e.kind));
-                row.extend(std::iter::repeat("n/a".to_owned()).take(PolicyKind::SINGLE_CORE.len()));
+                row.extend(std::iter::repeat_n("n/a".to_owned(), PolicyKind::SINGLE_CORE.len()));
             }
             Ok(lru) => {
                 for (i, (policy, cell)) in runs[1..].iter().enumerate() {

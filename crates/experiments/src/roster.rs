@@ -2,7 +2,7 @@
 //! constructible by name.
 
 use cache_sim::{
-    Access, CacheConfig, Decision, LineSnapshot, LlcTrace, RandomLite, ReplacementPolicy, TrueLru,
+    Access, CacheConfig, LineSnapshot, LlcTrace, RandomLite, ReplacementPolicy, TrueLru,
 };
 use policies::{Belady, Brrip, Drrip, Eva, Fifo, Hawkeye, KpcR, Pdp, Ship, ShipPp, Srrip};
 use rlr::RlrPolicy;
@@ -82,7 +82,7 @@ impl ReplacementPolicy for LlcPolicy {
         dispatch!(self, p => p.on_miss(set, access));
     }
 
-    fn select_victim(&mut self, set: u32, lines: &[LineSnapshot], access: &Access) -> Decision {
+    fn select_victim(&mut self, set: u32, lines: &[LineSnapshot], access: &Access) -> u16 {
         dispatch!(self, p => p.select_victim(set, lines, access))
     }
 

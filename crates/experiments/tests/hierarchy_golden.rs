@@ -39,7 +39,7 @@ struct Pin {
 }
 
 /// A [`CacheStats`] literal: `(accesses, hits)` per load/RFO/prefetch/
-/// writeback, then dirty evictions and evictions (no level here bypasses).
+/// writeback, then dirty evictions and evictions (`bypasses` is always 0).
 fn stats(by_kind: [(u64, u64); 4], writebacks_out: u64, evictions: u64) -> CacheStats {
     CacheStats {
         by_kind: by_kind.map(|(accesses, hits)| KindCounts { accesses, hits }),

@@ -49,7 +49,7 @@ fn replay(
     let mut core = CoreHierarchy::new(0, &config);
     let mut llc = SharedLlc::new(&config, policy.build(&config.llc, None));
     let timed = replay_hierarchy_timed(&mut core, &mut llc, requests, &config);
-    (timed, llc.stats().clone(), llc.memory_reads(), llc.memory_writes())
+    (timed, *llc.stats(), llc.memory_reads(), llc.memory_writes())
 }
 
 /// Two event-mode replays of the same stream must agree bit-for-bit —

@@ -230,7 +230,7 @@ impl FreqSketch {
         if b != a {
             self.counters[b] = self.counters[b].saturating_add(1);
         }
-        if self.ops % SKETCH_AGE_PERIOD == 0 {
+        if self.ops.is_multiple_of(SKETCH_AGE_PERIOD) {
             for c in &mut self.counters {
                 *c >>= 1;
             }

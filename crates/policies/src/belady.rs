@@ -9,7 +9,7 @@
 //! access stream is invariant across LLC policies, replaying the same
 //! workload with this policy is exact.
 
-use cache_sim::{Access, CacheConfig, Decision, LineSnapshot, LlcTrace, ReplacementPolicy};
+use cache_sim::{Access, CacheConfig, LineSnapshot, LlcTrace, ReplacementPolicy};
 
 /// Belady's optimal policy (OPT/MIN).
 ///
@@ -32,9 +32,6 @@ pub struct Belady {
     next_use: Vec<u64>,
     /// Per resident line: the sequence number of its next reference.
     line_next: Vec<u64>,
-    /// Evict-on-farthest can optionally become bypass-on-farthest when the
-    /// incoming line's next use is beyond every resident line's.
-    bypass: bool,
 }
 
 impl Belady {
@@ -50,15 +47,7 @@ impl Belady {
             ways: config.ways,
             next_use,
             line_next: vec![u64::MAX; config.lines() as usize],
-            bypass: false,
         }
-    }
-
-    /// Enables optimal bypassing (MIN with bypass): an incoming line whose
-    /// next use is farther than every resident line's is not cached.
-    pub fn with_bypass(mut self) -> Self {
-        self.bypass = true;
-        self
     }
 
     fn oracle(&self, seq: u64) -> u64 {
@@ -71,16 +60,11 @@ impl ReplacementPolicy for Belady {
         "Belady".to_owned()
     }
 
-    fn select_victim(&mut self, set: u32, lines: &[LineSnapshot], access: &Access) -> Decision {
+    fn select_victim(&mut self, set: u32, lines: &[LineSnapshot], _access: &Access) -> u16 {
         let base = set as usize * self.ways as usize;
-        let (victim, farthest) = (0..lines.len())
-            .map(|w| (w, self.line_next[base + w]))
-            .max_by_key(|&(w, next)| (next, std::cmp::Reverse(w)))
-            .expect("non-empty set");
-        if self.bypass && self.oracle(access.seq) > farthest {
-            return Decision::Bypass;
-        }
-        Decision::Evict(victim as u16)
+        (0..lines.len())
+            .max_by_key(|&w| (self.line_next[base + w], std::cmp::Reverse(w)))
+            .expect("non-empty set") as u16
     }
 
     fn on_hit(&mut self, set: u32, way: u16, access: &Access) {
@@ -177,31 +161,5 @@ mod tests {
         });
         assert_eq!(lru, 0, "LRU thrashes the cyclic pattern");
         assert!(opt > 100, "OPT must retain most of the working set, got {opt}");
-    }
-
-    #[test]
-    fn bypass_variant_never_hurts() {
-        use simrng::Rng;
-        let mut rng = simrng::SimRng::seed_from_u64(5);
-        let pattern: Vec<u64> = (0..500).map(|_| rng.gen_range(0..16)).collect();
-        let plain = run_policy(&pattern, 4, |t, c| Box::new(Belady::from_trace(t, c)));
-        // Note: the test cache has bypass disabled, so Bypass falls back to
-        // way 0; enable it to observe the benefit.
-        let trace: LlcTrace = pattern
-            .iter()
-            .map(|&l| cache_sim::LlcRecord { pc: 0, line: l, kind: AccessKind::Load, core: 0 })
-            .collect();
-        let cfg = CacheConfig { sets: 1, ways: 4, latency: 1 };
-        let mut cache =
-            SetAssocCache::new("llc", cfg, Box::new(Belady::from_trace(&trace, &cfg).with_bypass()));
-        cache.set_allow_bypass(true);
-        let mut bypass_hits = 0;
-        for (i, &line) in pattern.iter().enumerate() {
-            let a = Access { pc: 0, addr: line * 64, kind: AccessKind::Load, core: 0, seq: i as u64 };
-            if cache.access(&a).hit {
-                bypass_hits += 1;
-            }
-        }
-        assert!(bypass_hits >= plain, "bypass-capable OPT ({bypass_hits}) must not lose to OPT ({plain})");
     }
 }

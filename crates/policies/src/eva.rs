@@ -12,7 +12,7 @@
 //! implementation also exhibits on prefetch-heavy workloads since EVA does
 //! not model non-demand accesses.
 
-use cache_sim::{Access, CacheConfig, Decision, LineSnapshot, ReplacementPolicy};
+use cache_sim::{Access, CacheConfig, LineSnapshot, ReplacementPolicy};
 
 /// Number of coarse age buckets.
 const AGE_BUCKETS: usize = 64;
@@ -125,7 +125,7 @@ impl ReplacementPolicy for Eva {
         self.set_clock[set as usize] += 1;
     }
 
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> Decision {
+    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> u16 {
         let mut victim = 0u16;
         let mut worst = f64::INFINITY;
         for w in 0..self.ways {
@@ -138,7 +138,7 @@ impl ReplacementPolicy for Eva {
         }
         let bucket = self.age_bucket(set, victim);
         self.record(bucket, false);
-        Decision::Evict(victim)
+        victim
     }
 
     fn on_hit(&mut self, set: u32, way: u16, _access: &Access) {
@@ -193,10 +193,8 @@ mod tests {
                 p.on_hit(0, w, &access(u64::from(w) * 64));
             }
         }
-        match p.select_victim(0, &lines(), &access(999 * 64)) {
-            Decision::Evict(w) => assert_eq!(w, 0, "oldest line evicted before training"),
-            Decision::Bypass => panic!("EVA never bypasses"),
-        }
+        let victim = p.select_victim(0, &lines(), &access(999 * 64));
+        assert_eq!(victim, 0, "oldest line evicted before training");
     }
 
     #[test]

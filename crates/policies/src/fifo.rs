@@ -1,6 +1,6 @@
 //! First-in first-out replacement.
 
-use cache_sim::{Access, CacheConfig, Decision, LineSnapshot, ReplacementPolicy};
+use cache_sim::{Access, CacheConfig, LineSnapshot, ReplacementPolicy};
 
 /// FIFO replacement: evicts the line that has been resident longest,
 /// ignoring hits entirely.
@@ -31,12 +31,11 @@ impl ReplacementPolicy for Fifo {
         "FIFO".to_owned()
     }
 
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> Decision {
+    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> u16 {
         let base = set as usize * self.ways as usize;
-        let victim = (0..self.ways)
+        (0..self.ways)
             .min_by_key(|&w| self.stamps[base + w as usize])
-            .expect("at least one way");
-        Decision::Evict(victim)
+            .expect("at least one way")
     }
 
     fn on_hit(&mut self, _set: u32, _way: u16, _access: &Access) {}
@@ -69,9 +68,7 @@ mod tests {
         }
         fifo.on_hit(0, 0, &access(0)); // should be irrelevant
         let lines = [LineSnapshot { valid: true, line: 0, dirty: false, core: 0 }; 3];
-        match fifo.select_victim(0, &lines, &access(999)) {
-            Decision::Evict(w) => assert_eq!(w, 0, "oldest insertion wins despite the hit"),
-            Decision::Bypass => panic!("FIFO never bypasses"),
-        }
+        let victim = fifo.select_victim(0, &lines, &access(999));
+        assert_eq!(victim, 0, "oldest insertion wins despite the hit");
     }
 }

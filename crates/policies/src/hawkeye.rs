@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use cache_sim::{Access, AccessKind, CacheConfig, Decision, LineSnapshot, ReplacementPolicy};
+use cache_sim::{Access, AccessKind, CacheConfig, LineSnapshot, ReplacementPolicy};
 
 use crate::pc_signature;
 
@@ -162,12 +162,12 @@ impl ReplacementPolicy for Hawkeye {
         "Hawkeye".to_owned()
     }
 
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> Decision {
+    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> u16 {
         let base = set as usize * self.ways as usize;
         // Prefer a cache-averse line.
         for w in 0..self.ways as usize {
             if self.rrpv[base + w] == MAX_RRPV {
-                return Decision::Evict(w as u16);
+                return w as u16;
             }
         }
         // No averse line: evict the oldest friendly line and detrain its PC.
@@ -176,7 +176,7 @@ impl ReplacementPolicy for Hawkeye {
             .expect("at least one way");
         let sig = self.line_sig[base + victim];
         self.train(sig, false);
-        Decision::Evict(victim as u16)
+        victim as u16
     }
 
     fn on_hit(&mut self, set: u32, way: u16, access: &Access) {
@@ -227,10 +227,8 @@ mod tests {
         h.on_fill(1, 1, &access(0x400, 192));
         h.on_fill(1, 3, &access(0x400, 256));
         let lines = [LineSnapshot { valid: true, line: 0, dirty: false, core: 0 }; 4];
-        match h.select_victim(1, &lines, &access(0x1, 320)) {
-            Decision::Evict(w) => assert_eq!(w, 2, "the averse line must go first"),
-            Decision::Bypass => panic!("Hawkeye never bypasses"),
-        }
+        let victim = h.select_victim(1, &lines, &access(0x1, 320));
+        assert_eq!(victim, 2, "the averse line must go first");
     }
 
     #[test]

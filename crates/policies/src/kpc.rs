@@ -7,7 +7,7 @@
 //! distant RRPV, and prefetch re-references promote only part-way, limiting
 //! LLC pollution from the prefetcher.
 
-use cache_sim::{Access, AccessKind, CacheConfig, Decision, LineSnapshot, ReplacementPolicy};
+use cache_sim::{Access, AccessKind, CacheConfig, LineSnapshot, ReplacementPolicy};
 
 use crate::rrip::{duel_role, DuelRole, RrpvTable, LONG_RRPV, MAX_RRPV};
 
@@ -39,7 +39,7 @@ impl ReplacementPolicy for KpcR {
         "KPC-R".to_owned()
     }
 
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], access: &Access) -> Decision {
+    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], access: &Access) -> u16 {
         if access.kind != AccessKind::Writeback {
             match duel_role(set) {
                 DuelRole::LeaderA => self.psel = (self.psel + 1).min(PSEL_MAX),
@@ -47,7 +47,7 @@ impl ReplacementPolicy for KpcR {
                 DuelRole::Follower => {}
             }
         }
-        Decision::Evict(self.table.find_victim(set))
+        self.table.find_victim(set)
     }
 
     fn on_hit(&mut self, set: u32, way: u16, access: &Access) {

@@ -5,7 +5,7 @@
 //! periodically from a reuse-distance histogram by maximizing the expected
 //! hits per unit of cache occupancy.
 
-use cache_sim::{Access, CacheConfig, Decision, LineSnapshot, ReplacementPolicy};
+use cache_sim::{Access, CacheConfig, LineSnapshot, ReplacementPolicy};
 
 /// Largest protecting distance considered (the paper searches below 256).
 const MAX_PD: usize = 256;
@@ -25,12 +25,10 @@ pub struct Pdp {
     /// Current protecting distance.
     pd: u64,
     accesses: u64,
-    /// Whether the policy may request bypass (requires cache support).
-    bypass: bool,
 }
 
 impl Pdp {
-    /// Creates PDP for the geometry, with bypassing disabled.
+    /// Creates PDP for the geometry.
     pub fn new(config: &CacheConfig) -> Self {
         Self {
             ways: config.ways,
@@ -39,15 +37,7 @@ impl Pdp {
             hist: vec![0; MAX_PD + 1],
             pd: 64,
             accesses: 0,
-            bypass: false,
         }
-    }
-
-    /// Enables bypass requests (honoured only by caches with bypass
-    /// support).
-    pub fn with_bypass(mut self) -> Self {
-        self.bypass = true;
-        self
     }
 
     /// The protecting distance currently in force.
@@ -115,7 +105,7 @@ impl ReplacementPolicy for Pdp {
         self.tick(set);
     }
 
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> Decision {
+    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> u16 {
         let clock = self.set_clock[set as usize];
         let base = self.idx(set, 0);
         let mut unprotected: Option<(u16, u64)> = None;
@@ -129,13 +119,8 @@ impl ReplacementPolicy for Pdp {
                 oldest = (w, age);
             }
         }
-        match unprotected {
-            Some((w, _)) => Decision::Evict(w),
-            None if self.bypass => Decision::Bypass,
-            // All lines protected and no bypass: evict the one closest to
-            // losing protection.
-            None => Decision::Evict(oldest.0),
-        }
+        // All lines protected: evict the one closest to losing protection.
+        unprotected.map_or(oldest.0, |(w, _)| w)
     }
 
     fn on_hit(&mut self, set: u32, way: u16, _access: &Access) {
@@ -186,21 +171,8 @@ mod tests {
             p.on_fill(0, w, &access(u64::from(w) * 64));
         }
         // Immediately after filling, everything is protected: the policy
-        // falls back to the oldest line rather than bypassing.
-        match p.select_victim(0, &lines(), &access(999 * 64)) {
-            Decision::Evict(w) => assert!(w < 4),
-            Decision::Bypass => panic!("bypass disabled by default"),
-        }
-    }
-
-    #[test]
-    fn bypass_mode_bypasses_when_all_protected() {
-        let mut p = Pdp::new(&cfg()).with_bypass();
-        p.pd = 100;
-        for w in 0..4 {
-            p.on_fill(0, w, &access(u64::from(w) * 64));
-        }
-        assert_eq!(p.select_victim(0, &lines(), &access(999 * 64)), Decision::Bypass);
+        // falls back to the oldest line.
+        assert!(p.select_victim(0, &lines(), &access(999 * 64)) < 4);
     }
 
     #[test]
@@ -216,10 +188,7 @@ mod tests {
                 p.on_hit(0, w, &access(u64::from(w) * 64));
             }
         }
-        match p.select_victim(0, &lines(), &access(999 * 64)) {
-            Decision::Evict(w) => assert_eq!(w, 0),
-            Decision::Bypass => panic!("unexpected bypass"),
-        }
+        assert_eq!(p.select_victim(0, &lines(), &access(999 * 64)), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The RRIP family: SRRIP, BRRIP, and set-dueling DRRIP (Jaleel et al.,
 //! ISCA 2010), the paper's strongest non-PC baseline besides KPC-R.
 
-use cache_sim::{Access, AccessKind, CacheConfig, Decision, LineSnapshot, ReplacementPolicy};
+use cache_sim::{Access, AccessKind, CacheConfig, LineSnapshot, ReplacementPolicy};
 
 /// Maximum re-reference prediction value for 2-bit RRPVs ("distant future").
 pub(crate) const MAX_RRPV: u8 = 3;
@@ -74,8 +74,8 @@ impl ReplacementPolicy for Srrip {
         "SRRIP".to_owned()
     }
 
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> Decision {
-        Decision::Evict(self.table.find_victim(set))
+    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> u16 {
+        self.table.find_victim(set)
     }
 
     fn on_hit(&mut self, set: u32, way: u16, _access: &Access) {
@@ -127,8 +127,8 @@ impl ReplacementPolicy for Brrip {
         "BRRIP".to_owned()
     }
 
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> Decision {
-        Decision::Evict(self.table.find_victim(set))
+    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> u16 {
+        self.table.find_victim(set)
     }
 
     fn on_hit(&mut self, set: u32, way: u16, _access: &Access) {
@@ -201,7 +201,7 @@ impl ReplacementPolicy for Drrip {
         "DRRIP".to_owned()
     }
 
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], access: &Access) -> Decision {
+    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], access: &Access) -> u16 {
         // Leader-set misses steer the selector (writebacks excluded, as in
         // the original proposal's demand-miss accounting).
         if access.kind != AccessKind::Writeback {
@@ -211,7 +211,7 @@ impl ReplacementPolicy for Drrip {
                 DuelRole::Follower => {}
             }
         }
-        Decision::Evict(self.table.find_victim(set))
+        self.table.find_victim(set)
     }
 
     fn on_hit(&mut self, set: u32, way: u16, _access: &Access) {
@@ -260,10 +260,7 @@ mod tests {
         p.on_hit(0, 0, &access(0));
         p.on_hit(0, 1, &access(0));
         p.on_hit(0, 3, &access(0));
-        match p.select_victim(0, &lines(), &access(64)) {
-            Decision::Evict(w) => assert_eq!(w, 2),
-            Decision::Bypass => panic!("SRRIP never bypasses"),
-        }
+        assert_eq!(p.select_victim(0, &lines(), &access(64)), 2);
     }
 
     #[test]
@@ -274,10 +271,7 @@ mod tests {
             p.on_hit(0, w, &access(0)); // everyone at RRPV 0
         }
         // Victim search must age everyone up to MAX and pick way 0.
-        match p.select_victim(0, &lines(), &access(64)) {
-            Decision::Evict(w) => assert_eq!(w, 0),
-            Decision::Bypass => panic!("SRRIP never bypasses"),
-        }
+        assert_eq!(p.select_victim(0, &lines(), &access(64)), 0);
         // After aging, the others sit at MAX too.
         assert_eq!(p.table.get(0, 1), MAX_RRPV);
     }

@@ -1,6 +1,6 @@
 //! SHiP: Signature-based Hit Predictor (Wu et al., MICRO 2011).
 
-use cache_sim::{Access, CacheConfig, Decision, LineSnapshot, ReplacementPolicy};
+use cache_sim::{Access, CacheConfig, LineSnapshot, ReplacementPolicy};
 
 use crate::pc_signature;
 use crate::rrip::{RrpvTable, LONG_RRPV, MAX_RRPV};
@@ -62,8 +62,8 @@ impl ReplacementPolicy for Ship {
         "SHiP".to_owned()
     }
 
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> Decision {
-        Decision::Evict(self.table.find_victim(set))
+    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> u16 {
+        self.table.find_victim(set)
     }
 
     fn on_hit(&mut self, set: u32, way: u16, _access: &Access) {

@@ -2,7 +2,7 @@
 //! CRC2 2017), the strongest PC-based baseline in the paper's single-core
 //! results.
 
-use cache_sim::{Access, AccessKind, CacheConfig, Decision, LineSnapshot, ReplacementPolicy};
+use cache_sim::{Access, AccessKind, CacheConfig, LineSnapshot, ReplacementPolicy};
 
 use crate::pc_signature;
 use crate::rrip::{RrpvTable, LONG_RRPV, MAX_RRPV};
@@ -74,8 +74,8 @@ impl ReplacementPolicy for ShipPp {
         "SHiP++".to_owned()
     }
 
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> Decision {
-        Decision::Evict(self.table.find_victim(set))
+    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> u16 {
+        self.table.find_victim(set)
     }
 
     fn on_hit(&mut self, set: u32, way: u16, access: &Access) {

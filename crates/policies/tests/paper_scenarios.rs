@@ -165,7 +165,7 @@ fn kpcr_demotes_prefetched_lines() {
         let _ = cache.access(&load(0x500, line, seq));
         seq += 1;
     }
-    assert!(cache.contains(1 * 64), "demand line 1 must survive");
+    assert!(cache.contains(64), "demand line 1 must survive");
     assert!(cache.contains(3 * 64), "demand line 3 must survive");
     assert!(!cache.contains(2 * 64), "unreused prefetch 2 must be evicted");
     assert!(!cache.contains(4 * 64), "unreused prefetch 4 must be evicted");

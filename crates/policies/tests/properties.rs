@@ -6,6 +6,8 @@ use policies::{Belady, Brrip, Drrip, Eva, Fifo, Hawkeye, KpcR, Pdp, Ship, ShipPp
 use simrng::prop::{check, Config};
 use simrng::{prop_assert, Rng};
 
+type MakePolicy = Box<dyn Fn(&CacheConfig) -> Box<dyn cache_sim::ReplacementPolicy>>;
+
 fn kind_of(tag: u8) -> AccessKind {
     match tag % 4 {
         0 => AccessKind::Load,
@@ -53,7 +55,7 @@ fn every_policy_maintains_invariants() {
         Config::with_cases(24),
         |rng| line_tag_seq(rng, 256, 16, 1..500),
         |seq| {
-            let makes: Vec<Box<dyn Fn(&CacheConfig) -> Box<dyn cache_sim::ReplacementPolicy>>> = vec![
+            let makes: Vec<MakePolicy> = vec![
                 Box::new(|c| Box::new(Fifo::new(c))),
                 Box::new(|c| Box::new(Srrip::new(c))),
                 Box::new(|c| Box::new(Brrip::new(c))),
@@ -129,7 +131,7 @@ fn pdp_protecting_distance_in_range() {
         Config::with_cases(24),
         |rng| line_tag_seq(rng, 64, 4, 200..2000),
         |seq| {
-            use cache_sim::{Decision, LineSnapshot, ReplacementPolicy};
+            use cache_sim::{LineSnapshot, ReplacementPolicy};
             let geometry = CacheConfig { sets: 4, ways: 4, latency: 1 };
             let mut pdp = Pdp::new(&geometry);
             let (sets, ways) = (geometry.sets as usize, geometry.ways as usize);
@@ -160,10 +162,7 @@ fn pdp_protecting_distance_in_range() {
                                 core: 0,
                             })
                             .collect();
-                        match pdp.select_victim(set as u32, &snapshot, &access) {
-                            Decision::Evict(w) => w as usize,
-                            Decision::Bypass => 0,
-                        }
+                        usize::from(pdp.select_victim(set as u32, &snapshot, &access))
                     };
                     tags[base + w] = line;
                     pdp.on_fill(set as u32, w as u16, &access);

@@ -470,7 +470,7 @@ impl Mlp {
     /// last weight.
     pub fn load<R: Read>(mut r: R) -> io::Result<Self> {
         let net = Self::read(&mut r, b"MLP1", false)?;
-        if r.bytes().next().transpose()?.is_some() {
+        if r.take(1).read_to_end(&mut Vec::new())? > 0 {
             return Err(wire::bad_data("trailing bytes after the MLP weights"));
         }
         Ok(net)

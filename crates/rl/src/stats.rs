@@ -111,13 +111,13 @@ impl VictimStats {
 
     /// Fig. 5: average victim age per access kind (LD, RFO, PF, WB).
     pub fn avg_age_by_kind(&self) -> [f64; 4] {
-        let mut out = [0.0; 4];
-        for k in 0..4 {
+        std::array::from_fn(|k| {
             if self.age_n[k] > 0 {
-                out[k] = self.age_sum[k] as f64 / self.age_n[k] as f64;
+                self.age_sum[k] as f64 / self.age_n[k] as f64
+            } else {
+                0.0
             }
-        }
-        out
+        })
     }
 
     /// Fig. 6: percentage of victims with 0, 1, and >1 hits.

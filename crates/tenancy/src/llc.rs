@@ -219,7 +219,7 @@ impl MultiTenantLlc {
             if kind.is_demand() {
                 q.demand_hits += 1;
             }
-        } else if !out.bypassed {
+        } else {
             // Model the DRAM round-trip the miss pays: bank queueing from
             // the shared timing model plus the row hit/miss service time.
             // The requester then *blocks* until the line returns (closed
@@ -236,18 +236,16 @@ impl MultiTenantLlc {
         // Maintain the ownership mirror from the outcome: a fill (and a
         // hit, whose tag-store core field the cache rewrites) hands the
         // slot to `tenant`.
-        if let Some(w) = out.way {
-            let idx = set * usize::from(self.cache.config().ways) + usize::from(w);
-            let prev = self.owner[idx];
-            if prev != tenant + 1 {
-                if prev != 0 {
-                    self.qos[usize::from(prev - 1)].occupancy -= 1;
-                }
-                let q = &mut self.qos[usize::from(tenant)];
-                q.occupancy += 1;
-                q.peak_occupancy = q.peak_occupancy.max(q.occupancy);
-                self.owner[idx] = tenant + 1;
+        let idx = set * usize::from(self.cache.config().ways) + usize::from(out.way);
+        let prev = self.owner[idx];
+        if prev != tenant + 1 {
+            if prev != 0 {
+                self.qos[usize::from(prev - 1)].occupancy -= 1;
             }
+            let q = &mut self.qos[usize::from(tenant)];
+            q.occupancy += 1;
+            q.peak_occupancy = q.peak_occupancy.max(q.occupancy);
+            self.owner[idx] = tenant + 1;
         }
 
         self.now += TICKS_PER_ACCESS;

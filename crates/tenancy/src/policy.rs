@@ -21,7 +21,7 @@
 //!   one of its lines' priorities, with learned levels instead of
 //!   demand-hit ranks.
 
-use cache_sim::{Access, CacheConfig, Decision, LineSnapshot, ReplacementPolicy};
+use cache_sim::{Access, CacheConfig, LineSnapshot, ReplacementPolicy};
 use rlr::{RlrConfig, RlrPolicy};
 
 /// Most tenants one LLC serves: the scan's packed rank path covers 8
@@ -189,7 +189,7 @@ impl ReplacementPolicy for TenantPolicy {
         }
     }
 
-    fn select_victim(&mut self, set: u32, lines: &[LineSnapshot], access: &Access) -> Decision {
+    fn select_victim(&mut self, set: u32, lines: &[LineSnapshot], access: &Access) -> u16 {
         match &self.mode {
             // The masked query can only name a way inside the tenant's
             // slice, and the cache filled every invalid slice way before
@@ -280,10 +280,8 @@ mod tests {
             p.on_miss(0, &access((w % 2) as u8, 0));
             p.on_fill(0, w, &access((w % 2) as u8, 0));
         }
-        match p.select_victim(0, &[], &access(0, 0)) {
-            Decision::Evict(w) => assert_eq!(w % 2, 1, "rank-0 tenant's line goes first"),
-            Decision::Bypass => panic!("tenancy policy never bypasses"),
-        }
+        let w = p.select_victim(0, &[], &access(0, 0));
+        assert_eq!(w % 2, 1, "rank-0 tenant's line goes first");
     }
 
     #[test]
@@ -296,10 +294,8 @@ mod tests {
             p.on_fill(0, w, &access(t, 0));
         }
         for _ in 0..32 {
-            match p.select_victim(0, &[], &access(1, 0)) {
-                Decision::Evict(w) => assert!(w >= 4, "tenant 1 evicted way {w} of tenant 0"),
-                Decision::Bypass => panic!("tenancy policy never bypasses"),
-            }
+            let w = p.select_victim(0, &[], &access(1, 0));
+            assert!(w >= 4, "tenant 1 evicted way {w} of tenant 0");
             p.on_miss(0, &access(1, 0));
         }
     }

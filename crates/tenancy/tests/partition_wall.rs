@@ -115,7 +115,7 @@ fn run_masked_case((inputs, knobs): &Case) -> Result<(), String> {
         "victim way {} escapes mask {mask:#010b}",
         scalar.victim()
     );
-    // A full mask is the unmasked scan, key and bypass vote included.
+    // A full mask is the unmasked scan.
     prop_assert_eq!(
         scan::scan_masked_scalar(&params, &ways, set_bits),
         scan::scan_lanes(&params, &ways)
@@ -142,7 +142,7 @@ fn gen_partition_case(rng: &mut SimRng) -> Vec<u64> {
     case
 }
 
-fn run_partition_case(case: &Vec<u64>) -> Result<(), String> {
+fn run_partition_case(case: &[u64]) -> Result<(), String> {
     // Defensive decode: shrinking may cut the vector; clamp back to a
     // valid scenario rather than panicking mid-shrink.
     let tenants = case.first().copied().unwrap_or(2).clamp(2, 4) as usize;
@@ -217,7 +217,7 @@ fn way_partition_occupancy_never_leaves_the_allocation() {
         "way_partition_occupancy_never_leaves_the_allocation",
         Config::with_cases(24),
         gen_partition_case,
-        run_partition_case,
+        |case| run_partition_case(case),
     );
 }
 
@@ -283,8 +283,10 @@ fn tenant_policy_digest(mode: IsolationMode) -> (u64, usize) {
         let option = |o: Option<u64>| o.map_or(0, |v| v + 1);
         for word in [
             u64::from(out.hit),
-            option(out.way.map(u64::from)),
-            u64::from(out.bypassed),
+            // `way + 1` and the literal 0 keep the pinned digest's word
+            // layout (an optional way, then a flag that is always clear).
+            u64::from(out.way) + 1,
+            0,
             option(out.writeback),
             option(out.evicted),
         ] {

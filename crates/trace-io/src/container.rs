@@ -997,7 +997,7 @@ mod tests {
             let mut bad = bytes.clone();
             bad[i] ^= 0x10;
             let result = TraceReader::new(bad.as_slice()).and_then(|mut r| {
-                while let Some(_) = r.next_block()? {}
+                while r.next_block()?.is_some() {}
                 Ok(())
             });
             assert!(result.is_err(), "flipping byte {i} must not verify");

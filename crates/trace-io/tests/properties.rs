@@ -92,7 +92,7 @@ fn random_bytes(rng: &mut SimRng) -> Vec<u8> {
         if rng.gen_range(0..2u8) == 0 {
             let b = rng.gen_range(0..8u8);
             let run = rng.gen_range(1..64usize).min(n - out.len());
-            out.extend(std::iter::repeat(b).take(run));
+            out.extend(std::iter::repeat_n(b, run));
         } else {
             out.push(rng.gen_range(0..=255u8));
         }

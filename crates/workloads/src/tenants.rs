@@ -125,7 +125,7 @@ impl TenantMix {
     pub fn default_three_class() -> Self {
         let mut objects = ObjectTraffic::internet_default();
         objects.catalog = 4096;
-        objects.seed = 0x7e4a_11;
+        objects.seed = 0x007e_4a11;
         Self {
             name: "default-3class".to_owned(),
             tenants: vec![
@@ -148,7 +148,7 @@ impl TenantMix {
                     rate: 4,
                 },
             ],
-            seed: 0x3c1a_55,
+            seed: 0x003c_1a55,
         }
     }
 
@@ -190,6 +190,8 @@ pub struct TenantAccess {
 
 /// An endless synthetic tenant stream ([`TenantSource::Loop`],
 /// [`TenantSource::Scan`], [`TenantSource::Objects`]).
+// Boxing `Objects` would add a pointer chase to every tenancy replay access.
+#[allow(clippy::large_enum_variant)]
 pub enum SyntheticStream {
     /// Cyclic working set.
     Loop {

@@ -16,6 +16,11 @@ echo "==> cargo doc --offline (warnings are errors)"
 # the `rlr` library's.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --lib
 
+echo "==> cargo clippy --offline (warnings are errors)"
+# Default lint levels only; a warning anywhere in the workspace, tests and
+# benches included, fails here.
+cargo clippy --offline --workspace --all-targets -- -D warnings
+
 echo "==> cargo test -q --offline"
 # Every suite runs here exactly once: the differential walls (seed, scan,
 # dispatch, partition, timing, objcache), the golden hierarchy counters,

@@ -31,7 +31,7 @@ fn cache_accounting_is_consistent() {
                 };
                 let access = Access { pc: a * 8, addr: a * 64, kind, core: 0, seq: i as u64 };
                 let out = cache.access(&access);
-                // After any access, the line must be resident (no bypass here).
+                // After any access, the line must be resident: every miss allocates.
                 prop_assert!(cache.contains(a * 64));
                 // Hits never evict.
                 if out.hit {
