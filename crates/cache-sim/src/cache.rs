@@ -16,6 +16,13 @@
 //!   24·ways bytes of `Line` structs, the invalid-way scan is a single
 //!   `trailing_zeros`, and snapshot construction is skipped entirely for
 //!   policies whose [`ReplacementPolicy::uses_line_snapshots`] is `false`.
+//! * **Branch-free set probe.** For the 8- and 16-way geometries every
+//!   paper cache uses, a lookup compares the set's tag row as a fixed
+//!   `[u64; W]` array, ORs the compares into a match bitmap, masks it with
+//!   the valid bitmap and takes `trailing_zeros`: the lowest valid matching
+//!   way, where the ascending probe loop stops. Other widths keep that
+//!   loop. [`SetAssocCache::access`] and [`SetAssocCache::contains`] share
+//!   the probe.
 
 use crate::access::{Access, AccessKind};
 use crate::config::CacheConfig;
@@ -155,17 +162,36 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
     /// Returns whether `addr`'s line is resident (no state change).
     pub fn contains(&self, addr: u64) -> bool {
         let line = addr >> 6;
-        let set = (line & self.set_mask) as usize;
-        let base = set * self.config.ways as usize;
-        let mut v = self.valid[set];
-        while v != 0 {
-            let w = v.trailing_zeros() as usize;
-            if self.tags[base + w] == line {
-                return true;
+        self.probe((line & self.set_mask) as usize, line) != 0
+    }
+
+    /// The valid ways of `set` that hold `line`, as a bitmap whose lowest
+    /// set bit is the way the ascending probe stops at (a resident line
+    /// sits in exactly one way, so at most one bit is set in practice).
+    ///
+    /// The 8- and 16-way geometries compare a fixed-width tag row without
+    /// branches; other widths walk the valid ways and report the first
+    /// match alone.
+    #[inline(always)]
+    fn probe(&self, set: usize, line: u64) -> u32 {
+        let ways = self.config.ways as usize;
+        let row = &self.tags[set * ways..(set + 1) * ways];
+        let valid = self.valid[set];
+        match ways {
+            8 => match_mask::<8>(row.try_into().expect("8-way row"), line) & valid,
+            16 => match_mask::<16>(row.try_into().expect("16-way row"), line) & valid,
+            _ => {
+                let mut probe = valid;
+                while probe != 0 {
+                    let w = probe.trailing_zeros();
+                    if row[w as usize] == line {
+                        return 1 << w;
+                    }
+                    probe &= probe - 1;
+                }
+                0
             }
-            v &= v - 1;
         }
-        false
     }
 
     /// Number of valid lines in `set` (drawn from the valid bitmap).
@@ -198,19 +224,9 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
         let ways = self.config.ways as usize;
         let base = set * ways;
 
-        // Lookup: probe valid ways in ascending index order.
-        let mut probe = self.valid[set];
-        let mut hit_way = None;
-        while probe != 0 {
-            let w = probe.trailing_zeros();
-            if self.tags[base + w as usize] == line {
-                hit_way = Some(w as u16);
-                break;
-            }
-            probe &= probe - 1;
-        }
-
-        if let Some(way) = hit_way {
+        let hits = self.probe(set, line);
+        if hits != 0 {
+            let way = hits.trailing_zeros() as u16;
             self.stats.record(access.kind, true);
             if access.kind == AccessKind::Writeback
                 || (self.rfo_dirties && access.kind == AccessKind::Rfo)
@@ -317,6 +333,17 @@ impl SetAssocCache<TrueLru> {
             self.dirty[set] |= 1 << way;
         }
     }
+}
+
+/// Bit `w` set where `row[w] == line`: `W` independent compares OR-ed into
+/// a mask, which the compiler keeps free of branches.
+#[inline(always)]
+fn match_mask<const W: usize>(row: &[u64; W], line: u64) -> u32 {
+    let mut mask = 0u32;
+    for (w, &tag) in row.iter().enumerate() {
+        mask |= u32::from(tag == line) << w;
+    }
+    mask
 }
 
 impl<P: ReplacementPolicy> std::fmt::Debug for SetAssocCache<P> {

@@ -182,6 +182,91 @@ fn random_streams_shrink_to_minimal_divergence() {
     );
 }
 
+/// The set probe has a fixed-width, branch-free form for 8 and 16 ways and
+/// a loop for every other width. Each case takes the next associativity in
+/// 1..=32 (so 64 cases visit every width twice, both probe forms
+/// included) and replays a random stream through the oracle and the packed
+/// cache with `rfo_dirties` off and on. Outcomes, residency (`contains`
+/// before every access), statistics and every set snapshot must agree.
+#[test]
+fn every_associativity_probes_like_the_reference() {
+    let mut case = 0u16;
+    check(
+        "every_associativity_probes_like_the_reference",
+        Config::with_cases(64),
+        |rng| {
+            let ways = case % 32 + 1;
+            case += 1;
+            let cfg = CacheConfig { sets: 4, ways, latency: 20 };
+            let lines = u64::from(cfg.sets) * u64::from(ways) * 3;
+            let n = rng.gen_range(1usize..800);
+            // A quarter of the accesses go to a hot region holding line 0,
+            // the tag every way starts with while it is still invalid.
+            let stream: Vec<Access> = (0..n)
+                .map(|seq| {
+                    let hot = rng.gen_range(0..4u8) == 0;
+                    let span = if hot { 2 * u64::from(cfg.sets) } else { lines };
+                    Access {
+                        pc: 0x400 + rng.gen_range(0..16u64) * 4,
+                        addr: rng.gen_range(0..span) << 6,
+                        kind: kind_of(rng.gen_range(0..10u64)),
+                        core: rng.gen_range(0..4u64) as u8,
+                        seq: seq as u64,
+                    }
+                })
+                .collect();
+            (stream, ways)
+        },
+        |(stream, ways)| {
+            let cfg = CacheConfig { sets: 4, ways: *ways, latency: 20 };
+            for rfo_dirties in [false, true] {
+                for kind in [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Rlr] {
+                    let label = format!("{} ways={ways} rfo_dirties={rfo_dirties}", kind.name());
+                    let mut old = ReferenceCache::new("ref", cfg, Box::new(kind.build(&cfg, None)));
+                    let mut new = SetAssocCache::new("packed", cfg, kind.build(&cfg, None));
+                    old.set_rfo_dirties(rfo_dirties);
+                    new.set_rfo_dirties(rfo_dirties);
+                    for (i, access) in stream.iter().enumerate() {
+                        let resident = old.contains(access.addr);
+                        prop_assert_eq!(
+                            resident,
+                            new.contains(access.addr),
+                            "[{}] contains diverged before access {}",
+                            label,
+                            i
+                        );
+                        let a = old.access(access);
+                        let b = new.access(access);
+                        prop_assert_eq!(a, b, "[{}] outcome diverged at access {}", label, i);
+                        prop_assert_eq!(
+                            b.hit,
+                            resident,
+                            "[{}] hit disagrees with contains at access {}",
+                            label,
+                            i
+                        );
+                    }
+                    prop_assert_eq!(old.stats(), new.stats(), "[{}] stats diverged", label);
+                    for set in 0..cfg.sets {
+                        let snapshot = new.set_snapshot(set);
+                        for way in 0..cfg.ways {
+                            prop_assert_eq!(
+                                old.line_state(set, way),
+                                snapshot[usize::from(way)],
+                                "[{}] line state diverged at set {} way {}",
+                                label,
+                                set,
+                                way
+                            );
+                        }
+                    }
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
 /// Snapshot skipping must be decided by the policy: a policy that asks for
 /// snapshots gets a full set's worth; the roster's flags match what each
 /// `select_victim` actually reads.

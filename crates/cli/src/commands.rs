@@ -437,6 +437,20 @@ pub fn trace(args: &Args) -> Result<(), ArgError> {
     }
 }
 
+/// The `--block N` records-per-block option of `trace capture` and `trace
+/// export`, checked before any simulation runs or any file is opened, so a
+/// rejected value leaves an existing `--out` file as it was.
+fn block_len_arg(args: &Args) -> Result<u32, ArgError> {
+    let block = args.get_num("block", trace_io::DEFAULT_BLOCK_LEN)?;
+    if block == 0 || block > trace_io::MAX_BLOCK_LEN {
+        return Err(ArgError(format!(
+            "--block must be between 1 and {} records",
+            trace_io::MAX_BLOCK_LEN
+        )));
+    }
+    Ok(block)
+}
+
 /// Opens a container writer behind the I/O fault seam, so `RLR_FAIL_PLAN`
 /// torn/flip/enospc directives reach `trace capture` and `trace export`
 /// exactly like any other faultable write.
@@ -475,7 +489,7 @@ fn trace_capture(args: &Args) -> Result<(), ArgError> {
         .ok_or_else(|| ArgError("--out <file> is required".to_owned()))?;
     let records = args.get_num("records", 100_000u64)?;
     let warmup = args.get_num("warmup", 1_000_000u64)?;
-    let block = args.get_num("block", trace_io::DEFAULT_BLOCK_LEN)?;
+    let block = block_len_arg(args)?;
     if args.has_flag("mix") || args.get("mix").is_some() {
         let names: Vec<&str> = bench.split(',').filter(|s| !s.is_empty()).collect();
         if names.len() < 2 {
@@ -528,7 +542,7 @@ fn trace_export(args: &Args) -> Result<(), ArgError> {
         .get("out")
         .ok_or_else(|| ArgError("--out <file> is required".to_owned()))?;
     let records = args.get_num("records", 100_000u64)?;
-    let block = args.get_num("block", trace_io::DEFAULT_BLOCK_LEN)?;
+    let block = block_len_arg(args)?;
     if Path::new(bench).is_file() {
         let core = args
             .get_num::<u8>("core", 0)

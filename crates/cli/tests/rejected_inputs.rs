@@ -64,3 +64,50 @@ fn train_rejects_a_zero_hidden_width() {
     assert!(!written, "no agent is written when --hidden is rejected");
     assert_user_error(&out, "--hidden must be positive");
 }
+
+/// Runs `rlr` with `args` plus `--out <existing file>` and returns the
+/// output and whether the file still holds the bytes it held before.
+fn run_against_an_existing_out(tag: &str, args: &[&str]) -> (Output, bool) {
+    let out_path: PathBuf =
+        std::env::temp_dir().join(format!("rlr-block-{tag}-{}.rlt", std::process::id()));
+    let before = b"an existing file that a rejected command must not touch";
+    std::fs::write(&out_path, before).expect("write the existing --out file");
+    let mut full = args.to_vec();
+    full.extend(["--out", out_path.to_str().expect("utf-8 path")]);
+    let out = rlr(&full);
+    let kept = std::fs::read(&out_path).is_ok_and(|after| after == before);
+    let _ = std::fs::remove_file(&out_path);
+    (out, kept)
+}
+
+#[test]
+fn trace_capture_rejects_an_oversized_block_before_opening_out() {
+    let (out, kept) = run_against_an_existing_out(
+        "capture",
+        &["trace", "capture", "429.mcf", "--records", "10", "--block", "1048577"],
+    );
+    assert_user_error(&out, "--block must be between 1 and 1048576 records");
+    assert!(kept, "a rejected --block must leave the existing --out file as it was");
+}
+
+#[test]
+fn trace_capture_mix_rejects_a_zero_block_before_simulating() {
+    let (out, kept) = run_against_an_existing_out(
+        "mix",
+        &["trace", "capture", "--mix", "429.mcf,450.soplex", "--records", "10", "--block", "0"],
+    );
+    assert_user_error(&out, "--block must be between 1 and 1048576 records");
+    assert!(kept, "a rejected --block must leave the existing --out file as it was");
+}
+
+#[test]
+fn trace_export_rejects_out_of_range_blocks() {
+    for (tag, args) in [
+        ("export0", ["trace", "export", "429.mcf", "--records", "10", "--block", "0"]),
+        ("exportcore", ["trace", "export", GOLDEN, "--core", "0", "--block", "1048577"]),
+    ] {
+        let (out, kept) = run_against_an_existing_out(tag, &args);
+        assert_user_error(&out, "--block must be between 1 and 1048576 records");
+        assert!(kept, "[{tag}] a rejected --block must leave the existing --out file as it was");
+    }
+}

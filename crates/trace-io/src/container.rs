@@ -222,37 +222,36 @@ fn encode_block(records: &[LlcRecord], out: &mut Vec<u8>) {
 }
 
 /// Decodes exactly `n` records from `buf`, appending to `records`.
+///
+/// The records are decoded in place: one `resize` makes room, then one
+/// pass per varint column and one pass that fills kinds and cores.
 fn decode_block(buf: &[u8], n: usize, records: &mut Vec<LlcRecord>) -> Result<(), TraceIoError> {
     let base = records.len();
-    records.reserve(n);
+    records.resize(base + n, LlcRecord { pc: 0, line: 0, kind: AccessKind::Load, core: 0 });
+    let block = &mut records[base..];
     let mut pos = 0usize;
     let mut prev = 0u64;
-    for _ in 0..n {
-        let pc = varint::get_delta(buf, &mut pos, prev)
+    for r in block.iter_mut() {
+        prev = varint::get_delta(buf, &mut pos, prev)
             .ok_or(TraceIoError::Corrupt("bad PC varint"))?;
-        prev = pc;
-        records.push(LlcRecord { pc, line: 0, kind: AccessKind::Load, core: 0 });
+        r.pc = prev;
     }
     prev = 0;
-    for i in 0..n {
-        let line = varint::get_delta(buf, &mut pos, prev)
+    for r in block.iter_mut() {
+        prev = varint::get_delta(buf, &mut pos, prev)
             .ok_or(TraceIoError::Corrupt("bad line varint"))?;
-        prev = line;
-        records[base + i].line = line;
+        r.line = prev;
     }
     let kind_bytes = n.div_ceil(4);
     if pos + kind_bytes + n != buf.len() {
         return Err(TraceIoError::Corrupt("block payload length mismatch"));
     }
-    for i in 0..n {
-        let b = buf[pos + i / 4];
+    let (kinds, cores) = buf[pos..].split_at(kind_bytes);
+    for (i, (r, &core)) in block.iter_mut().zip(cores).enumerate() {
         // Every 2-bit value is a valid AccessKind, so kinds need no
         // rejection path.
-        records[base + i].kind = AccessKind::ALL[usize::from((b >> (2 * (i % 4))) & 3)];
-    }
-    pos += kind_bytes;
-    for i in 0..n {
-        records[base + i].core = buf[pos + i];
+        r.kind = AccessKind::ALL[usize::from((kinds[i / 4] >> (2 * (i % 4))) & 3)];
+        r.core = core;
     }
     Ok(())
 }

@@ -151,15 +151,15 @@ fn decompress_inner(
         if out.len() - base + match_len > expected_len {
             return Err("output exceeds declared length");
         }
-        // Overlapping copies (offset < match_len) replicate the recent
-        // window byte-by-byte, exactly as the compressor assumed.
-        let mut src = out.len() - offset;
-        // The RLT1 decode hot loop: kept in the shape its timings measure.
-        #[allow(clippy::explicit_counter_loop)]
-        for _ in 0..match_len {
-            let b = out[src];
-            out.push(b);
-            src += 1;
+        // The match repeats the `offset` bytes before it with that period,
+        // also when it overlaps its own output (offset < match_len), as the
+        // compressor assumed. Everything from `start` on keeps that period,
+        // so each chunk copies all of it and the source doubles each round.
+        let start = out.len() - offset;
+        let end = out.len() + match_len;
+        while out.len() < end {
+            let chunk = (out.len() - start).min(end - out.len());
+            out.extend_from_within(start..start + chunk);
         }
     }
     if out.len() - base != expected_len {

@@ -34,7 +34,15 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 /// Returns `None` on a truncated buffer or an encoding that does not fit
 /// in 64 bits (more than [`MAX_VARINT_BYTES`] groups, or high bits set in
 /// the tenth group) — both only occur on corrupt input.
+#[inline]
 pub fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
+    // One-byte encodings (values below 128) are the common case of a
+    // small stride; they skip the group loop.
+    let first = *buf.get(*pos)?;
+    if first < 0x80 {
+        *pos += 1;
+        return Some(u64::from(first));
+    }
     let mut v = 0u64;
     for i in 0..MAX_VARINT_BYTES {
         let b = *buf.get(*pos)?;
@@ -57,6 +65,7 @@ pub fn put_delta(out: &mut Vec<u8>, prev: u64, current: u64) {
 }
 
 /// Reads one zigzag-varint delta and applies it to `prev`.
+#[inline]
 pub fn get_delta(buf: &[u8], pos: &mut usize, prev: u64) -> Option<u64> {
     Some(prev.wrapping_add(unzigzag(get_varint(buf, pos)?) as u64))
 }

@@ -34,12 +34,14 @@ echo "==> benchmark contract and seed-0 digests"
 # perfbench is a workspace of its own, so `--workspace` above does not
 # reach it. Its contract test runs sim_1core and serving_tiers at seed 0
 # under hostile RLR_* values and requires the pinned digests; one seed-0
-# sim_4core_event pass and one seed-0 rl_train pass must match their
+# pass each of sim_4core_event, llc_replay and rl_train must match their
 # digests too. A hot-path change that moves any simulated counter fails
-# here, and rl_train holds the DQN kernels this host dispatches to (AVX2
-# where it has it) to the pinned loss bits.
+# here; llc_replay's digests are the only ones that cover RLT1 decode
+# (each cell streams its trace file block by block), and rl_train holds
+# the DQN kernels this host dispatches to (AVX2 where it has it) to the
+# pinned loss bits.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
-for WORKLOAD in sim_4core_event rl_train; do
+for WORKLOAD in sim_4core_event llc_replay rl_train; do
     RESULT="$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
         --workload "$WORKLOAD" --seed 0 --seconds 1 --trace 0 | tail -n 1)"
     case "$RESULT" in
