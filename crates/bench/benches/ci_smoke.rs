@@ -140,7 +140,7 @@ fn scalar_over_lanes(config: &SystemConfig) -> Vec<f64> {
 
 /// The timing-layer cost ratio: full-system 429.mcf runs under the
 /// analytic and the event timing model. It rises when the analytic replay
-/// path gets slower relative to the event core.
+/// path gets slower relative to event timing.
 fn analytic_over_event(config: &SystemConfig) -> Vec<f64> {
     const INSTRUCTIONS: u64 = 150_000;
     let run = |mode: TimingMode| {

@@ -83,9 +83,9 @@ impl Default for DramModel {
     }
 }
 
-/// Per-bank DRAM service timing for the event core: each bank is busy
-/// until its last request completes, so requests mapping to the same bank
-/// serialize while requests to distinct banks overlap.
+/// Per-bank DRAM service timing for event-mode [`crate::TimingModel`]:
+/// each bank is busy until its last request completes, so requests mapping
+/// to the same bank serialize while requests to distinct banks overlap.
 ///
 /// This is the *timing* companion of [`DramModel`], with the same default
 /// geometry and bank mapping. Row-hit/miss classification stays with the
@@ -93,7 +93,7 @@ impl Default for DramModel {
 /// depends on timing); [`DramTiming`] only turns that classification plus
 /// an arrival time into a completion time. All times are in the timing
 /// layer's integer sub-slot ticks — callers never convert units, they pass
-/// times from [`crate::EventCore`] straight through.
+/// times from [`crate::TimingModel`] straight through.
 #[derive(Clone, Debug)]
 pub struct DramTiming {
     /// Tick at which each bank becomes idle.

@@ -3,11 +3,11 @@
 use crate::access::{Access, AccessKind};
 use crate::cache::SetAssocCache;
 use crate::capture::{LlcRecord, LlcTrace};
-use crate::event::MemTraffic;
 use crate::config::{L2PrefetcherKind, SystemConfig};
 use crate::prefetch::{IpStridePrefetcher, KpcPrefetcher, NextLinePrefetcher, PrefetchRequest, Prefetcher};
 use crate::replacement::{ReplacementPolicy, TrueLru};
 use crate::stats::CacheStats;
+use crate::timing::TimingMode;
 
 /// The deepest level that serviced a memory operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -53,15 +53,17 @@ impl ServiceLevel {
     }
 }
 
-/// The outcome of one LLC access, as seen by the requesting core.
+/// One memory request the [`SharedLlc`] sends to DRAM *besides* the
+/// demand read the timing model charges directly: a prefetch fill read or
+/// a dirty writeback. Event timing queues it on its bank
+/// ([`crate::TimingModel::background`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LlcOutcome {
-    /// The line was in the LLC.
-    Hit,
-    /// LLC miss serviced by memory with an open DRAM row.
-    MissRowHit,
-    /// LLC miss serviced by memory with a closed DRAM row.
-    MissRowMiss,
+pub struct MemTraffic {
+    /// Cache line (byte address >> 6), for bank mapping.
+    pub line: u64,
+    /// Row-buffer outcome classified by the functional [`crate::DramModel`]
+    /// at access time (program order).
+    pub row_hit: bool,
 }
 
 /// The shared last-level cache, with sequence numbering and optional trace
@@ -78,15 +80,18 @@ pub struct SharedLlc<P: ReplacementPolicy = Box<dyn ReplacementPolicy>> {
     dram: crate::dram::DramModel,
     memory_reads: u64,
     memory_writes: u64,
-    /// Background memory traffic recorded for the event timing model:
-    /// prefetch fill reads and dirty writebacks (demand reads are charged
-    /// by the timing driver directly via their [`ServiceLevel`]). `None`
-    /// (the default) keeps the functional hot path free of the tap.
+    /// Background memory traffic recorded for event timing: prefetch fill
+    /// reads and dirty writebacks (demand reads are charged by the timing
+    /// driver directly via their [`ServiceLevel`]). `None` under analytic
+    /// timing, which never reads it, keeps the tap off the hot path.
     traffic: Option<Vec<MemTraffic>>,
 }
 
 impl<P: ReplacementPolicy> SharedLlc<P> {
-    /// Creates the LLC described by `config` with the given policy.
+    /// Creates the LLC described by `config` with the given policy. Under
+    /// [`TimingMode::Event`] it records background memory traffic for
+    /// [`drain_traffic`](SharedLlc::drain_traffic); the record is purely
+    /// observational, so functional behaviour is the same in both modes.
     pub fn new(config: &SystemConfig, policy: P) -> Self {
         Self {
             cache: SetAssocCache::new("LLC", config.llc, policy),
@@ -95,7 +100,7 @@ impl<P: ReplacementPolicy> SharedLlc<P> {
             dram: crate::dram::DramModel::default(),
             memory_reads: 0,
             memory_writes: 0,
-            traffic: None,
+            traffic: (config.timing == TimingMode::Event).then(Vec::new),
         }
     }
 
@@ -117,23 +122,21 @@ impl<P: ReplacementPolicy> SharedLlc<P> {
         self.capture.as_mut().map(std::mem::take)
     }
 
-    /// Starts recording background memory traffic (prefetch fill reads and
-    /// dirty writebacks) for the event timing model. Purely observational:
-    /// functional behaviour is unchanged.
-    pub fn enable_traffic_tap(&mut self) {
-        self.traffic = Some(Vec::new());
-    }
-
-    /// Moves the traffic recorded since the last drain into `out` (appends;
-    /// does not clear `out`). A no-op when the tap is disabled.
-    pub fn drain_traffic(&mut self, out: &mut Vec<MemTraffic>) {
+    /// Hands the traffic recorded since the last drain to `sink`, in the
+    /// order the LLC emitted it, then forgets it. A no-op under analytic
+    /// timing.
+    pub fn drain_traffic(&mut self, sink: impl FnOnce(&[MemTraffic])) {
         if let Some(traffic) = &mut self.traffic {
-            out.append(traffic);
+            sink(traffic);
+            traffic.clear();
         }
     }
 
-    /// Performs one LLC access, going to DRAM on a miss.
-    pub fn access(&mut self, pc: u64, addr: u64, kind: AccessKind, core: u8) -> LlcOutcome {
+    /// Performs one LLC access, going to DRAM on a miss, and returns the
+    /// level that serviced it: [`ServiceLevel::Llc`] on a hit (and on a
+    /// writeback, which never reads memory), otherwise a memory level by
+    /// the DRAM row-buffer outcome.
+    pub fn access(&mut self, pc: u64, addr: u64, kind: AccessKind, core: u8) -> ServiceLevel {
         let access = Access { pc, addr, kind, core, seq: self.seq };
         self.seq += 1;
         if let Some(capture) = &mut self.capture {
@@ -144,15 +147,15 @@ impl<P: ReplacementPolicy> SharedLlc<P> {
             self.memory_writes += 1;
             let row_hit = self.dram.access(wb);
             if let Some(traffic) = &mut self.traffic {
-                traffic.push(MemTraffic { line: wb, write: true, row_hit });
+                traffic.push(MemTraffic { line: wb, row_hit });
             }
         }
         if out.hit {
-            return LlcOutcome::Hit;
+            return ServiceLevel::Llc;
         }
         if kind == AccessKind::Writeback {
             // Writeback misses allocate without a memory read.
-            return LlcOutcome::Hit;
+            return ServiceLevel::Llc;
         }
         self.memory_reads += 1;
         let row_hit = self.dram.access(addr >> 6);
@@ -161,13 +164,13 @@ impl<P: ReplacementPolicy> SharedLlc<P> {
         // fills are background traffic.
         if kind == AccessKind::Prefetch {
             if let Some(traffic) = &mut self.traffic {
-                traffic.push(MemTraffic { line: addr >> 6, write: false, row_hit });
+                traffic.push(MemTraffic { line: addr >> 6, row_hit });
             }
         }
         if row_hit {
-            LlcOutcome::MissRowHit
+            ServiceLevel::MemoryRowHit
         } else {
-            LlcOutcome::MissRowMiss
+            ServiceLevel::Memory
         }
     }
 
@@ -406,11 +409,7 @@ impl CoreHierarchy {
         let out = self.l2.access(&access);
         let mut level = ServiceLevel::L2;
         if !out.hit && kind != AccessKind::Writeback {
-            level = match llc.access(pc, addr, kind, self.core) {
-                LlcOutcome::Hit => ServiceLevel::Llc,
-                LlcOutcome::MissRowHit => ServiceLevel::MemoryRowHit,
-                LlcOutcome::MissRowMiss => ServiceLevel::Memory,
-            };
+            level = llc.access(pc, addr, kind, self.core);
         }
         if let Some(wb) = out.writeback {
             llc.access(0, wb << 6, AccessKind::Writeback, self.core);

@@ -6,7 +6,11 @@
 //! prefetchers (next-line at L1, IP-stride at L2, none at the LLC), and a
 //! simplified out-of-order core timing model (3-issue, 256-entry ROB,
 //! MSHR-limited memory-level parallelism) that converts cache behaviour into
-//! IPC — mirroring Table III of the paper.
+//! IPC — mirroring Table III of the paper. That model, [`TimingModel`], has
+//! two modes ([`TimingMode`]) that differ in three rules: memory misses
+//! complete after a constant latency or after queueing on a DRAM bank, a
+//! full MSHR file waits for the oldest miss or the earliest completion,
+//! and the end of a run waits for the youngest miss or the latest one.
 //!
 //! The design deliberately separates *function* from *time*: caches are
 //! simulated functionally in program order, so the LLC access stream is
@@ -30,7 +34,6 @@ mod cache;
 mod capture;
 mod config;
 mod dram;
-mod event;
 mod hierarchy;
 mod prefetch;
 pub mod reference;
@@ -44,14 +47,13 @@ pub use cache::{AccessOutcome, SetAssocCache};
 pub use reference::ReferenceCache;
 pub use capture::{LlcRecord, LlcTrace};
 pub use dram::{DramModel, DramTiming};
-pub use event::{EventCore, MemTraffic};
 pub use config::{CacheConfig, L2PrefetcherKind, SystemConfig};
-pub use hierarchy::{CoreHierarchy, DataRequest, LlcOutcome, ServiceLevel, SharedLlc};
+pub use hierarchy::{CoreHierarchy, DataRequest, MemTraffic, ServiceLevel, SharedLlc};
 pub use prefetch::{IpStridePrefetcher, KpcPrefetcher, NextLinePrefetcher, PrefetchRequest, Prefetcher};
 pub use replacement::{LineSnapshot, RandomLite, ReplacementPolicy, TrueLru};
 pub use stats::{CacheStats, KindCounts};
 pub use system::{MultiCoreSystem, RunStats, SingleCoreSystem};
-pub use timing::{CoreTiming, TimingMode, TimingModel};
+pub use timing::{TimingMode, TimingModel};
 
 /// Cache line size in bytes used throughout the simulator.
 pub const LINE_BYTES: u64 = 64;

@@ -4,11 +4,10 @@ use workloads::TraceEntry;
 
 use crate::config::SystemConfig;
 use crate::dram::DramTiming;
-use crate::event::MemTraffic;
 use crate::hierarchy::{CoreHierarchy, SharedLlc};
 use crate::replacement::ReplacementPolicy;
 use crate::stats::CacheStats;
-use crate::timing::{TimingMode, TimingModel};
+use crate::timing::TimingModel;
 
 /// Results of one simulated run.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -87,19 +86,13 @@ fn step<P: ReplacementPolicy>(
     timing: &mut TimingModel,
     llc: &mut SharedLlc<P>,
     dram: &mut DramTiming,
-    traffic: &mut Vec<MemTraffic>,
-    config: &SystemConfig,
 ) {
     let fetch_level = hierarchy.instr_fetch(entry.pc, llc);
-    timing.instr_fetch(fetch_level, entry.pc >> 6, dram, config);
+    timing.instr_fetch(fetch_level, entry.pc >> 6, dram);
     timing.retire(entry.leading);
     let level = hierarchy.data_access(entry.pc, entry.addr, entry.is_store, llc);
-    timing.memory_op(level, entry.dependent, entry.addr >> 6, dram, config);
-    if timing.mode() == TimingMode::Event {
-        traffic.clear();
-        llc.drain_traffic(traffic);
-        timing.background(traffic, dram);
-    }
+    timing.memory_op(level, entry.dependent, entry.addr >> 6, dram);
+    llc.drain_traffic(|traffic| timing.background(traffic, dram));
 }
 
 /// A single core over the full hierarchy, with a pluggable LLC policy.
@@ -120,23 +113,17 @@ pub struct SingleCoreSystem<P: ReplacementPolicy = Box<dyn ReplacementPolicy>> {
     llc: SharedLlc<P>,
     timing: TimingModel,
     dram_timing: DramTiming,
-    traffic: Vec<MemTraffic>,
 }
 
 impl<P: ReplacementPolicy> SingleCoreSystem<P> {
     /// Creates the system with the given LLC replacement policy.
     pub fn new(config: &SystemConfig, policy: P) -> Self {
-        let mut llc = SharedLlc::new(config, policy);
-        if config.timing == TimingMode::Event {
-            llc.enable_traffic_tap();
-        }
         Self {
             config: *config,
             hierarchy: CoreHierarchy::new(0, config),
-            llc,
+            llc: SharedLlc::new(config, policy),
             timing: TimingModel::new(config),
             dram_timing: DramTiming::new(config),
-            traffic: Vec::new(),
         }
     }
 
@@ -166,8 +153,6 @@ impl<P: ReplacementPolicy> SingleCoreSystem<P> {
                 &mut local,
                 &mut self.llc,
                 &mut self.dram_timing,
-                &mut self.traffic,
-                &self.config,
             );
         }
         self.hierarchy.reset_stats();
@@ -189,8 +174,6 @@ impl<P: ReplacementPolicy> SingleCoreSystem<P> {
                 &mut self.timing,
                 &mut self.llc,
                 &mut self.dram_timing,
-                &mut self.traffic,
-                &self.config,
             );
         }
         self.timing.finish();
@@ -241,7 +224,6 @@ pub struct MultiCoreSystem<P: ReplacementPolicy = Box<dyn ReplacementPolicy>> {
     /// what the event mode measures. Core clocks are kept loosely in sync
     /// by the fewest-cycles-first scheduler.
     dram_timing: DramTiming,
-    traffic: Vec<MemTraffic>,
 }
 
 impl<P: ReplacementPolicy> MultiCoreSystem<P> {
@@ -271,16 +253,11 @@ impl<P: ReplacementPolicy> MultiCoreSystem<P> {
                 finished: None,
             })
             .collect();
-        let mut llc = SharedLlc::new(config, policy);
-        if config.timing == TimingMode::Event {
-            llc.enable_traffic_tap();
-        }
         Self {
             config: *config,
-            llc,
+            llc: SharedLlc::new(config, policy),
             cores,
             dram_timing: DramTiming::new(config),
-            traffic: Vec::new(),
         }
     }
 
@@ -372,8 +349,6 @@ impl<P: ReplacementPolicy> MultiCoreSystem<P> {
                 &mut core.timing,
                 &mut self.llc,
                 &mut self.dram_timing,
-                &mut self.traffic,
-                &self.config,
             );
             core.cycles = core.timing.cycles();
             if core.finished.is_none() && core.timing.instructions() >= instructions {
@@ -398,6 +373,7 @@ impl<P: ReplacementPolicy> std::fmt::Debug for MultiCoreSystem<P> {
 mod tests {
     use super::*;
     use crate::replacement::TrueLru;
+    use crate::timing::TimingMode;
     use workloads::{Recipe, Workload};
 
     fn small_loop(bytes: u64) -> Workload {

@@ -1,9 +1,8 @@
-//! Core timing models: the analytic formula, the mode selector, and the
-//! facade that lets the drivers swap in the discrete-event core.
+//! The core timing model: one out-of-order core skeleton that converts
+//! retired instructions and memory-service levels into cycles.
 //!
-//! The analytic model ([`CoreTiming`]) converts a stream of retired
-//! instructions and memory-service levels into cycles. It captures the
-//! three effects that matter for LLC replacement studies:
+//! [`TimingModel`] captures the three effects that matter for LLC
+//! replacement studies:
 //!
 //! 1. **Issue width** — non-memory instructions retire at `issue_width` per
 //!    cycle.
@@ -21,10 +20,22 @@
 //! preserves because cycles are driven by the same LLC hit/miss outcomes a
 //! detailed core would see.
 //!
-//! The discrete-event model ([`crate::EventCore`]) adds DRAM bank queueing
-//! and writeback backpressure on top of the same accounting; select it with
-//! [`TimingMode::Event`] (see [`crate::SystemConfig::timing`]). Both models
-//! share one fixed-point time base ([`ticks_per_cycle`]): time advances in
+//! [`TimingMode`] (see [`crate::SystemConfig::timing`]) changes exactly
+//! three rules; everything else is shared:
+//!
+//! - **Memory completion.** [`TimingMode::Analytic`] charges a constant
+//!   latency per row-buffer class. [`TimingMode::Event`] queues the request
+//!   on its [`DramTiming`] bank when it reaches the memory controller, so
+//!   misses to one bank serialize, and prefetch fills and dirty writebacks
+//!   ([`TimingModel::background`]) occupy the same banks. On an idle bank
+//!   both give the same tick; LLC hits cost the same in both modes.
+//! - **MSHR-full stall.** Analytic waits for the oldest miss in program
+//!   order. Event advances to the earliest future completion: an MSHR is
+//!   released as soon as its data returns, even behind an older miss.
+//! - **Finish.** Analytic waits for the youngest miss, event for the
+//!   latest completion.
+//!
+//! Time is one fixed-point base ([`ticks_per_cycle`]): it advances in
 //! integer *sub-slots* of `1 / (2 × issue_width)` cycles, so every charge —
 //! per-instruction issue slots, full latencies, and the fetch path's
 //! half-latency — is exact u64 arithmetic and cycle counts are
@@ -35,37 +46,37 @@ use std::collections::VecDeque;
 
 use crate::config::SystemConfig;
 use crate::dram::DramTiming;
-use crate::event::{EventCore, MemTraffic};
-use crate::hierarchy::ServiceLevel;
+use crate::hierarchy::{MemTraffic, ServiceLevel};
 
 /// Cycles of exposed latency charged for an L2 hit (the OOO window hides
 /// the rest).
-pub(crate) const L2_EXPOSED_CYCLES: u64 = 1;
+const L2_EXPOSED_CYCLES: u64 = 1;
 
 /// Sub-slots per cycle for the fixed-point time base shared by both timing
-/// models: `2 × issue_width`. One instruction is exactly 2 sub-slots
-/// (`1/width` cycles), a full latency of `L` cycles is `L × scale`
-/// sub-slots, and the instruction-fetch path's half-latency charge
-/// (`L × width` sub-slots) stays integral for any width.
+/// modes and the DRAM bank queues: `2 × issue_width`. One instruction is
+/// exactly 2 sub-slots (`1/width` cycles), a full latency of `L` cycles is
+/// `L × scale` sub-slots, and the instruction-fetch path's half-latency
+/// charge (`L × width` sub-slots) stays integral for any width.
 pub(crate) fn ticks_per_cycle(config: &SystemConfig) -> u64 {
     2 * u64::from(config.issue_width.max(1))
 }
 
-/// Which core timing model converts hit/miss outcomes into cycles.
+/// Which rules [`TimingModel`] uses to convert hit/miss outcomes into
+/// cycles.
 ///
 /// The functional (hit/miss) path is identical under both modes — timing is
 /// a pure consumer of service levels — so counters, captures, and oracle
 /// results never depend on this selector.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum TimingMode {
-    /// The analytic MLP-aware formula ([`CoreTiming`]): latencies are
-    /// charged per-op with MSHR/ROB/dependence limits, but memory service
-    /// time is a constant per row-buffer class.
+    /// The analytic MLP-aware formula: latencies are charged per-op with
+    /// MSHR/ROB/dependence limits, but memory service time is a constant
+    /// per row-buffer class.
     #[default]
     Analytic,
-    /// The discrete-event core ([`crate::EventCore`]): miss completion
-    /// times come from per-bank DRAM busy-until queues, and prefetch /
-    /// writeback traffic occupies the same banks (backpressure).
+    /// Discrete-event memory: miss completion times come from per-bank
+    /// DRAM busy-until queues, and prefetch / writeback traffic occupies
+    /// the same banks (backpressure).
     Event,
 }
 
@@ -122,33 +133,45 @@ impl std::fmt::Display for TimingMode {
 
 /// One in-flight long-latency miss, in program order.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Outstanding {
+struct Outstanding {
     /// Completion time in sub-slots.
-    pub(crate) done_at: u64,
+    done_at: u64,
     /// Instruction count when the miss issued (ROB occupancy anchor).
-    pub(crate) at_instr: u64,
+    at_instr: u64,
 }
 
-/// Per-core cycle accounting (the analytic model).
+/// Per-core cycle accounting under the mode selected by
+/// [`SystemConfig::timing`].
 ///
 /// ```
-/// use cache_sim::{CoreTiming, SystemConfig};
-/// use cache_sim::ServiceLevel;
+/// use cache_sim::{DramTiming, ServiceLevel, SystemConfig, TimingMode, TimingModel};
 ///
-/// let cfg = SystemConfig::paper_single_core();
-/// let mut t = CoreTiming::new(&cfg);
-/// t.retire(300);
-/// t.memory_op(ServiceLevel::L1, false, &cfg);
-/// assert_eq!(t.instructions(), 301);
-/// t.finish();
-/// assert!(t.cycles() >= 100); // 300 instructions at width 3
+/// for mode in [TimingMode::Analytic, TimingMode::Event] {
+///     let cfg = SystemConfig::paper_single_core().with_timing(mode);
+///     let mut dram = DramTiming::new(&cfg);
+///     let mut t = TimingModel::new(&cfg);
+///     t.retire(300);
+///     t.memory_op(ServiceLevel::Memory, false, 0x1234, &mut dram);
+///     assert_eq!(t.instructions(), 301);
+///     t.finish();
+///     // 300 instructions at width 3, then the miss on an idle bank.
+///     assert_eq!(t.cycles(), 100 + 1 + 242);
+/// }
 /// ```
 #[derive(Clone, Debug)]
-pub struct CoreTiming {
+pub struct TimingModel {
+    mode: TimingMode,
     /// Sub-slots per cycle (see [`ticks_per_cycle`]).
     scale: u64,
     rob_entries: u64,
     mshrs: usize,
+    /// Cumulative L1+L2+LLC latency in sub-slots: the LLC hit service
+    /// time, and the time for a miss to reach the memory controller.
+    llc_ticks: u64,
+    /// Analytic memory service after `llc_ticks`, for a row-buffer hit
+    /// and a row-buffer miss.
+    row_hit_ticks: u64,
+    row_miss_ticks: u64,
     /// Elapsed time in sub-slots.
     now: u64,
     instructions: u64,
@@ -156,16 +179,22 @@ pub struct CoreTiming {
     last_long_done: u64,
 }
 
-impl CoreTiming {
-    /// Creates a timing model from the system configuration.
+impl TimingModel {
+    /// Creates the model selected by `config.timing`.
     pub fn new(config: &SystemConfig) -> Self {
+        let scale = ticks_per_cycle(config);
+        let mshrs = (config.mshrs as usize).max(1);
         Self {
-            scale: ticks_per_cycle(config),
+            mode: config.timing,
+            scale,
             rob_entries: u64::from(config.rob_entries),
-            mshrs: config.mshrs as usize,
+            mshrs,
+            llc_ticks: u64::from(ServiceLevel::Llc.latency(config)) * scale,
+            row_hit_ticks: u64::from(config.memory_row_hit_latency) * scale,
+            row_miss_ticks: u64::from(config.memory_latency) * scale,
             now: 0,
             instructions: 0,
-            pending: VecDeque::with_capacity(config.mshrs as usize),
+            pending: VecDeque::with_capacity(mshrs),
             last_long_done: 0,
         }
     }
@@ -176,15 +205,8 @@ impl CoreTiming {
         self.now += 2 * u64::from(n);
     }
 
-    /// Accounts for one memory operation serviced at `level`.
-    ///
-    /// `dependent` marks an access whose address depends on the previous
-    /// access's data.
-    pub fn memory_op(&mut self, level: ServiceLevel, dependent: bool, config: &SystemConfig) {
-        self.instructions += 1;
-        self.now += 2;
-
-        // Retire any misses that completed in the meantime.
+    /// Retires completed misses from the head of the program-order queue.
+    fn drain_completed(&mut self) {
         while let Some(front) = self.pending.front() {
             if front.done_at <= self.now {
                 self.pending.pop_front();
@@ -192,6 +214,65 @@ impl CoreTiming {
                 break;
             }
         }
+    }
+
+    /// Completion time of a long-latency access to `line` issued now. LLC
+    /// hits are a fixed pipeline latency; memory requests arrive at the
+    /// controller after `llc_ticks` and are then served in constant time
+    /// (analytic) or queued on their DRAM bank (event).
+    fn long_done_at(&self, level: ServiceLevel, line: u64, dram: &mut DramTiming) -> u64 {
+        let arrival = self.now + self.llc_ticks;
+        let row_hit = match level {
+            ServiceLevel::Llc => return arrival,
+            ServiceLevel::MemoryRowHit => true,
+            ServiceLevel::Memory => false,
+            ServiceLevel::L1 | ServiceLevel::L2 => unreachable!("short levels have no completion"),
+        };
+        match self.mode {
+            TimingMode::Analytic if row_hit => arrival + self.row_hit_ticks,
+            TimingMode::Analytic => arrival + self.row_miss_ticks,
+            TimingMode::Event => dram.request(line, arrival, row_hit),
+        }
+    }
+
+    /// Stalls until an MSHR is free for a new miss.
+    fn wait_for_mshr(&mut self) {
+        match self.mode {
+            TimingMode::Analytic => {
+                while self.pending.len() >= self.mshrs {
+                    let front = self.pending.pop_front().expect("len >= mshrs > 0");
+                    self.now = self.now.max(front.done_at);
+                }
+            }
+            // Each pass advances `now` to the earliest outstanding
+            // completion, releasing at least one entry.
+            TimingMode::Event => {
+                while self.outstanding_misses() >= self.mshrs {
+                    self.now = self
+                        .pending
+                        .iter()
+                        .map(|o| o.done_at)
+                        .filter(|&d| d > self.now)
+                        .min()
+                        .expect("a miss in flight has a future completion");
+                }
+            }
+        }
+    }
+
+    /// Accounts for one memory operation on cache line `line` (byte
+    /// address >> 6) serviced at `level`. `dependent` marks an access whose
+    /// address depends on the previous access's data.
+    pub fn memory_op(
+        &mut self,
+        level: ServiceLevel,
+        dependent: bool,
+        line: u64,
+        dram: &mut DramTiming,
+    ) {
+        self.instructions += 1;
+        self.now += 2;
+        self.drain_completed();
 
         if dependent {
             // Cannot even compute the address before the previous access's
@@ -201,15 +282,12 @@ impl CoreTiming {
 
         match level {
             ServiceLevel::L1 => {}
-            ServiceLevel::L2 => {
-                self.now += L2_EXPOSED_CYCLES * self.scale;
-            }
+            ServiceLevel::L2 => self.now += L2_EXPOSED_CYCLES * self.scale,
             ServiceLevel::Llc | ServiceLevel::MemoryRowHit | ServiceLevel::Memory => {
-                // MSHR full: stall until the oldest miss returns.
-                while self.pending.len() >= self.mshrs {
-                    let front = self.pending.pop_front().expect("len >= mshrs > 0");
-                    self.now = self.now.max(front.done_at);
-                }
+                self.wait_for_mshr();
+                // The event stall only advances the clock; release what
+                // completed meanwhile.
+                self.drain_completed();
                 // ROB full behind the oldest miss: stall for it.
                 while let Some(front) = self.pending.front() {
                     if self.instructions - front.at_instr >= self.rob_entries {
@@ -219,32 +297,48 @@ impl CoreTiming {
                         break;
                     }
                 }
-                let done_at = self.now + u64::from(level.latency(config)) * self.scale;
+                let done_at = self.long_done_at(level, line, dram);
                 self.pending.push_back(Outstanding { done_at, at_instr: self.instructions });
                 self.last_long_done = done_at;
             }
         }
     }
 
-    /// Charges a front-end (instruction fetch) service; cheap for L1/L2,
-    /// treated as a long-latency stall beyond that.
-    pub fn instr_fetch(&mut self, level: ServiceLevel, config: &SystemConfig) {
+    /// Charges one instruction fetch of cache line `line` serviced at
+    /// `level`. L1/L2 are cheap; beyond L2 the pipeline drains and exposes
+    /// half the completion latency (fetch-ahead hides the rest). In
+    /// analytic mode that half is `L × scale / 2 = L × issue_width`, always
+    /// integral.
+    pub fn instr_fetch(&mut self, level: ServiceLevel, line: u64, dram: &mut DramTiming) {
         match level {
             ServiceLevel::L1 => {}
             ServiceLevel::L2 => self.now += L2_EXPOSED_CYCLES * self.scale,
             ServiceLevel::Llc | ServiceLevel::MemoryRowHit | ServiceLevel::Memory => {
-                // Front-end misses drain the pipeline: expose half the full
-                // latency (fetch-ahead hides the rest). `L × scale / 2` is
-                // `L × issue_width`, always integral.
-                self.now += u64::from(level.latency(config)) * self.scale / 2;
+                let done_at = self.long_done_at(level, line, dram);
+                self.now += (done_at - self.now) / 2;
             }
+        }
+    }
+
+    /// Queues background memory traffic (prefetch fills, dirty writebacks)
+    /// on its DRAM banks without stalling the core: later demand misses to
+    /// a busy bank complete later. Analytic completions never read the
+    /// banks, so there it changes no cycle count.
+    pub fn background(&self, traffic: &[MemTraffic], dram: &mut DramTiming) {
+        let arrival = self.now + self.llc_ticks;
+        for t in traffic {
+            dram.request(t.line, arrival, t.row_hit);
         }
     }
 
     /// Drains outstanding misses (call once at the end of a run).
     pub fn finish(&mut self) {
-        if let Some(back) = self.pending.back() {
-            self.now = self.now.max(back.done_at);
+        let end = match self.mode {
+            TimingMode::Analytic => self.pending.back().map(|o| o.done_at),
+            TimingMode::Event => self.pending.iter().map(|o| o.done_at).max(),
+        };
+        if let Some(end) = end {
+            self.now = self.now.max(end);
         }
         self.pending.clear();
     }
@@ -265,121 +359,6 @@ impl CoreTiming {
     }
 }
 
-/// The timing model selected by [`SystemConfig::timing`], behind one
-/// call surface so the simulation drivers are mode-agnostic.
-///
-/// The analytic variant ignores the DRAM bank state (its memory service
-/// time is a constant per row-buffer class); the event variant routes every
-/// long-latency completion through [`DramTiming`].
-#[derive(Clone, Debug)]
-pub enum TimingModel {
-    /// The analytic MLP-aware formula.
-    Analytic(CoreTiming),
-    /// The discrete-event core with DRAM bank queueing.
-    Event(EventCore),
-}
-
-impl TimingModel {
-    /// Builds the model selected by `config.timing`.
-    pub fn new(config: &SystemConfig) -> Self {
-        match config.timing {
-            TimingMode::Analytic => TimingModel::Analytic(CoreTiming::new(config)),
-            TimingMode::Event => TimingModel::Event(EventCore::new(config)),
-        }
-    }
-
-    /// Which mode this model implements.
-    pub fn mode(&self) -> TimingMode {
-        match self {
-            TimingModel::Analytic(_) => TimingMode::Analytic,
-            TimingModel::Event(_) => TimingMode::Event,
-        }
-    }
-
-    /// Retires `n` non-memory instructions.
-    pub fn retire(&mut self, n: u32) {
-        match self {
-            TimingModel::Analytic(t) => t.retire(n),
-            TimingModel::Event(t) => t.retire(n),
-        }
-    }
-
-    /// Charges one instruction fetch serviced at `level` for the cache
-    /// line `line` (byte address >> 6; used for bank mapping in event
-    /// mode, ignored by the analytic model).
-    pub fn instr_fetch(
-        &mut self,
-        level: ServiceLevel,
-        line: u64,
-        dram: &mut DramTiming,
-        config: &SystemConfig,
-    ) {
-        match self {
-            TimingModel::Analytic(t) => t.instr_fetch(level, config),
-            TimingModel::Event(t) => t.instr_fetch(level, line, dram),
-        }
-    }
-
-    /// Accounts for one memory operation on cache line `line` serviced at
-    /// `level`.
-    pub fn memory_op(
-        &mut self,
-        level: ServiceLevel,
-        dependent: bool,
-        line: u64,
-        dram: &mut DramTiming,
-        config: &SystemConfig,
-    ) {
-        match self {
-            TimingModel::Analytic(t) => t.memory_op(level, dependent, config),
-            TimingModel::Event(t) => t.memory_op(level, dependent, line, dram),
-        }
-    }
-
-    /// Charges background memory traffic (prefetch fills, dirty
-    /// writebacks) against the DRAM banks without stalling the core.
-    /// A no-op for the analytic model.
-    pub fn background(&mut self, traffic: &[MemTraffic], dram: &mut DramTiming) {
-        if let TimingModel::Event(t) = self {
-            for t_req in traffic {
-                t.background(t_req, dram);
-            }
-        }
-    }
-
-    /// Drains outstanding misses (call once at the end of a run).
-    pub fn finish(&mut self) {
-        match self {
-            TimingModel::Analytic(t) => t.finish(),
-            TimingModel::Event(t) => t.finish(),
-        }
-    }
-
-    /// Total cycles so far (rounded up).
-    pub fn cycles(&self) -> u64 {
-        match self {
-            TimingModel::Analytic(t) => t.cycles(),
-            TimingModel::Event(t) => t.cycles(),
-        }
-    }
-
-    /// Instructions retired so far.
-    pub fn instructions(&self) -> u64 {
-        match self {
-            TimingModel::Analytic(t) => t.instructions(),
-            TimingModel::Event(t) => t.instructions(),
-        }
-    }
-
-    /// Misses currently in flight (issued, not yet completed).
-    pub fn outstanding_misses(&self) -> usize {
-        match self {
-            TimingModel::Analytic(t) => t.outstanding_misses(),
-            TimingModel::Event(t) => t.outstanding_misses(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,10 +367,24 @@ mod tests {
         SystemConfig::paper_single_core()
     }
 
+    /// A fresh model and bank state for `config`.
+    fn sys(config: &SystemConfig) -> (TimingModel, DramTiming) {
+        (TimingModel::new(config), DramTiming::new(config))
+    }
+
+    /// `n` memory ops at `level` on line 0, then `finish`; returns cycles.
+    fn run_ops(config: &SystemConfig, n: usize, level: ServiceLevel, dependent: bool) -> u64 {
+        let (mut t, mut dram) = sys(config);
+        for _ in 0..n {
+            t.memory_op(level, dependent, 0, &mut dram);
+        }
+        t.finish();
+        t.cycles()
+    }
+
     #[test]
     fn compute_only_ipc_equals_width() {
-        let c = cfg();
-        let mut t = CoreTiming::new(&c);
+        let (mut t, _) = sys(&cfg());
         t.retire(3000);
         t.finish();
         let ipc = t.instructions() as f64 / t.cycles() as f64;
@@ -400,56 +393,49 @@ mod tests {
 
     #[test]
     fn independent_misses_overlap() {
+        // 8 independent memory accesses: with 16 MSHRs they all overlap;
+        // the same 8 serialized by dependence cost far more.
         let c = cfg();
-        // 8 independent memory accesses: with 16 MSHRs they all overlap.
-        let mut overlapped = CoreTiming::new(&c);
-        for _ in 0..8 {
-            overlapped.memory_op(ServiceLevel::Memory, false, &c);
-        }
-        overlapped.finish();
-
-        // The same 8 accesses serialized by dependence.
-        let mut serial = CoreTiming::new(&c);
-        for _ in 0..8 {
-            serial.memory_op(ServiceLevel::Memory, true, &c);
-        }
-        serial.finish();
-
+        let overlapped = run_ops(&c, 8, ServiceLevel::Memory, false);
+        let serial = run_ops(&c, 8, ServiceLevel::Memory, true);
         assert!(
-            serial.cycles() > overlapped.cycles() * 5,
-            "dependent chain ({}) must be far slower than parallel misses ({})",
-            serial.cycles(),
-            overlapped.cycles()
+            serial > overlapped * 5,
+            "dependent chain ({serial}) must be far slower than parallel misses ({overlapped})"
         );
     }
 
     #[test]
     fn mshr_limit_caps_parallelism() {
-        let mut c = cfg();
-        c.mshrs = 2;
-        let mut narrow = CoreTiming::new(&c);
-        for _ in 0..32 {
-            narrow.memory_op(ServiceLevel::Memory, false, &c);
-        }
-        narrow.finish();
+        let mut narrow = cfg();
+        narrow.mshrs = 2;
+        assert!(
+            run_ops(&narrow, 32, ServiceLevel::Memory, false)
+                > run_ops(&cfg(), 32, ServiceLevel::Memory, false),
+            "fewer MSHRs must cost cycles"
+        );
+    }
 
-        let wide_cfg = cfg();
-        let mut wide = CoreTiming::new(&wide_cfg);
-        for _ in 0..32 {
-            wide.memory_op(ServiceLevel::Memory, false, &wide_cfg);
+    #[test]
+    fn zero_mshrs_behave_as_one() {
+        for mode in [TimingMode::Analytic, TimingMode::Event] {
+            let mut zero = cfg().with_timing(mode);
+            zero.mshrs = 0;
+            let mut one = zero;
+            one.mshrs = 1;
+            assert_eq!(
+                run_ops(&zero, 4, ServiceLevel::Memory, false),
+                run_ops(&one, 4, ServiceLevel::Memory, false),
+                "{mode}"
+            );
         }
-        wide.finish();
-
-        assert!(narrow.cycles() > wide.cycles(), "fewer MSHRs must cost cycles");
     }
 
     #[test]
     fn rob_limits_run_ahead() {
-        let c = cfg();
-        let mut t = CoreTiming::new(&c);
+        let (mut t, mut dram) = sys(&cfg());
         // One miss, then far more compute than the ROB can hold: the miss
         // must eventually block retirement.
-        t.memory_op(ServiceLevel::Memory, false, &c);
+        t.memory_op(ServiceLevel::Memory, false, 0, &mut dram);
         t.retire(10_000);
         t.finish();
         // 10_001 instructions at width 3 is ~3334 cycles; the 242-cycle miss
@@ -462,22 +448,16 @@ mod tests {
     #[test]
     fn llc_hits_cost_less_than_memory() {
         let c = cfg();
-        let mut llc = CoreTiming::new(&c);
-        let mut mem = CoreTiming::new(&c);
-        for _ in 0..1000 {
-            llc.memory_op(ServiceLevel::Llc, true, &c);
-            mem.memory_op(ServiceLevel::Memory, true, &c);
-        }
-        llc.finish();
-        mem.finish();
-        assert!(llc.cycles() < mem.cycles() / 2);
+        let llc = run_ops(&c, 1000, ServiceLevel::Llc, true);
+        let mem = run_ops(&c, 1000, ServiceLevel::Memory, true);
+        assert!(llc < mem / 2);
     }
 
     #[test]
     fn finish_drains_pending() {
         let c = cfg();
-        let mut t = CoreTiming::new(&c);
-        t.memory_op(ServiceLevel::Memory, false, &c);
+        let (mut t, mut dram) = sys(&c);
+        t.memory_op(ServiceLevel::Memory, false, 0, &mut dram);
         assert_eq!(t.outstanding_misses(), 1);
         t.finish();
         assert_eq!(t.outstanding_misses(), 0);
@@ -491,11 +471,10 @@ mod tests {
     /// finish → 4906; ceil(4906/6) = 818.
     #[test]
     fn analytic_cycles_are_exact_and_pinned() {
-        let c = cfg();
-        let mut t = CoreTiming::new(&c);
+        let (mut t, mut dram) = sys(&cfg());
         t.retire(1000);
-        t.memory_op(ServiceLevel::Memory, false, &c);
-        t.memory_op(ServiceLevel::Memory, true, &c);
+        t.memory_op(ServiceLevel::Memory, false, 0, &mut dram);
+        t.memory_op(ServiceLevel::Memory, true, 0, &mut dram);
         t.retire(10);
         t.finish();
         assert_eq!(t.cycles(), 818);
@@ -511,11 +490,100 @@ mod tests {
         assert_eq!(TimingMode::default(), TimingMode::Analytic);
     }
 
+    fn event_cfg() -> SystemConfig {
+        cfg().with_timing(TimingMode::Event)
+    }
+
     #[test]
-    fn facade_selects_model_by_config() {
-        let analytic = TimingModel::new(&cfg());
-        assert_eq!(analytic.mode(), TimingMode::Analytic);
-        let event = TimingModel::new(&cfg().with_timing(TimingMode::Event));
-        assert_eq!(event.mode(), TimingMode::Event);
+    fn uncontended_miss_matches_analytic_latency() {
+        let c = event_cfg();
+        // Idle bank: arrival (now + 42) + 200 service = the analytic 242,
+        // plus the op's own issue slot.
+        assert_eq!(
+            run_ops(&c, 1, ServiceLevel::Memory, false),
+            u64::from(ServiceLevel::Memory.latency(&c)) + 1
+        );
+    }
+
+    #[test]
+    fn same_bank_misses_queue_up() {
+        let c = event_cfg();
+        // Row misses to one bank (a stride of banks × row_lines) serialize;
+        // one row per bank runs fully parallel.
+        let run = |stride: u64| {
+            let (mut t, mut dram) = sys(&c);
+            for i in 0..8u64 {
+                t.memory_op(ServiceLevel::Memory, false, i * stride, &mut dram);
+            }
+            t.finish();
+            t.cycles()
+        };
+        let (same, spread) = (run(16 * 128), run(128));
+        assert!(
+            same > spread * 3,
+            "bank-conflicting misses ({same}) must serialize vs spread ({spread})"
+        );
+    }
+
+    #[test]
+    fn writeback_backpressure_delays_demand() {
+        let c = event_cfg();
+        let clean = run_ops(&c, 1, ServiceLevel::Memory, false);
+
+        let (mut dirty, mut dram) = sys(&c);
+        // A burst of writebacks to the demand line's bank before the read.
+        dirty.background(&[MemTraffic { line: 0, row_hit: false }; 4], &mut dram);
+        dirty.memory_op(ServiceLevel::Memory, false, 0, &mut dram);
+        dirty.finish();
+
+        assert!(
+            dirty.cycles() > clean + 3 * u64::from(c.memory_latency),
+            "writeback traffic must back-pressure the demand read: {} vs {clean}",
+            dirty.cycles(),
+        );
+    }
+
+    #[test]
+    fn row_hits_complete_faster() {
+        let c = event_cfg();
+        assert!(
+            run_ops(&c, 100, ServiceLevel::MemoryRowHit, true)
+                < run_ops(&c, 100, ServiceLevel::Memory, true)
+        );
+    }
+
+    #[test]
+    fn mshr_occupancy_is_bounded() {
+        let mut c = event_cfg();
+        c.mshrs = 4;
+        let (mut t, mut dram) = sys(&c);
+        for i in 0..64u64 {
+            t.memory_op(ServiceLevel::Memory, false, i * 128, &mut dram);
+            assert!(t.outstanding_misses() <= 4, "at op {i}");
+        }
+        t.finish();
+        assert_eq!(t.outstanding_misses(), 0);
+    }
+
+    #[test]
+    fn event_runs_are_bit_identical() {
+        let run = || {
+            let (mut t, mut dram) = sys(&event_cfg());
+            for i in 0..500u64 {
+                let level = match i % 3 {
+                    0 => ServiceLevel::Memory,
+                    1 => ServiceLevel::MemoryRowHit,
+                    _ => ServiceLevel::Llc,
+                };
+                t.memory_op(level, i % 7 == 0, i.wrapping_mul(0x9E37_79B9), &mut dram);
+                t.retire((i % 5) as u32);
+                if i % 11 == 0 {
+                    t.background(&[MemTraffic { line: i * 3, row_hit: false }], &mut dram);
+                }
+            }
+            t.finish();
+            t.cycles()
+        };
+        assert_eq!(run(), run());
     }
 }

@@ -10,6 +10,7 @@
 //! - dependent long-latency chains serialize (no MLP credit),
 //! - `finish()` drains every pending miss,
 //! - event-mode runs are bit-deterministic,
+//! - without bank contention, event timing equals analytic timing,
 //! - the integer fixed-point clock matches an f64 replica of the same
 //!   control flow to within rounding error.
 
@@ -57,9 +58,9 @@ fn replay(ops: &[Op], config: &SystemConfig) -> Result<(u64, u64), String> {
         match *op {
             Op::Retire(n) => timing.retire(n),
             Op::Mem { level, dependent, line } => {
-                timing.memory_op(level, dependent, line, &mut dram, config);
+                timing.memory_op(level, dependent, line, &mut dram);
             }
-            Op::Fetch { level, line } => timing.instr_fetch(level, line, &mut dram, config),
+            Op::Fetch { level, line } => timing.instr_fetch(level, line, &mut dram),
         }
         prop_assert!(
             timing.cycles() >= last_cycles,
@@ -168,7 +169,7 @@ fn dependent_chains_serialize() {
             for i in 0..chain {
                 // Spread lines across banks so only the dependence — not
                 // bank contention — can serialize the chain.
-                timing.memory_op(ServiceLevel::Memory, true, i * 128, &mut dram, &config);
+                timing.memory_op(ServiceLevel::Memory, true, i * 128, &mut dram);
             }
             timing.finish();
             let serial = chain * u64::from(ServiceLevel::Memory.latency(&config));
@@ -182,13 +183,49 @@ fn dependent_chains_serialize() {
     );
 }
 
+/// Event timing is analytic timing plus DRAM queueing, so on a stream that
+/// never queues the two agree exactly. Each long memory op is made
+/// dependent, which issues it only after the previous miss is back and
+/// leaves at most one demand miss at a bank, and each fetch becomes an L2
+/// hit, which reaches no bank. Then neither MSHR-full nor the final drain
+/// can tell the modes apart: one miss is in flight at a time.
+#[test]
+fn uncontended_event_timing_equals_analytic() {
+    check(
+        "uncontended event timing equals analytic timing",
+        Config::with_cases(64),
+        gen_case,
+        |(raw, mshrs)| {
+            let ops: Vec<Op> = raw
+                .iter()
+                .copied()
+                .map(|word| match decode(word) {
+                    Op::Mem { level, line, .. } if level.is_long() => {
+                        Op::Mem { level, dependent: true, line }
+                    }
+                    Op::Fetch { line, .. } => Op::Fetch { level: ServiceLevel::L2, line },
+                    op => op,
+                })
+                .collect();
+            let analytic = replay(&ops, &config_for(TimingMode::Analytic, *mshrs))?;
+            let event = replay(&ops, &config_for(TimingMode::Event, *mshrs))?;
+            prop_assert!(
+                analytic == event,
+                "uncontended replay diverged: analytic {analytic:?} vs event {event:?}"
+            );
+            Ok(())
+        },
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Fixed-point equivalence: an f64 replica of the analytic control flow.
 // ---------------------------------------------------------------------------
 
 /// The analytic model with an f64 clock measured in cycles — the
-/// representation `CoreTiming` used before the fixed-point conversion.
-/// Control flow mirrors `CoreTiming` exactly; only the time base differs.
+/// representation analytic timing used before the fixed-point conversion.
+/// Control flow mirrors analytic `TimingModel` exactly; only the time base
+/// differs.
 struct FloatCore {
     width: f64,
     rob_entries: u64,
@@ -291,11 +328,11 @@ fn fixed_point_clock_matches_f64_replica() {
                         float.retire(n);
                     }
                     Op::Mem { level, dependent, line } => {
-                        exact.memory_op(level, dependent, line, &mut dram, &config);
+                        exact.memory_op(level, dependent, line, &mut dram);
                         float.memory_op(level, dependent, &config);
                     }
                     Op::Fetch { level, line } => {
-                        exact.instr_fetch(level, line, &mut dram, &config);
+                        exact.instr_fetch(level, line, &mut dram);
                         float.instr_fetch(level, &config);
                     }
                 }

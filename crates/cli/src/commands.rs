@@ -53,6 +53,12 @@ fn timing_by_args(args: &Args) -> Result<TimingMode, ArgError> {
     }
 }
 
+/// Resolves the experiment scale from `RLR_SCALE`; a bad value is an
+/// input error like a bad flag.
+fn scale_from_env() -> Result<experiments::Scale, ArgError> {
+    experiments::Scale::try_from_env().map_err(ArgError)
+}
+
 /// Resolves a policy that runs online inside a simulation: Belady needs
 /// the whole future of a captured trace, so only `rlr replay` runs it.
 fn online_policy_by_name(name: &str) -> Result<PolicyKind, ArgError> {
@@ -497,7 +503,7 @@ fn trace_capture(args: &Args) -> Result<(), ArgError> {
         }
         let trace = experiments::runner::capture_mix_llc_trace(
             &names,
-            experiments::Scale::from_env(),
+            scale_from_env()?,
             records as usize,
         )
         .map_err(|e| ArgError(e.to_string()))?;
@@ -808,8 +814,11 @@ fn objcache_derive(args: &Args) -> Result<(), ArgError> {
 
 /// Shared `rlr tenancy` scenario flags: the pinned three-class mix with
 /// an optional interleave seed, the scaled-down contended LLC with
-/// optional geometry overrides, and the access budget.
-fn tenancy_scenario(args: &Args) -> Result<(TenantMix, cache_sim::CacheConfig, u64), ArgError> {
+/// optional geometry overrides, the access budget, and the scale.
+fn tenancy_scenario(
+    args: &Args,
+) -> Result<(TenantMix, cache_sim::CacheConfig, u64, experiments::Scale), ArgError> {
+    let scale = scale_from_env()?;
     let mut mix = TenantMix::default_three_class();
     mix.seed = args.get_num("seed", mix.seed)?;
     let mut llc = experiments::tenancy::default_llc();
@@ -824,14 +833,11 @@ fn tenancy_scenario(args: &Args) -> Result<(TenantMix, cache_sim::CacheConfig, u
             mix.tenants.len()
         )));
     }
-    let accesses = args.get_num(
-        "accesses",
-        experiments::tenancy::accesses_for(experiments::Scale::from_env()),
-    )?;
+    let accesses = args.get_num("accesses", experiments::tenancy::accesses_for(scale))?;
     if accesses == 0 {
         return Err(ArgError("--accesses must be positive".to_owned()));
     }
-    Ok((mix, llc, accesses))
+    Ok((mix, llc, accesses, scale))
 }
 
 const TENANCY_FLAGS: &[&str] = &["seed", "sets", "ways", "accesses"];
@@ -871,7 +877,7 @@ pub fn tenancy(args: &Args) -> Result<(), ArgError> {
 fn tenancy_run(args: &Args) -> Result<(), ArgError> {
     let known: Vec<&str> = TENANCY_FLAGS.iter().copied().chain(["mode", "ranks"]).collect();
     args.expect_known(&known)?;
-    let (mix, llc, accesses) = tenancy_scenario(args)?;
+    let (mix, llc, accesses, scale) = tenancy_scenario(args)?;
     let mode = match args.get_or("mode", "shared") {
         "shared" => tenancy::IsolationMode::Shared,
         "way-partition" | "partition" => tenancy::IsolationMode::WayPartition(
@@ -886,8 +892,7 @@ fn tenancy_run(args: &Args) -> Result<(), ArgError> {
             )))
         }
     };
-    let stats =
-        experiments::tenancy::run_tenant_mix(&mix, &mode, &llc, accesses, experiments::Scale::from_env());
+    let stats = experiments::tenancy::run_tenant_mix(&mix, &mode, &llc, accesses, scale);
     println!("mode             {}", mode.name());
     println!("mix              {}", mix.fingerprint());
     println!("llc              {} sets x {} ways", llc.sets, llc.ways);
@@ -916,9 +921,8 @@ fn tenancy_run(args: &Args) -> Result<(), ArgError> {
 fn tenancy_compare(args: &Args) -> Result<(), ArgError> {
     let known: Vec<&str> = TENANCY_FLAGS.iter().copied().chain(["jobs", "ranks"]).collect();
     args.expect_known(&known)?;
-    let (mix, llc, accesses) = tenancy_scenario(args)?;
+    let (mix, llc, accesses, scale) = tenancy_scenario(args)?;
     let ranks = tenancy_ranks(args, mix.tenants.len(), vec![4, 1, 0])?;
-    let scale = experiments::Scale::from_env();
     let jobs = args.get_num("jobs", 0usize)?;
     let mut opts = SweepOptions::from_env(experiments::tenancy::TenancyCell::FAMILY);
     opts.jobs = (jobs > 0).then_some(jobs);
@@ -967,13 +971,8 @@ fn tenancy_compare(args: &Args) -> Result<(), ArgError> {
 /// miss-rate delta vs the shared baseline.
 fn tenancy_derive(args: &Args) -> Result<(), ArgError> {
     args.expect_known(TENANCY_FLAGS)?;
-    let (mix, llc, accesses) = tenancy_scenario(args)?;
-    let outcome = experiments::tenancy::derive_priorities(
-        &mix,
-        &llc,
-        accesses,
-        experiments::Scale::from_env(),
-    );
+    let (mix, llc, accesses, scale) = tenancy_scenario(args)?;
+    let outcome = experiments::tenancy::derive_priorities(&mix, &llc, accesses, scale);
     println!("mix              {}", mix.fingerprint());
     println!("evaluated        {} candidate tables", outcome.evaluated);
     for (spec, rank) in mix.tenants.iter().zip(&outcome.ranks) {

@@ -429,6 +429,8 @@ const TIMED_REPLAY_LEADING: u32 = 2;
 /// hierarchy reports — so the functional stream (and every hit/miss
 /// counter) is identical across timing modes, while cycles reflect the
 /// selected model. This is the substrate of the timing differential wall.
+/// Build `llc` from the same `config`: under event timing it records the
+/// background traffic the bank queues need.
 pub fn replay_hierarchy_timed<P: ReplacementPolicy>(
     core: &mut CoreHierarchy,
     llc: &mut SharedLlc<P>,
@@ -437,19 +439,11 @@ pub fn replay_hierarchy_timed<P: ReplacementPolicy>(
 ) -> TimedReplay {
     let mut timing = TimingModel::new(config);
     let mut dram = DramTiming::new(config);
-    let mut traffic = Vec::new();
-    if config.timing == TimingMode::Event {
-        llc.enable_traffic_tap();
-    }
     for r in requests {
         timing.retire(TIMED_REPLAY_LEADING);
         let level = core.data_access(r.pc, r.addr, r.is_store, llc);
-        timing.memory_op(level, false, r.addr >> 6, &mut dram, config);
-        if config.timing == TimingMode::Event {
-            traffic.clear();
-            llc.drain_traffic(&mut traffic);
-            timing.background(&traffic, &mut dram);
-        }
+        timing.memory_op(level, false, r.addr >> 6, &mut dram);
+        llc.drain_traffic(|traffic| timing.background(traffic, &mut dram));
     }
     timing.finish();
     TimedReplay { instructions: timing.instructions(), cycles: timing.cycles() }

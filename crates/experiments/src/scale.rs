@@ -14,14 +14,33 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `RLR_SCALE` (`small` / `medium` / `full`), defaulting to
+    /// Resolves the scale from the `RLR_SCALE` environment variable:
+    /// `small` / `medium` / `full` in any case, and unset or empty means
     /// [`Scale::Small`].
-    pub fn from_env() -> Self {
-        match std::env::var("RLR_SCALE").unwrap_or_default().to_lowercase().as_str() {
-            "medium" => Scale::Medium,
-            "full" => Scale::Full,
-            _ => Scale::Small,
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the variable on an unrecognized value: a
+    /// typo silently falling back to `small` would mislabel every result
+    /// the run produces.
+    pub fn try_from_env() -> Result<Self, String> {
+        let raw = std::env::var_os("RLR_SCALE").unwrap_or_default();
+        let raw = raw.to_string_lossy();
+        match raw.trim().to_ascii_lowercase().as_str() {
+            "" | "small" => Ok(Scale::Small),
+            "medium" => Ok(Scale::Medium),
+            "full" => Ok(Scale::Full),
+            _ => Err(format!("RLR_SCALE must be `small`, `medium` or `full`, got `{raw}`")),
         }
+    }
+
+    /// [`Scale::try_from_env`] for callers with no error channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unrecognized `RLR_SCALE` value.
+    pub fn from_env() -> Self {
+        Self::try_from_env().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Warm-up instructions for single-core runs.
