@@ -688,10 +688,18 @@ fn objcache_scenario(args: &Args) -> Result<(ObjectTraffic, ObjCacheConfig, u64)
     if traffic.rps == 0 {
         return Err(ArgError("--rps must be positive".to_owned()));
     }
+    if !(traffic.skew.is_finite() && traffic.skew >= 0.0) {
+        return Err(ArgError("--skew must be finite and non-negative".to_owned()));
+    }
     if traffic.flash_every > 0 && traffic.flash_len >= traffic.flash_every {
         return Err(ArgError("--flash-len must be smaller than --flash-every".to_owned()));
     }
-    let mut cfg = ObjCacheConfig::with_capacity_mib(args.get_num("capacity-mib", 256u64)?);
+    if traffic.flash_share_pct > 100 {
+        return Err(ArgError("--flash-share is a percentage, at most 100".to_owned()));
+    }
+    let mib = args.get_num("capacity-mib", 256u64)?;
+    let mut cfg = ObjCacheConfig::try_with_capacity_mib(mib)
+        .ok_or_else(|| ArgError(format!("--capacity-mib {mib} exceeds 2^64 bytes")))?;
     cfg.protected_pct = args.get_num("protected-pct", cfg.protected_pct)?;
     if cfg.capacity_bytes == 0 || cfg.protected_pct > 100 {
         return Err(ArgError(

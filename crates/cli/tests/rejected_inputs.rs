@@ -111,3 +111,55 @@ fn trace_export_rejects_out_of_range_blocks() {
         assert!(kept, "[{tag}] a rejected --block must leave the existing --out file as it was");
     }
 }
+
+/// Runs `rlr objcache <action> <args>` with a private results directory,
+/// so a run that is wrongly accepted leaves no checkpoints behind.
+fn objcache(tag: &str, action: &str, args: &[&str]) -> Output {
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("rlr-objcache-{tag}-{}", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_rlr"))
+        .args(["objcache", action, "--requests", "100"])
+        .args(args)
+        .env("RLR_RESULTS_DIR", &dir)
+        .output()
+        .expect("spawn rlr");
+    let _ = std::fs::remove_dir_all(&dir);
+    out
+}
+
+#[test]
+fn objcache_rejects_a_flash_share_over_100_percent() {
+    for action in ["run", "compare", "derive"] {
+        let out = objcache(
+            &format!("share-{action}"),
+            action,
+            &["--flash-share", "500"],
+        );
+        assert_user_error(&out, "--flash-share is a percentage, at most 100");
+    }
+}
+
+#[test]
+fn objcache_rejects_a_skew_that_is_not_finite_and_non_negative() {
+    for (action, skew) in [
+        ("run", "nan"),
+        ("run", "-0.5"),
+        ("compare", "inf"),
+        ("derive", "NaN"),
+    ] {
+        let out = objcache(&format!("skew-{action}"), action, &["--skew", skew]);
+        assert_user_error(&out, "--skew must be finite and non-negative");
+    }
+}
+
+#[test]
+fn objcache_rejects_a_capacity_beyond_2_pow_64_bytes() {
+    // 2^44 + 1 MiB used to wrap to 1 MiB and run.
+    let out = objcache("capacity", "run", &["--capacity-mib", "17592186044417"]);
+    assert_user_error(&out, "--capacity-mib 17592186044417 exceeds 2^64 bytes");
+    assert!(
+        out.stdout.is_empty(),
+        "nothing runs: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}

@@ -6,8 +6,8 @@ use std::path::PathBuf;
 use experiments::fault::FailPlan;
 use experiments::figures::speedup_table;
 use experiments::runner::{
-    run_roster_resilient, run_tasks_resilient, watchdog_tick, FailureKind, RunOptions,
-    RunnerError, SweepOptions, TaskFailure,
+    replay_llc_reader, run_roster_resilient, run_tasks_resilient, watchdog_tick, FailureKind,
+    RunOptions, RunnerError, SweepOptions, TaskFailure,
 };
 use experiments::{PolicyKind, Scale};
 
@@ -81,6 +81,36 @@ fn watchdog_bounds_a_runaway_loop_in_the_task_body() {
     assert!(
         matches!(results[0], Err(TaskFailure { kind: FailureKind::BudgetExceeded { budget: 100 }, .. }))
     );
+}
+
+#[test]
+fn watchdog_stops_a_streamed_replay_and_the_call_returns() {
+    // 64 blocks of 16 records; each block ticks the watchdog once, on the
+    // caller's thread, while the next block decodes on a helper thread.
+    let trace: cache_sim::LlcTrace = (0..1024u64)
+        .map(|i| cache_sim::LlcRecord {
+            pc: 0x40_0000 + (i % 13) * 4,
+            line: (i * 7) % 4096,
+            kind: cache_sim::AccessKind::Load,
+            core: 0,
+        })
+        .collect();
+    let bytes = trace_io::encode_trace(&trace, 16).expect("encode");
+    let items = [(); 2];
+    let options = RunOptions { budget: Some(5), ..opts("", 0) };
+    let results = run_tasks_resilient(&items, 2, &options, |_, ()| {
+        let config = cache_sim::SystemConfig::paper_single_core();
+        let policy = PolicyKind::Lru.build(&config.llc, None);
+        let mut cache = cache_sim::SetAssocCache::new("LLC", config.llc, policy);
+        let mut reader = trace_io::TraceReader::new(bytes.as_slice()).expect("header");
+        replay_llc_reader(&mut cache, &mut reader).expect("intact container")
+    });
+    for result in &results {
+        assert!(
+            matches!(result, Err(TaskFailure { kind: FailureKind::BudgetExceeded { budget: 5 }, .. })),
+            "{result:?}"
+        );
+    }
 }
 
 #[test]

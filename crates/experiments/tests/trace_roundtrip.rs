@@ -6,11 +6,18 @@
 //! raw fixed-width encoding. The capture stop rule is pinned too: the
 //! record quota counts only post-warm-up records, the instruction ceiling
 //! ends a capture that cannot fill its quota, and a sink error ends it.
+//! Streamed replay, which decodes ahead on a helper thread (inline on a
+//! one-CPU host), must match a plain serial decode loop on intact and
+//! damaged containers alike.
 
-use cache_sim::{SetAssocCache, SystemConfig};
-use experiments::runner::{capture_llc, capture_llc_trace, replay_llc_reader, replay_llc_trace};
+use cache_sim::{Access, AccessKind, CacheStats, LlcRecord, SetAssocCache, SystemConfig};
+use experiments::runner::{
+    capture_llc, capture_llc_trace, replay_llc_reader, replay_llc_trace, ReplaySummary,
+};
 use experiments::{PolicyKind, RunnerError, Scale};
-use trace_io::{TraceReader, TraceWriter};
+use simrng::prop::{check, Config};
+use simrng::{prop_assert_eq, Rng, SimRng};
+use trace_io::{TraceIoError, TraceReader, TraceWriter};
 
 const RECORDS: usize = 20_000;
 
@@ -144,4 +151,176 @@ fn sink_error_stops_the_capture_and_comes_back_unchanged() {
     .expect_err("the sink refused the first slice");
     assert!(matches!(err, SinkError::Full(n) if n > 0), "{err:?}");
     assert_eq!(calls, 1, "no slice is simulated after the sink fails");
+}
+
+/// How a generated container is damaged after encoding: `kind` 0 leaves
+/// it intact, 1 flips one byte and 2 truncates it, at `at` modulo its
+/// length.
+#[derive(Clone, Copy, Debug)]
+struct Damage {
+    block_len: u32,
+    kind: u8,
+    at: u64,
+}
+
+fn random_container(rng: &mut SimRng) -> (Vec<LlcRecord>, Damage) {
+    let n = rng.gen_range(0..400usize);
+    let records = (0..n)
+        .map(|_| LlcRecord {
+            pc: 0x40_0000 + rng.gen_range(0..64u64) * 4,
+            line: rng.gen_range(0..1u64 << 20),
+            kind: AccessKind::ALL[rng.gen_range(0..4usize)],
+            core: 0,
+        })
+        .collect();
+    let damage = Damage {
+        block_len: rng.gen_range(1..65u32),
+        kind: rng.gen_range(0..3u8),
+        at: rng.next_u64(),
+    };
+    (records, damage)
+}
+
+fn damaged_bytes(records: &[LlcRecord], damage: Damage) -> Vec<u8> {
+    let trace: cache_sim::LlcTrace = records.iter().copied().collect();
+    let mut bytes = trace_io::encode_trace(&trace, damage.block_len).expect("encode");
+    let at = (damage.at % bytes.len() as u64) as usize;
+    match damage.kind {
+        1 => bytes[at] ^= 1 << (damage.at % 8),
+        2 => bytes.truncate(at),
+        _ => {}
+    }
+    bytes
+}
+
+/// What one replay leaves behind: the summary or the error text, the
+/// cache's counters, and the reader's block and record counts.
+type Replayed = (Result<ReplaySummary, String>, CacheStats, u64, u64);
+
+fn llc() -> SetAssocCache<experiments::LlcPolicy> {
+    let config = SystemConfig::paper_single_core();
+    SetAssocCache::new("LLC", config.llc, PolicyKind::Rlr.build(&config.llc, None))
+}
+
+/// The reference: a plain `next_block` loop feeding the cache one record
+/// at a time, numbered in trace order.
+fn replay_serially(reader: &mut TraceReader<&[u8]>) -> Replayed {
+    let mut cache = llc();
+    let mut summary = ReplaySummary::default();
+    let mut seq = 0u64;
+    let outcome = (|| -> Result<(), TraceIoError> {
+        while let Some(block) = reader.next_block()? {
+            for r in block {
+                let access = Access {
+                    pc: r.pc,
+                    addr: r.line << 6,
+                    kind: r.kind,
+                    core: r.core,
+                    seq,
+                };
+                seq += 1;
+                let hit = cache.access(&access).hit;
+                summary.accesses += 1;
+                summary.hits += u64::from(hit);
+                if r.kind.is_demand() {
+                    summary.demand_accesses += 1;
+                    summary.demand_hits += u64::from(hit);
+                }
+            }
+        }
+        Ok(())
+    })();
+    let result = outcome.map(|()| summary).map_err(|e| e.to_string());
+    (
+        result,
+        *cache.stats(),
+        reader.blocks_read(),
+        reader.records_read(),
+    )
+}
+
+fn replay_streamed(reader: &mut TraceReader<&[u8]>) -> Replayed {
+    let mut cache = llc();
+    let result = replay_llc_reader(&mut cache, reader).map_err(|e| e.to_string());
+    (
+        result,
+        *cache.stats(),
+        reader.blocks_read(),
+        reader.records_read(),
+    )
+}
+
+/// The equivalence property, on whichever decode path this host takes.
+fn streamed_replay_matches_serial_decoding() {
+    check(
+        "streamed_replay_matches_serial_decoding",
+        Config::with_cases(48),
+        random_container,
+        |(records, damage)| {
+            let bytes = damaged_bytes(records, *damage);
+            // A header too damaged to open fails both sides identically.
+            let (Ok(mut serial), Ok(mut streamed)) = (
+                TraceReader::new(bytes.as_slice()),
+                TraceReader::new(bytes.as_slice()),
+            ) else {
+                return Ok(());
+            };
+            prop_assert_eq!(replay_streamed(&mut streamed), replay_serially(&mut serial));
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn streamed_replay_matches_a_serial_next_block_loop() {
+    streamed_replay_matches_serial_decoding();
+}
+
+/// The first CPU this process may run on (Linux `Cpus_allowed_list`), or
+/// CPU 0 when that cannot be read.
+fn first_allowed_cpu() -> String {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let list = status.lines().find_map(|l| l.strip_prefix("Cpus_allowed_list:"))?;
+            Some(list.trim().split([',', '-']).next()?.to_owned())
+        })
+        .unwrap_or_else(|| "0".to_owned())
+}
+
+/// On a host with one available CPU the reader decodes inline. Elsewhere
+/// this test runs itself again pinned to one CPU with `taskset`, so both
+/// decode paths are checked on every host that has it.
+#[test]
+fn streamed_replay_matches_a_serial_next_block_loop_on_one_cpu() {
+    const NAME: &str = "streamed_replay_matches_a_serial_next_block_loop_on_one_cpu";
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) == 1 {
+        streamed_replay_matches_serial_decoding();
+        return;
+    }
+    let exe = std::env::current_exe().expect("test binary path");
+    let pinned = std::process::Command::new("taskset")
+        .args(["-c", &first_allowed_cpu()])
+        .arg(exe)
+        .args(["--exact", NAME, "--test-threads", "1"])
+        .output();
+    match pinned {
+        // The pinned copy started, so it must have passed.
+        Ok(out) if String::from_utf8_lossy(&out.stdout).contains("running 1 test") => {
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                out.status.success() && stdout.contains("1 passed"),
+                "pinned run failed:\n{stdout}\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+        Ok(out) => eprintln!(
+            "taskset could not pin this test ({}); the inline path is covered by trace-io's \
+             unit tests",
+            String::from_utf8_lossy(&out.stderr).trim()
+        ),
+        Err(e) => eprintln!(
+            "taskset unavailable ({e}); the inline path is covered by trace-io's unit tests"
+        ),
+    }
 }

@@ -61,13 +61,36 @@ pub struct ObjCacheConfig {
 
 impl ObjCacheConfig {
     /// A cache of `mib` MiB with the default 80% protected segment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mib` MiB is more bytes than a `u64` holds; see
+    /// [`ObjCacheConfig::try_with_capacity_mib`].
     pub fn with_capacity_mib(mib: u64) -> Self {
-        Self { capacity_bytes: mib << 20, protected_pct: 80 }
+        Self::try_with_capacity_mib(mib).expect("capacity in bytes fits in a u64")
     }
 
-    /// SLRU protected-segment byte budget.
+    /// [`ObjCacheConfig::with_capacity_mib`], or `None` when `mib` MiB is
+    /// more bytes than a `u64` holds.
+    pub fn try_with_capacity_mib(mib: u64) -> Option<Self> {
+        Some(Self { capacity_bytes: mib.checked_mul(1 << 20)?, protected_pct: 80 })
+    }
+
+    /// SLRU protected-segment byte budget, `capacity_bytes ×
+    /// protected_pct / 100` rounded down. It is computed as
+    /// `(c / 100) × p + (c % 100) × p / 100`, which is exact and, for a
+    /// share of at most 100%, overflows for no `u64` budget.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `protected_pct` is over 100 and the share exceeds
+    /// `u64::MAX` bytes; both caches reject such a config when built.
     pub fn protected_capacity(&self) -> u64 {
-        self.capacity_bytes * self.protected_pct as u64 / 100
+        let (c, p) = (self.capacity_bytes, u64::from(self.protected_pct));
+        (c / 100)
+            .checked_mul(p)
+            .and_then(|whole| whole.checked_add(c % 100 * p / 100))
+            .expect("a share of at most 100% fits in the budget's u64")
     }
 
     pub(crate) fn validate(&self) {
@@ -145,6 +168,19 @@ mod tests {
             flash_len: 200,
             ..ObjectTraffic::internet_default()
         }
+    }
+
+    #[test]
+    fn capacity_arithmetic_does_not_wrap() {
+        let bytes = |mib| ObjCacheConfig::try_with_capacity_mib(mib).map(|c| c.capacity_bytes);
+        assert_eq!(bytes(3), Some(3 << 20));
+        assert_eq!(bytes(u64::MAX >> 20), Some((u64::MAX >> 20) << 20));
+        // (2^44 + 1) MiB used to wrap to 1 MiB.
+        assert_eq!(bytes((1 << 44) + 1), None);
+        let huge = ObjCacheConfig { capacity_bytes: u64::MAX, protected_pct: 80 };
+        assert_eq!(huge.protected_capacity(), 14_757_395_258_967_641_292);
+        let all = ObjCacheConfig { capacity_bytes: u64::MAX, protected_pct: 100 };
+        assert_eq!(all.protected_capacity(), u64::MAX);
     }
 
     #[test]

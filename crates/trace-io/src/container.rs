@@ -21,6 +21,7 @@
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::Path;
+use std::sync::{mpsc, OnceLock};
 
 use cache_sim::{AccessKind, LlcRecord, LlcTrace};
 
@@ -394,7 +395,8 @@ impl<W: Write> TraceWriter<W> {
 // Reader
 // ---------------------------------------------------------------------------
 
-/// Streaming trace reader: holds one decoded block at a time.
+/// Streaming trace reader: holds one decoded block at a time (three
+/// during [`TraceReader::for_each_block`]).
 pub struct TraceReader<R: Read> {
     r: R,
     block_len: u32,
@@ -474,8 +476,18 @@ impl<R: Read> TraceReader<R> {
     /// Returns checksum, structure, count, or truncation errors; EOF
     /// *before* the end frame is [`TraceIoError::Truncated`].
     pub fn next_block(&mut self) -> Result<Option<&[LlcRecord]>, TraceIoError> {
+        let mut records = std::mem::take(&mut self.records);
+        let decoded = self.next_block_into(&mut records);
+        self.records = records;
+        Ok(decoded?.then_some(self.records.as_slice()))
+    }
+
+    /// The one per-block step: reads and verifies the next frame and
+    /// decodes a block frame's records into `records`, replacing what it
+    /// held. Returns `Ok(false)` after a valid end frame.
+    fn next_block_into(&mut self, records: &mut Vec<LlcRecord>) -> Result<bool, TraceIoError> {
         if self.done {
-            return Ok(None);
+            return Ok(false);
         }
         let mut tag = [0u8; 1];
         read_exact_or(&mut self.r, &mut tag, "frame tag (missing end frame)")?;
@@ -503,14 +515,14 @@ impl<R: Read> TraceReader<R> {
                         .map_err(TraceIoError::Corrupt)?;
                     &self.raw_buf
                 };
-                self.records.clear();
-                decode_block(raw, n_records as usize, &mut self.records)?;
+                records.clear();
+                decode_block(raw, n_records as usize, records)?;
                 self.digest = fnv1a_continue(self.digest, &checksum.to_le_bytes());
                 self.records_read += u64::from(n_records);
                 self.blocks_read += 1;
                 self.compressed_payload += u64::from(comp_len);
                 self.raw_payload += u64::from(raw_len);
-                Ok(Some(&self.records))
+                Ok(true)
             }
             FRAME_END => {
                 let mut tail = [0u8; 16];
@@ -527,10 +539,122 @@ impl<R: Read> TraceReader<R> {
                     return Err(TraceIoError::Corrupt("chained block digest mismatch"));
                 }
                 self.done = true;
-                Ok(None)
+                Ok(false)
             }
             _ => Err(TraceIoError::Corrupt("unknown frame tag")),
         }
+    }
+
+    /// Hands every remaining block, in order, to `f` on the caller's
+    /// thread, while a scoped helper thread reads and decodes the blocks
+    /// after it, so decoding overlaps whatever `f` does. On a host with
+    /// one available CPU, or when the helper cannot be spawned, the same
+    /// per-block step runs inline instead. Either way `f` sees exactly
+    /// the blocks [`TraceReader::next_block`] would yield, and afterwards
+    /// the counters ([`TraceReader::blocks_read`] and the rest) hold what
+    /// a `next_block` loop would leave. At most three decoded blocks are
+    /// alive at once: one being decoded, one queued, one in `f`.
+    ///
+    /// A panic in `f` stops the helper and propagates once it has exited.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error a `next_block` loop would return, after
+    /// `f` has seen every block before it.
+    pub fn for_each_block(&mut self, f: impl FnMut(&[LlcRecord])) -> Result<(), TraceIoError>
+    where
+        R: Send,
+    {
+        // Asked once per process: the query reads cgroup files (~28 µs on
+        // a 2-vCPU VM), which a sweep of short replays would pay per file.
+        static AHEAD: OnceLock<bool> = OnceLock::new();
+        let ahead = *AHEAD
+            .get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() > 1));
+        self.for_each_block_on(ahead, f)
+    }
+
+    /// [`TraceReader::for_each_block`] with the decode site chosen by the
+    /// caller: on a helper thread when `ahead` (falling back to inline if
+    /// it cannot be spawned), inline otherwise.
+    pub(crate) fn for_each_block_on(
+        &mut self,
+        ahead: bool,
+        mut f: impl FnMut(&[LlcRecord]),
+    ) -> Result<(), TraceIoError>
+    where
+        R: Send,
+    {
+        if ahead {
+            if let Some(result) = self.decode_ahead(&mut f) {
+                return result;
+            }
+        }
+        let mut block = Vec::new();
+        while self.next_block_into(&mut block)? {
+            f(&block);
+        }
+        Ok(())
+    }
+
+    /// The threaded half of [`TraceReader::for_each_block`], or `None`
+    /// when the helper thread could not be spawned (nothing was read).
+    ///
+    /// The helper owns the reader for the scope and fills recycled
+    /// buffers; full ones travel to this thread over a one-slot channel
+    /// and come back empty over another. Each channel end lives in the
+    /// closure or scope body that uses it, so a panic in `f` drops this
+    /// side's ends, the helper's next send or receive fails, and the
+    /// scope's join returns instead of waiting forever.
+    fn decode_ahead(&mut self, f: &mut impl FnMut(&[LlcRecord])) -> Option<Result<(), TraceIoError>>
+    where
+        R: Send,
+    {
+        const BUFFERS: usize = 3;
+        std::thread::scope(|scope| {
+            let (full_tx, full_rx) = mpsc::sync_channel::<Result<Vec<LlcRecord>, TraceIoError>>(1);
+            let (empty_tx, empty_rx) = mpsc::sync_channel::<Vec<LlcRecord>>(BUFFERS);
+            for _ in 1..BUFFERS {
+                empty_tx
+                    .send(Vec::new())
+                    .expect("the empty channel holds every buffer");
+            }
+            let decode = move || {
+                let mut block = Vec::new();
+                loop {
+                    match self.next_block_into(&mut block) {
+                        Ok(true) => {}
+                        Ok(false) => return,
+                        Err(e) => {
+                            // The consumer may already be gone; then nobody
+                            // is left to tell.
+                            let _ = full_tx.send(Err(e));
+                            return;
+                        }
+                    }
+                    if full_tx.send(Ok(block)).is_err() {
+                        return;
+                    }
+                    match empty_rx.recv() {
+                        Ok(empty) => block = empty,
+                        Err(_) => return,
+                    }
+                }
+            };
+            std::thread::Builder::new()
+                .name("rlt1-decode".to_owned())
+                .spawn_scoped(scope, decode)
+                .ok()?;
+            let consume = move || {
+                for block in full_rx {
+                    let block = block?;
+                    f(&block);
+                    // Fails only once the helper has stopped asking.
+                    let _ = empty_tx.send(block);
+                }
+                Ok(())
+            };
+            Some(consume())
+        })
     }
 
     /// Drains the remaining blocks into an in-memory [`LlcTrace`] (for
@@ -973,6 +1097,85 @@ mod tests {
         assert_eq!(reader.records_read(), 300);
         // Idempotent after the end frame.
         assert!(reader.next_block().expect("done").is_none());
+    }
+
+    /// What a block consumer can observe: the blocks in order, the
+    /// outcome, and the reader's block and record counters afterwards.
+    type Observed = (Vec<Vec<LlcRecord>>, Result<(), String>, u64, u64);
+
+    /// Walks `bytes` with a `next_block` loop (`ahead == None`) or with
+    /// `for_each_block_on(ahead)`; a bad header is the `Err`.
+    fn observe(bytes: &[u8], ahead: Option<bool>) -> Result<Observed, String> {
+        let mut reader = TraceReader::new(bytes).map_err(|e| e.to_string())?;
+        let mut blocks = Vec::new();
+        let outcome = match ahead {
+            None => (|| {
+                while let Some(block) = reader.next_block()? {
+                    blocks.push(block.to_vec());
+                }
+                Ok(())
+            })(),
+            Some(ahead) => reader.for_each_block_on(ahead, |block| blocks.push(block.to_vec())),
+        };
+        let outcome = outcome.map_err(|e: TraceIoError| e.to_string());
+        Ok((blocks, outcome, reader.blocks_read(), reader.records_read()))
+    }
+
+    #[test]
+    fn for_each_block_sees_what_a_next_block_loop_sees() {
+        let bytes = encode_trace(&sample(300), 64).expect("encode");
+        let mut damaged: Vec<Vec<u8>> = vec![bytes.clone()];
+        damaged.extend((0..bytes.len()).map(|cut| bytes[..cut].to_vec()));
+        damaged.extend((0..bytes.len()).map(|i| {
+            let mut bad = bytes.clone();
+            bad[i] ^= 0x10;
+            bad
+        }));
+        for (case, input) in damaged.iter().enumerate() {
+            let serial = observe(input, None);
+            for ahead in [false, true] {
+                assert_eq!(
+                    observe(input, Some(ahead)),
+                    serial,
+                    "case {case}, ahead {ahead}"
+                );
+            }
+        }
+        let (blocks, outcome, n_blocks, n_records) = observe(&bytes, Some(true)).expect("header");
+        assert_eq!(outcome, Ok(()));
+        assert_eq!((blocks.len(), n_blocks, n_records), (5, 5, 300));
+    }
+
+    #[test]
+    fn a_panic_in_the_consumer_propagates_and_stops_the_decoding() {
+        let bytes = encode_trace(&sample(64 * 20), 64).expect("encode");
+        for ahead in [false, true] {
+            let mut reader = TraceReader::new(bytes.as_slice()).expect("header");
+            let mut seen = 0;
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                reader.for_each_block_on(ahead, |_| {
+                    seen += 1;
+                    if seen == 3 {
+                        std::panic::panic_any("stop at block 3");
+                    }
+                })
+            }));
+            let payload = caught.expect_err("the consumer's panic propagates");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"stop at block 3"),
+                "ahead {ahead}"
+            );
+            assert_eq!(seen, 3, "ahead {ahead}");
+            // Inline decoding stops at block 3; the helper at most two
+            // blocks further, one queued and one waiting to be.
+            let limit = if ahead { 5 } else { 3 };
+            assert!(
+                reader.blocks_read() <= limit,
+                "ahead {ahead}: {}",
+                reader.blocks_read()
+            );
+        }
     }
 
     #[test]

@@ -217,6 +217,14 @@ grep -q "^captured 100000 LLC records" "$SMOKE_DIR/capture100k.txt" || {
 "$RLR" trace verify crates/trace-io/tests/data/golden_429mcf.rlt || {
     echo "ci.sh: committed golden fixture failed verification" >&2; exit 1;
 }
+# Streamed replay decodes one block ahead on a helper thread, or inline
+# when the process may use one CPU only; both paths must print the same.
+"$RLR" replay "$SMOKE_DIR/mcf100k.rlt" --policy RLR > "$SMOKE_DIR/replay_ahead.txt"
+taskset -c 0 "$RLR" replay "$SMOKE_DIR/mcf100k.rlt" --policy RLR \
+    > "$SMOKE_DIR/replay_inline.txt"
+diff "$SMOKE_DIR/replay_ahead.txt" "$SMOKE_DIR/replay_inline.txt" || {
+    echo "ci.sh: inline and decode-ahead replays differ" >&2; exit 1;
+}
 
 echo "==> object-cache CLI smoke test"
 # The serving-tier comparison on a short Zipf + flash-crowd trace: all
