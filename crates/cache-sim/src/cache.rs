@@ -13,9 +13,10 @@
 //! * **Struct-of-arrays metadata.** Tags live in one contiguous `u64`
 //!   array; valid and dirty bits are one `u32` bitmap per set. A lookup
 //!   touches 8·ways bytes of tag plus 8 bytes of bitmap instead of
-//!   24·ways bytes of `Line` structs, the invalid-way scan is a single
-//!   `trailing_zeros`, and snapshot construction is skipped entirely for
-//!   policies whose [`ReplacementPolicy::uses_line_snapshots`] is `false`.
+//!   24·ways bytes of `Line` structs, and the invalid-way scan is a single
+//!   `trailing_zeros`. The tag store holds nothing a policy reads: a
+//!   victim query is `select_victim(set, access)`, and every scan input
+//!   lives in the policy's own tables.
 //! * **Branch-free set probe.** For the 8- and 16-way geometries every
 //!   paper cache uses, a lookup compares the set's tag row as a fixed
 //!   `[u64; W]` array, ORs the compares into a match bitmap, masks it with
@@ -29,8 +30,7 @@ use crate::config::CacheConfig;
 use crate::replacement::{LineSnapshot, ReplacementPolicy, TrueLru};
 use crate::stats::CacheStats;
 
-/// Maximum associativity supported without heap allocation on the victim
-/// selection path (also the width of the per-set valid/dirty bitmaps).
+/// Maximum associativity: the width of the per-set valid/dirty bitmaps.
 pub(crate) const MAX_WAYS: usize = 32;
 
 /// The result of one cache access.
@@ -74,8 +74,6 @@ pub struct SetAssocCache<P: ReplacementPolicy = Box<dyn ReplacementPolicy>> {
     /// Line address stored in each way, indexed `set * ways + way`.
     /// Meaningful only where the corresponding valid bit is set.
     tags: Vec<u64>,
-    /// Core that inserted or last touched each line.
-    cores: Vec<u8>,
     /// Per-set valid bitmap (bit `w` = way `w` holds a line).
     valid: Vec<u32>,
     /// Per-set dirty bitmap.
@@ -85,9 +83,6 @@ pub struct SetAssocCache<P: ReplacementPolicy = Box<dyn ReplacementPolicy>> {
     /// Precomputed `(1 << ways) - 1`.
     ways_mask: u32,
     policy: P,
-    /// Cached [`ReplacementPolicy::uses_line_snapshots`], fixed at
-    /// construction.
-    wants_snapshots: bool,
     stats: CacheStats,
     /// If set, RFO accesses dirty the line (used at L1, where RFO models a
     /// store; at L2/LLC an RFO is a read and data is dirtied only by a
@@ -106,12 +101,10 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
             (config.ways as usize) <= MAX_WAYS,
             "associativity above {MAX_WAYS} is not supported"
         );
-        let wants_snapshots = policy.uses_line_snapshots();
         Self {
             name: name.into(),
             config,
             tags: vec![0; config.lines() as usize],
-            cores: vec![0; config.lines() as usize],
             valid: vec![0; config.sets as usize],
             dirty: vec![0; config.sets as usize],
             set_mask: u64::from(config.sets - 1),
@@ -121,7 +114,6 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
                 (1u32 << config.ways) - 1
             },
             policy,
-            wants_snapshots,
             stats: CacheStats::default(),
             rfo_dirties: false,
         }
@@ -211,7 +203,6 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
                 valid: valid & (1 << w) != 0,
                 line: if valid & (1 << w) != 0 { self.tags[base + w] } else { 0 },
                 dirty: dirty & (1 << w) != 0,
-                core: self.cores[base + w],
             })
             .collect()
     }
@@ -233,7 +224,6 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
             {
                 self.dirty[set] |= 1 << way;
             }
-            self.cores[base + way as usize] = access.core;
             self.policy.on_hit(set as u32, way, access);
             return AccessOutcome { hit: true, way, ..AccessOutcome::default() };
         }
@@ -248,27 +238,7 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
         let outcome = if free != 0 {
             AccessOutcome { way: free.trailing_zeros() as u16, ..AccessOutcome::default() }
         } else {
-            let w = if self.wants_snapshots {
-                let valid = self.valid[set];
-                let dirty = self.dirty[set];
-                let mut snapshot =
-                    [LineSnapshot { valid: false, line: 0, dirty: false, core: 0 }; MAX_WAYS];
-                for (w, slot) in snapshot.iter_mut().enumerate().take(ways) {
-                    // With an all-ones fill mask the set is full here, but a
-                    // restrictive mask can leave ways outside the requestor's
-                    // slice invalid — report them honestly.
-                    let v = valid & (1 << w) != 0;
-                    *slot = LineSnapshot {
-                        valid: v,
-                        line: if v { self.tags[base + w] } else { 0 },
-                        dirty: dirty & (1 << w) != 0,
-                        core: self.cores[base + w],
-                    };
-                }
-                self.policy.select_victim(set as u32, &snapshot[..ways], access)
-            } else {
-                self.policy.select_victim(set as u32, &[], access)
-            };
+            let w = self.policy.select_victim(set as u32, access);
             assert!(
                 (w as usize) < ways,
                 "policy {} chose way {w} of {ways} in cache {}",
@@ -288,7 +258,6 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
         } else {
             self.dirty[set] &= !(1 << victim_way);
         }
-        self.cores[base + victim_way as usize] = access.core;
         self.policy.on_fill(set as u32, victim_way, access);
         outcome
     }
@@ -307,14 +276,14 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
 }
 
 impl SetAssocCache<TrueLru> {
-    /// Records a hit on `line`, resident in `way`, without probing the set,
-    /// rewriting the core byte or re-stamping the line's LRU age.
+    /// Records a hit on `line`, resident in `way`, without probing the set
+    /// or re-stamping the line's LRU age.
     ///
     /// Exact only when `line` is this cache's newest touch (the line its
-    /// latest access hit or filled) and that touch came from the same core.
-    /// The line then already holds the largest LRU stamp in the cache, so a
-    /// re-stamp would leave the order of every set unchanged and no future
-    /// victim can differ; the statistics and the dirty bit are updated as
+    /// latest access hit or filled). The line then already holds the
+    /// largest LRU stamp in the cache, so a re-stamp would leave the order
+    /// of every set unchanged and no future victim can differ; the
+    /// statistics and the dirty bit are updated as
     /// [`access`](Self::access) would update them.
     #[inline]
     pub fn repeat_hit(&mut self, line: u64, way: u16, kind: AccessKind) {
@@ -502,7 +471,7 @@ mod tests {
             "SlicedLRU".to_owned()
         }
 
-        fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> u16 {
+        fn select_victim(&mut self, set: u32, _access: &Access) -> u16 {
             let base = set as usize * usize::from(self.ways);
             (0..self.ways)
                 .filter(|&w| self.mask & (1 << w) != 0)
@@ -523,10 +492,6 @@ mod tests {
 
         fn overhead_bits(&self, config: &CacheConfig) -> u64 {
             config.lines() * u64::from(config.way_bits())
-        }
-
-        fn uses_line_snapshots(&self) -> bool {
-            false
         }
 
         fn fill_mask(&self, _access: &Access) -> u32 {

@@ -17,8 +17,7 @@ use crate::config::CacheConfig;
 use crate::replacement::{LineSnapshot, ReplacementPolicy};
 use crate::stats::CacheStats;
 
-/// Maximum associativity supported without heap allocation on the victim
-/// selection path.
+/// Maximum associativity (the packed cache's bitmap width).
 const MAX_WAYS: usize = 32;
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -26,12 +25,11 @@ struct Line {
     valid: bool,
     line: u64,
     dirty: bool,
-    core: u8,
 }
 
 /// The original set-associative cache: one `Line` struct per way, policy
-/// behind a `Box<dyn ReplacementPolicy>`, a snapshot built for every
-/// eviction. Semantically identical to [`crate::SetAssocCache`] by
+/// behind a `Box<dyn ReplacementPolicy>`, linear lookup and invalid-way
+/// scans. Semantically identical to [`crate::SetAssocCache`] by
 /// construction (and by the differential test wall).
 pub struct ReferenceCache {
     name: String,
@@ -89,11 +87,11 @@ impl ReferenceCache {
         self.set_lines(set).iter().any(|l| l.valid && l.line == line)
     }
 
-    /// The (valid, line, dirty, core) state of one way, for cross-checking
+    /// The (valid, line, dirty) state of one way, for cross-checking
     /// against the packed implementation.
     pub fn line_state(&self, set: u32, way: u16) -> LineSnapshot {
         let l = &self.lines[self.set_base(set) + way as usize];
-        LineSnapshot { valid: l.valid, line: l.line, dirty: l.dirty, core: l.core }
+        LineSnapshot { valid: l.valid, line: l.line, dirty: l.dirty }
     }
 
     fn set_base(&self, set: u32) -> usize {
@@ -130,7 +128,6 @@ impl ReferenceCache {
             {
                 l.dirty = true;
             }
-            l.core = access.core;
             self.policy.on_hit(set, way, access);
             return AccessOutcome { hit: true, way, ..AccessOutcome::default() };
         }
@@ -143,11 +140,7 @@ impl ReferenceCache {
         let outcome = if let Some(w) = invalid_way {
             AccessOutcome { hit: false, way: w, ..AccessOutcome::default() }
         } else {
-            let mut snapshot = [LineSnapshot { valid: false, line: 0, dirty: false, core: 0 }; MAX_WAYS];
-            for (slot, l) in snapshot.iter_mut().zip(&self.lines[base..base + ways]) {
-                *slot = LineSnapshot { valid: l.valid, line: l.line, dirty: l.dirty, core: l.core };
-            }
-            let w = self.policy.select_victim(set, &snapshot[..ways], access);
+            let w = self.policy.select_victim(set, access);
             assert!(
                 (w as usize) < ways,
                 "policy {} chose way {w} of {ways} in cache {}",
@@ -168,7 +161,6 @@ impl ReferenceCache {
         slot.line = line;
         slot.dirty = access.kind == AccessKind::Writeback
             || (self.rfo_dirties && access.kind == AccessKind::Rfo);
-        slot.core = access.core;
         self.policy.on_fill(set, outcome.way, access);
         outcome
     }

@@ -3,20 +3,18 @@
 use crate::access::Access;
 use crate::config::CacheConfig;
 
-/// A read-only view of one cache line handed to the policy during victim
-/// selection.
+/// A read-only view of one way's tag-store state, returned by
+/// [`crate::SetAssocCache::set_snapshot`] and
+/// [`crate::ReferenceCache::line_state`] so tests can compare the two
+/// caches way by way. Policies never see it: they keep their own tables.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct LineSnapshot {
-    /// Whether the way holds a valid line. The cache fills invalid ways
-    /// itself, so policies normally see only full sets, but the snapshot is
-    /// honest anyway.
+    /// Whether the way holds a valid line.
     pub valid: bool,
-    /// Line address (byte address >> 6) stored in the way.
+    /// Line address (byte address >> 6) stored in the way; 0 when invalid.
     pub line: u64,
     /// Dirty bit.
     pub dirty: bool,
-    /// Core that inserted or last touched the line.
-    pub core: u8,
 }
 
 /// An LLC replacement policy.
@@ -31,7 +29,10 @@ pub struct LineSnapshot {
 ///   into `way` (after any eviction).
 ///
 /// Policies keep all their per-line metadata internally, indexed by
-/// `(set, way)`, exactly as the hardware tables they model would.
+/// `(set, way)`, exactly as the hardware tables they model would: the
+/// victim query passes no view of the set, so anything a policy scans
+/// (including the core that last touched a line) it records itself from
+/// the `on_hit`/`on_fill` callbacks.
 /// [`overhead_bits`](ReplacementPolicy::overhead_bits) reports that metadata
 /// cost, reproducing Table I of the paper.
 pub trait ReplacementPolicy: Send {
@@ -44,7 +45,7 @@ pub trait ReplacementPolicy: Send {
     fn on_miss(&mut self, _set: u32, _access: &Access) {}
 
     /// Chooses the way to evict for `access`, which missed in full `set`.
-    fn select_victim(&mut self, set: u32, lines: &[LineSnapshot], access: &Access) -> u16;
+    fn select_victim(&mut self, set: u32, access: &Access) -> u16;
 
     /// Notifies the policy that `access` hit in `(set, way)`.
     fn on_hit(&mut self, set: u32, way: u16, access: &Access);
@@ -54,16 +55,6 @@ pub trait ReplacementPolicy: Send {
 
     /// Metadata storage in bits for a cache of this geometry.
     fn overhead_bits(&self, config: &CacheConfig) -> u64;
-
-    /// Whether [`select_victim`](ReplacementPolicy::select_victim) reads the
-    /// `lines` snapshot. Policies that track all their state internally
-    /// (keyed by `(set, way)` callbacks alone) override this to `false`,
-    /// letting the cache skip snapshot construction on their evictions —
-    /// they are then handed an empty slice. Defaults to `true` (always
-    /// correct, possibly slower).
-    fn uses_line_snapshots(&self) -> bool {
-        true
-    }
 
     /// Ways `access` is allowed to *fill* into, as a bitmap (bit `w` = way
     /// `w` eligible). The cache intersects this with its invalid-way scan
@@ -91,8 +82,8 @@ impl<P: ReplacementPolicy + ?Sized> ReplacementPolicy for Box<P> {
         (**self).on_miss(set, access);
     }
 
-    fn select_victim(&mut self, set: u32, lines: &[LineSnapshot], access: &Access) -> u16 {
-        (**self).select_victim(set, lines, access)
+    fn select_victim(&mut self, set: u32, access: &Access) -> u16 {
+        (**self).select_victim(set, access)
     }
 
     fn on_hit(&mut self, set: u32, way: u16, access: &Access) {
@@ -105,10 +96,6 @@ impl<P: ReplacementPolicy + ?Sized> ReplacementPolicy for Box<P> {
 
     fn overhead_bits(&self, config: &CacheConfig) -> u64 {
         (**self).overhead_bits(config)
-    }
-
-    fn uses_line_snapshots(&self) -> bool {
-        (**self).uses_line_snapshots()
     }
 
     fn fill_mask(&self, access: &Access) -> u32 {
@@ -169,7 +156,7 @@ impl ReplacementPolicy for TrueLru {
         "LRU".to_owned()
     }
 
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> u16 {
+    fn select_victim(&mut self, set: u32, _access: &Access) -> u16 {
         // Min over packed keys `(stamp << way_bits) | way`. Stamps are
         // unique whenever non-zero (the clock ticks on every touch), and
         // zero-stamp ties resolve to the lowest way because the way sits in
@@ -207,9 +194,6 @@ impl ReplacementPolicy for TrueLru {
         config.lines() * u64::from(config.way_bits())
     }
 
-    fn uses_line_snapshots(&self) -> bool {
-        false // victim choice reads only the internal stamp table
-    }
 }
 
 /// A trivial pseudo-random policy (xorshift), useful as a floor baseline
@@ -232,7 +216,7 @@ impl ReplacementPolicy for RandomLite {
         "Random".to_owned()
     }
 
-    fn select_victim(&mut self, _set: u32, _lines: &[LineSnapshot], _access: &Access) -> u16 {
+    fn select_victim(&mut self, _set: u32, _access: &Access) -> u16 {
         self.state ^= self.state << 13;
         self.state ^= self.state >> 7;
         self.state ^= self.state << 17;
@@ -246,10 +230,6 @@ impl ReplacementPolicy for RandomLite {
     fn overhead_bits(&self, _config: &CacheConfig) -> u64 {
         0
     }
-
-    fn uses_line_snapshots(&self) -> bool {
-        false // purely xorshift-driven
-    }
 }
 
 #[cfg(test)]
@@ -261,12 +241,6 @@ mod tests {
         Access { pc: 0, addr, kind: AccessKind::Load, core: 0, seq: 0 }
     }
 
-    fn snapshot(n: usize) -> Vec<LineSnapshot> {
-        (0..n)
-            .map(|i| LineSnapshot { valid: true, line: i as u64, dirty: false, core: 0 })
-            .collect()
-    }
-
     #[test]
     fn lru_evicts_least_recently_used() {
         let cfg = CacheConfig { sets: 1, ways: 4, latency: 1 };
@@ -275,7 +249,7 @@ mod tests {
             lru.on_fill(0, way, &access(way as u64 * 64));
         }
         lru.on_hit(0, 0, &access(0)); // way 0 becomes MRU; way 1 is now LRU
-        assert_eq!(lru.select_victim(0, &snapshot(4), &access(999 * 64)), 1);
+        assert_eq!(lru.select_victim(0, &access(999 * 64)), 1);
     }
 
     #[test]
@@ -291,13 +265,13 @@ mod tests {
                 for way in (0..ways).rev().filter(|&w| w != victim) {
                     lru.on_hit(1, way, &access(0));
                 }
-                assert_eq!(lru.select_victim(1, &[], &access(0)), victim);
+                assert_eq!(lru.select_victim(1, &access(0)), victim);
                 // Set 0: only the ways below `victim` touched; the untouched
                 // ways tie at stamp 0 and the lowest of them wins.
                 for way in 0..victim {
                     lru.on_fill(0, way, &access(0));
                 }
-                assert_eq!(lru.select_victim(0, &[], &access(0)), victim);
+                assert_eq!(lru.select_victim(0, &access(0)), victim);
             }
         }
     }
@@ -315,7 +289,7 @@ mod tests {
         let cfg = CacheConfig { sets: 2, ways: 8, latency: 1 };
         let mut r = RandomLite::new(&cfg);
         for i in 0..100 {
-            assert!(r.select_victim(0, &snapshot(8), &access(i * 64)) < 8);
+            assert!(r.select_victim(0, &access(i * 64)) < 8);
         }
     }
 }

@@ -15,7 +15,7 @@
 
 use cache_sim::{
     Access, AccessKind, AccessOutcome, CacheConfig, LlcRecord, LlcTrace, ReferenceCache,
-    ReplacementPolicy, SetAssocCache,
+    SetAssocCache,
 };
 use experiments::{LlcPolicy, PolicyKind};
 use simrng::prop::{check, Config};
@@ -125,8 +125,8 @@ fn every_online_policy_is_dispatch_equivalent() {
     }
 }
 
-/// The Belady oracle keys on sequence numbers and reads line snapshots —
-/// the one roster member the online sweep above does not cover.
+/// The Belady oracle keys on sequence numbers — the one roster member the
+/// online sweep above does not cover.
 #[test]
 fn belady_is_dispatch_equivalent() {
     let stream = random_stream(0xD1FF_0002, 8_000);
@@ -152,8 +152,8 @@ fn rfo_mode_is_dispatch_equivalent() {
 }
 
 /// Randomized differential property with shrinking: arbitrary short
-/// streams through representative snapshot-free (RLR, SRRIP) and
-/// snapshot-consuming (RLR-MC) policies. On failure the harness shrinks
+/// streams through representative policies, RLR-MC included for its
+/// per-line core table. On failure the harness shrinks
 /// the stream and reports a `PROP_SEED` for exact replay.
 #[test]
 fn random_streams_shrink_to_minimal_divergence() {
@@ -267,32 +267,12 @@ fn every_associativity_probes_like_the_reference() {
     );
 }
 
-/// Snapshot skipping must be decided by the policy: a policy that asks for
-/// snapshots gets a full set's worth; the roster's flags match what each
-/// `select_victim` actually reads.
-#[test]
-fn snapshot_flags_match_roster_expectations() {
-    let cfg = geometry();
-    for kind in PolicyKind::ALL_ONLINE {
-        let policy = kind.build(&cfg, None);
-        let wants = policy.uses_line_snapshots();
-        // Every online policy owns its scan inputs — multicore RLR keeps a
-        // per-line core mirror, so even P_core reads no snapshot.
-        assert!(
-            !wants,
-            "{}: uses_line_snapshots() = {wants}, but the whole roster elides snapshots",
-            kind.name()
-        );
-    }
-}
-
-/// Multicore RLR through the snapshot-elided packed path: four cores with
-/// private PC pools and partially-overlapping address regions, round-robin
-/// interleaved so P_core re-rankings decide real evictions. The packed
-/// policy reads its own per-line core mirror (it gets an empty snapshot
-/// slice); the oracle feeds the frozen `ReferenceCache`'s full snapshots —
-/// per-access outcomes, per-core hit counters, final statistics, and line
-/// state must all stay bit-identical.
+/// Multicore RLR through both caches: four cores with private PC pools and
+/// partially-overlapping address regions, round-robin interleaved so
+/// P_core re-rankings decide real evictions. The policy reads the core of
+/// each line from its own table in either cache, so per-access outcomes,
+/// per-core hit counters, final statistics, and line state must all stay
+/// bit-identical.
 #[test]
 fn multicore_rlr_interleaved_streams_match_reference() {
     let cfg = geometry();

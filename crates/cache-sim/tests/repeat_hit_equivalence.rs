@@ -2,7 +2,7 @@
 //!
 //! `CoreHierarchy` answers an L1 access to the line of the cache's newest
 //! touch with `repeat_hit`, which records the hit and the dirty bit but
-//! skips the probe, the core-byte write and the LRU re-stamp. Every case
+//! skips the probe and the LRU re-stamp. Every case
 //! here runs one access stream twice through a `TrueLru` cache: once
 //! through `access` alone, and once with `repeat_hit` wherever an access
 //! repeats the previous access's line. The two runs must agree exactly on

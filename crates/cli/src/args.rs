@@ -100,6 +100,11 @@ impl Args {
         self.flags.iter().any(|f| f == flag)
     }
 
+    /// Whether `--key` was given at all, with a value or bare.
+    pub fn given(&self, key: &str) -> bool {
+        self.get(key).is_some() || self.has_flag(key)
+    }
+
     /// Rejects unknown options (catches typos early).
     ///
     /// # Errors
@@ -168,5 +173,6 @@ mod tests {
         let a = parse("run --verbose --policy rlr");
         assert!(a.has_flag("verbose"));
         assert_eq!(a.get("policy"), Some("rlr"));
+        assert!(a.given("verbose") && a.given("policy") && !a.given("agent"));
     }
 }

@@ -231,6 +231,9 @@ pub fn replay(args: &Args) -> Result<(), ArgError> {
         .ok_or_else(|| ArgError("usage: rlr replay <trace> [--policy P]".to_owned()))?;
     let config = SystemConfig::paper_single_core();
     let name = args.get_or("policy", "belady").to_lowercase();
+    if name != "agent" && args.given("agent") {
+        return Err(ArgError("--agent applies only to --policy agent".to_owned()));
+    }
 
     // (policy, demand hit rate, hits, accesses)
     let stats: (String, f64, u64, u64) = if name == "agent" {
@@ -290,11 +293,17 @@ pub fn train(args: &Args) -> Result<(), ArgError> {
         .get("out")
         .ok_or_else(|| ArgError("--out <file> is required".to_owned()))?;
     let epochs = args.get_num("epochs", 3usize)?;
+    if epochs == 0 {
+        return Err(ArgError("--epochs must be positive".to_owned()));
+    }
     let hidden = args.get_num("hidden", 64usize)?;
     if hidden == 0 {
         return Err(ArgError("--hidden must be positive".to_owned()));
     }
     let records = args.get_num("records", 60_000u64)?;
+    if records == 0 {
+        return Err(ArgError("--records must be positive".to_owned()));
+    }
     let seed = args.get_num("seed", 0xCAFEu64)?;
     let ck_path = args.get("checkpoint").map_or_else(|| format!("{out}.ck"), str::to_owned);
     let stop_after = args.get_num("stop-after", 0usize)?;
@@ -550,6 +559,11 @@ fn trace_export(args: &Args) -> Result<(), ArgError> {
     let records = args.get_num("records", 100_000u64)?;
     let block = block_len_arg(args)?;
     if Path::new(bench).is_file() {
+        if args.given("records") {
+            return Err(ArgError(format!(
+                "--records applies to a benchmark export; {bench} is a trace file and exports whole"
+            )));
+        }
         let core = args
             .get_num::<u8>("core", 0)
             .map_err(|_| ArgError("--core must be a core id (0-255)".to_owned()))?;
@@ -575,6 +589,11 @@ fn trace_export(args: &Args) -> Result<(), ArgError> {
             full.len()
         );
         return Ok(());
+    }
+    if args.given("core") {
+        return Err(ArgError(format!(
+            "--core applies only to a trace-file source; {bench} is not a file"
+        )));
     }
     let workload = workload_by_name(bench)?;
 
@@ -613,6 +632,9 @@ fn trace_verify(args: &Args) -> Result<(), ArgError> {
         .positional()
         .get(1)
         .ok_or_else(|| ArgError("usage: rlr trace verify <file> [--repair] [--out FILE]".to_owned()))?;
+    if args.given("out") && !args.has_flag("repair") {
+        return Err(ArgError("--out applies only with --repair".to_owned()));
+    }
     let file = fs::File::open(path).map_err(|e| ArgError(format!("open {path}: {e}")))?;
     let error = match trace_io::scan(BufReader::new(file)) {
         Ok(summary) => {
@@ -886,7 +908,13 @@ fn tenancy_run(args: &Args) -> Result<(), ArgError> {
     let known: Vec<&str> = TENANCY_FLAGS.iter().copied().chain(["mode", "ranks"]).collect();
     args.expect_known(&known)?;
     let (mix, llc, accesses, scale) = tenancy_scenario(args)?;
-    let mode = match args.get_or("mode", "shared") {
+    let mode_name = args.get_or("mode", "shared");
+    if args.given("ranks") && !matches!(mode_name, "learned-priority" | "learned") {
+        return Err(ArgError(format!(
+            "--ranks applies only to --mode learned-priority, not `{mode_name}`"
+        )));
+    }
+    let mode = match mode_name {
         "shared" => tenancy::IsolationMode::Shared,
         "way-partition" | "partition" => tenancy::IsolationMode::WayPartition(
             tenancy::partition_by_weight(llc.ways, &mix.weights()),

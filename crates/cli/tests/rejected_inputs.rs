@@ -163,3 +163,66 @@ fn objcache_rejects_a_capacity_beyond_2_pow_64_bytes() {
         String::from_utf8_lossy(&out.stdout)
     );
 }
+
+#[test]
+fn replay_rejects_an_agent_without_the_agent_policy() {
+    let out = rlr(&["replay", GOLDEN, "--policy", "lru", "--agent", "/nonexistent.mlp"]);
+    assert_user_error(&out, "--agent applies only to --policy agent");
+}
+
+#[test]
+fn trace_export_of_a_benchmark_rejects_core() {
+    let (out, kept) = run_against_an_existing_out(
+        "benchcore",
+        &["trace", "export", "429.mcf", "--records", "10", "--core", "3"],
+    );
+    assert_user_error(&out, "--core applies only to a trace-file source");
+    assert!(kept, "a rejected --core must leave the existing --out file as it was");
+}
+
+#[test]
+fn trace_export_of_a_container_rejects_records() {
+    let (out, kept) = run_against_an_existing_out(
+        "filerecords",
+        &["trace", "export", GOLDEN, "--core", "0", "--records", "10"],
+    );
+    assert_user_error(&out, "--records applies to a benchmark export");
+    assert!(kept, "a rejected --records must leave the existing --out file as it was");
+}
+
+#[test]
+fn trace_verify_rejects_out_without_repair() {
+    let (out, kept) = run_against_an_existing_out("verifyout", &["trace", "verify", GOLDEN]);
+    assert_user_error(&out, "--out applies only with --repair");
+    assert!(kept, "a rejected --out must leave the existing file as it was");
+}
+
+#[test]
+fn tenancy_run_rejects_ranks_outside_learned_priority() {
+    for mode in [None, Some("way-partition")] {
+        let mut args = vec!["tenancy", "run", "--accesses", "100", "--ranks", "1,2"];
+        args.extend(mode.iter().flat_map(|m| ["--mode", *m]));
+        let out = rlr(&args);
+        assert_user_error(&out, "--ranks applies only to --mode learned-priority");
+    }
+}
+
+#[test]
+fn train_rejects_zero_epochs_and_zero_records() {
+    for (tag, flag, args) in [
+        ("epochs", "--epochs must be positive", ["--epochs", "0", "--records", "2000"]),
+        ("records", "--records must be positive", ["--records", "0", "--epochs", "1"]),
+    ] {
+        let agent: PathBuf =
+            std::env::temp_dir().join(format!("rlr-train-zero-{tag}-{}.mlp", std::process::id()));
+        let agent_arg = agent.to_str().expect("utf-8 path");
+        let mut full = vec!["train", "429.mcf", "--out", agent_arg];
+        full.extend(args);
+        let out = rlr(&full);
+        let written = agent.exists();
+        let _ = std::fs::remove_file(&agent);
+        let _ = std::fs::remove_file(format!("{agent_arg}.ck"));
+        assert!(!written, "[{tag}] no agent is written when the flag is rejected");
+        assert_user_error(&out, flag);
+    }
+}

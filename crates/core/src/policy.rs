@@ -1,6 +1,6 @@
 //! The RLR replacement policy (paper §IV).
 
-use cache_sim::{Access, AccessKind, CacheConfig, LineSnapshot, ReplacementPolicy};
+use cache_sim::{Access, AccessKind, CacheConfig, ReplacementPolicy};
 
 use crate::config::{AgeUnit, RecencyMode, RlrConfig};
 use crate::packed::LineMeta;
@@ -43,12 +43,10 @@ pub struct RlrPolicy {
     window_hits: u32,
     /// LLC accesses since the last RD update (stale-RD escape).
     accesses_since_rd_update: u64,
-    /// Per-line: core that inserted or last touched the line, maintained
-    /// from the `on_fill`/`on_hit` callbacks exactly where the cache would
-    /// update its own tag-store copy. Owning this mirror is what lets the
-    /// multicore variant skip the per-eviction [`LineSnapshot`] build —
-    /// `uses_line_snapshots` is `false` for every RLR variant. Empty when
-    /// P_core is off.
+    /// Per-line: core that inserted or last touched the line, written by
+    /// `on_fill` and `on_hit` and read by the victim scan's `P_core` term
+    /// (the cache keeps no per-line core of its own). Empty when P_core is
+    /// off.
     line_core: Vec<u8>,
     /// Per-core demand-hit counters (multicore extension).
     core_hits: Vec<u32>,
@@ -276,14 +274,7 @@ impl ReplacementPolicy for RlrPolicy {
         self.record_access();
     }
 
-    fn uses_line_snapshots(&self) -> bool {
-        // Every input of the victim scan — including the per-line core for
-        // P_core — lives in the policy's own tables, so the cache never
-        // needs to build a snapshot for RLR.
-        false
-    }
-
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> u16 {
+    fn select_victim(&mut self, set: u32, _access: &Access) -> u16 {
         self.victim(set, None)
     }
 
@@ -327,10 +318,8 @@ impl ReplacementPolicy for RlrPolicy {
         let meta = &mut self.meta[i];
         meta.set_hit_count((u32::from(meta.hit_count()) + 1).min(hit_max) as u8);
         meta.set_access_type(access.kind == AccessKind::Prefetch, access.kind.is_demand());
-        // Mirror the tag store's "core that inserted or last touched"
-        // field — the cache updates its copy on every hit and fill, so the
-        // mirror must too (any divergence would show up as a different
-        // P_core than a snapshot-fed scan computes).
+        // The line's core follows its latest touch, on hits as on fills
+        // (the seed oracle's P_core reads the same rule).
         if let Some(core) = self.line_core.get_mut(i) {
             *core = access.core;
         }
@@ -377,14 +366,8 @@ mod tests {
         Access { pc: 0x400, addr: 0, kind, core, seq: 0 }
     }
 
-    fn lines(n: usize) -> Vec<LineSnapshot> {
-        (0..n)
-            .map(|i| LineSnapshot { valid: true, line: i as u64, dirty: false, core: 0 })
-            .collect()
-    }
-
     fn victim(p: &mut RlrPolicy, set: u32) -> u16 {
-        p.select_victim(set, &lines(4), &access(AccessKind::Load, 0))
+        p.select_victim(set, &access(AccessKind::Load, 0))
     }
 
     #[test]
@@ -529,23 +512,14 @@ mod tests {
             p.on_hit(0, 0, &access(AccessKind::Load, 1));
         }
         assert!(p.core_priority[1] > p.core_priority[0]);
-        // Two identical lines, one per core: core 0's line must go first.
-        let snapshot = vec![
-            LineSnapshot { valid: true, line: 1, dirty: false, core: 0 },
-            LineSnapshot { valid: true, line: 2, dirty: false, core: 1 },
-            LineSnapshot { valid: true, line: 3, dirty: false, core: 1 },
-            LineSnapshot { valid: true, line: 4, dirty: false, core: 1 },
-        ];
+        // Identical lines, way 0 from core 0 and the rest from core 1:
+        // core 0's line must go first.
         let mut q = RlrPolicy::multicore(2, &llc);
         q.core_priority = p.core_priority.clone();
         for w in 0..4 {
-            q.on_fill(1, w, &access(AccessKind::Load, snapshot[w as usize].core));
+            q.on_fill(1, w, &access(AccessKind::Load, u8::from(w > 0)));
         }
-        assert_eq!(
-            q.select_victim(1, &snapshot, &access(AccessKind::Load, 0)),
-            0,
-            "low-hit core's line is the victim"
-        );
+        assert_eq!(victim(&mut q, 1), 0, "low-hit core's line is the victim");
     }
 
     #[test]

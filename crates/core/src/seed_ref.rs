@@ -6,13 +6,16 @@
 //! `last_prefetch`, `last_demand`) where [`crate::RlrPolicy`] now packs
 //! one [`crate::packed::LineMeta`] byte per line, and a victim scan that
 //! recomputes each line's age three times where the packed policy
-//! computes it once. The `seed_equivalence` test drives both policies
+//! computes it once. Like every policy it reads no view of the set: the
+//! per-line core that its `P_core` term needs lives in its own
+//! `line_core` array, written on every hit and fill. The
+//! `seed_equivalence` test drives both policies
 //! through identical caches and requires identical decisions; the
 //! `ci_smoke` bench measures the rewrite's speedup against it.
 //! It is deliberately not maintained for speed; any behavioural change to
 //! [`crate::RlrPolicy`] must be mirrored here first (and justified).
 
-use cache_sim::{Access, AccessKind, CacheConfig, LineSnapshot, ReplacementPolicy};
+use cache_sim::{Access, AccessKind, CacheConfig, ReplacementPolicy};
 
 use crate::config::{AgeUnit, RecencyMode, RlrConfig};
 
@@ -42,6 +45,8 @@ pub struct SeedRlrPolicy {
     last_prefetch: Vec<bool>,
     /// Per-line: last access was a demand access (for the RD filter).
     last_demand: Vec<bool>,
+    /// Per-line: core that inserted or last touched the line (P_core).
+    line_core: Vec<u8>,
     /// Predicted reuse distance (age units).
     rd: u64,
     /// Preuse-distance accumulator over the current demand-hit window.
@@ -92,6 +97,7 @@ impl SeedRlrPolicy {
             hit_count: vec![0; lines],
             last_prefetch: vec![false; lines],
             last_demand: vec![false; lines],
+            line_core: vec![0; lines],
             // Start fully protective: until the estimator has observed real
             // preuse distances, every line stays inside RD and victim
             // selection falls to the (anti-thrash) recency tie-break.
@@ -183,14 +189,14 @@ impl SeedRlrPolicy {
     }
 
     /// The per-line priority `8·P_age + P_type + P_hit + P_core`.
-    fn priority(&self, set: u32, way: u16, line: &LineSnapshot) -> u32 {
+    fn priority(&self, set: u32, way: u16) -> u32 {
         let i = self.idx(set, way);
         let p_age = u32::from(self.age(set, way) <= self.rd) * self.config.age_weight;
         let p_type = u32::from(self.config.use_type_priority && !self.last_prefetch[i]);
         let p_hit = u32::from(self.config.use_hit_priority && self.hit_count[i] > 0);
         let p_core = self
             .core_priority
-            .get(usize::from(line.core))
+            .get(usize::from(self.line_core[i]))
             .copied()
             .unwrap_or(0);
         p_age + p_type + p_hit + p_core
@@ -222,11 +228,10 @@ impl ReplacementPolicy for SeedRlrPolicy {
         self.record_access();
     }
 
-    fn select_victim(&mut self, set: u32, lines: &[LineSnapshot], _access: &Access) -> u16 {
+    fn select_victim(&mut self, set: u32, _access: &Access) -> u16 {
         let mut best: Option<(u32, u64, u16)> = None;
-        for (w, line) in lines.iter().enumerate() {
-            let way = w as u16;
-            let p = self.priority(set, way, line);
+        for way in 0..self.ways {
+            let p = self.priority(set, way);
             let rec = self.recency_key(set, way);
             // Strict comparisons keep the lowest way index on full ties.
             let better = match best {
@@ -281,6 +286,7 @@ impl ReplacementPolicy for SeedRlrPolicy {
         self.hit_count[i] = (u32::from(self.hit_count[i]) + 1).min(hit_max) as u8;
         self.last_prefetch[i] = access.kind == AccessKind::Prefetch;
         self.last_demand[i] = access.kind.is_demand();
+        self.line_core[i] = access.core;
         self.touch(set, way);
     }
 
@@ -289,6 +295,7 @@ impl ReplacementPolicy for SeedRlrPolicy {
         self.hit_count[i] = 0;
         self.last_prefetch[i] = access.kind == AccessKind::Prefetch;
         self.last_demand[i] = access.kind.is_demand();
+        self.line_core[i] = access.core;
         self.touch(set, way);
     }
 

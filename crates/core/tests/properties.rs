@@ -104,7 +104,7 @@ fn rd_is_bounded() {
         Config::with_cases(48),
         |rng| line_tag_seq(rng, 64, 16, 1..800),
         |seq| {
-            use cache_sim::{LineSnapshot, ReplacementPolicy};
+            use cache_sim::ReplacementPolicy;
             let geometry = CacheConfig { sets: 4, ways: 4, latency: 1 };
             let config = RlrConfig::unoptimized();
             let mut policy = RlrPolicy::with_config(config, &geometry);
@@ -129,15 +129,7 @@ fn rd_is_bounded() {
                     let w = if let Some(free) = (0..ways).find(|&w| tags[base + w] == u64::MAX) {
                         free
                     } else {
-                        let snapshot: Vec<LineSnapshot> = (0..ways)
-                            .map(|w| LineSnapshot {
-                                valid: true,
-                                line: tags[base + w],
-                                dirty: false,
-                                core: 0,
-                            })
-                            .collect();
-                        usize::from(policy.select_victim(set as u32, &snapshot, &access))
+                        usize::from(policy.select_victim(set as u32, &access))
                     };
                     tags[base + w] = line;
                     policy.on_fill(set as u32, w as u16, &access);

@@ -2,19 +2,23 @@
 //! [`RlrPolicy`] against the frozen seed implementation
 //! ([`rlr::SeedRlrPolicy`]: three metadata arrays, triple age
 //! recomputation). Both ride the same [`ReferenceCache`], so any
-//! divergence is the policy's — not the cache's.
+//! divergence is the policy's — not the cache's. Each variant runs on a
+//! small 4-way geometry and on the paper's 16-way associativity, whose
+//! packed scan takes four full lane stripes (and, on AVX-512 hosts, the
+//! vector kernel with its packed core-rank table for RLR-MC).
 
 use cache_sim::{Access, AccessKind, CacheConfig, ReferenceCache};
 use rlr::{RlrConfig, RlrPolicy, SeedRlrPolicy};
 use simrng::prop::{check, Config};
 use simrng::{prop_assert_eq, Rng, SimRng};
 
-fn geometry() -> CacheConfig {
-    CacheConfig { sets: 8, ways: 4, latency: 20 }
+/// 16 sets (not the paper's 2048) keep the short property streams long
+/// enough to fill sets and force victim scans.
+fn geometries() -> [CacheConfig; 2] {
+    [CacheConfig { sets: 8, ways: 4, latency: 20 }, CacheConfig { sets: 16, ways: 16, latency: 20 }]
 }
 
-fn stream(seed: u64, len: usize) -> Vec<Access> {
-    let cfg = geometry();
+fn stream(cfg: &CacheConfig, seed: u64, len: usize) -> Vec<Access> {
     let mut rng = SimRng::seed_from_u64(seed);
     let lines = u64::from(cfg.sets) * u64::from(cfg.ways) * 4;
     (0..len)
@@ -46,30 +50,43 @@ fn variants() -> [(&'static str, RlrConfig); 3] {
 
 #[test]
 fn packed_policy_matches_seed_policy_on_long_streams() {
-    let cfg = geometry();
-    let accesses = stream(0x5EED_0001, 30_000);
-    for (label, rlr_cfg) in variants() {
-        let mut seed =
-            ReferenceCache::new("seed", cfg, Box::new(SeedRlrPolicy::with_config(rlr_cfg, &cfg)));
-        let mut packed =
-            ReferenceCache::new("packed", cfg, Box::new(RlrPolicy::with_config(rlr_cfg, &cfg)));
-        for (i, access) in accesses.iter().enumerate() {
-            let a = seed.access(access);
-            let b = packed.access(access);
-            assert_eq!(a, b, "[{label}] diverged at access {i} ({access:?})");
+    for cfg in geometries() {
+        let accesses = stream(&cfg, 0x5EED_0001, 30_000);
+        for (label, rlr_cfg) in variants() {
+            let label = format!("{label} {}x{}", cfg.sets, cfg.ways);
+            let mut seed = ReferenceCache::new(
+                "seed",
+                cfg,
+                Box::new(SeedRlrPolicy::with_config(rlr_cfg, &cfg)),
+            );
+            let mut packed =
+                ReferenceCache::new("packed", cfg, Box::new(RlrPolicy::with_config(rlr_cfg, &cfg)));
+            for (i, access) in accesses.iter().enumerate() {
+                let a = seed.access(access);
+                let b = packed.access(access);
+                assert_eq!(a, b, "[{label}] diverged at access {i} ({access:?})");
+            }
+            assert_eq!(seed.stats(), packed.stats(), "[{label}] stats diverged");
+            assert!(seed.stats().evictions > 0, "[{label}] stream produced no evictions");
         }
-        assert_eq!(seed.stats(), packed.stats(), "[{label}] stats diverged");
     }
 }
 
 #[test]
 fn packed_policy_matches_seed_policy_on_random_short_streams() {
-    let cfg = geometry();
+    let mut case = 0usize;
     check(
         "packed_policy_matches_seed_policy_on_random_short_streams",
         Config::with_cases(24),
-        |rng| stream(rng.gen_range(0..u64::MAX / 2), rng.gen_range(1usize..800)),
-        |accesses| {
+        |rng| {
+            // Cases alternate between the two geometries.
+            let cfg = geometries()[case % 2];
+            case += 1;
+            let accesses = stream(&cfg, rng.gen_range(0..u64::MAX / 2), rng.gen_range(1usize..800));
+            (accesses, cfg)
+        },
+        |(accesses, cfg)| {
+            let cfg = *cfg;
             for (label, rlr_cfg) in variants() {
                 let mut seed = ReferenceCache::new(
                     "seed",

@@ -1,9 +1,7 @@
 //! The policy roster: every replacement policy the paper evaluates,
 //! constructible by name.
 
-use cache_sim::{
-    Access, CacheConfig, LineSnapshot, LlcTrace, RandomLite, ReplacementPolicy, TrueLru,
-};
+use cache_sim::{Access, CacheConfig, LlcTrace, RandomLite, ReplacementPolicy, TrueLru};
 use policies::{Belady, Brrip, Drrip, Eva, Fifo, Hawkeye, KpcR, Pdp, Ship, ShipPp, Srrip};
 use rlr::RlrPolicy;
 
@@ -82,8 +80,8 @@ impl ReplacementPolicy for LlcPolicy {
         dispatch!(self, p => p.on_miss(set, access));
     }
 
-    fn select_victim(&mut self, set: u32, lines: &[LineSnapshot], access: &Access) -> u16 {
-        dispatch!(self, p => p.select_victim(set, lines, access))
+    fn select_victim(&mut self, set: u32, access: &Access) -> u16 {
+        dispatch!(self, p => p.select_victim(set, access))
     }
 
     fn on_hit(&mut self, set: u32, way: u16, access: &Access) {
@@ -96,10 +94,6 @@ impl ReplacementPolicy for LlcPolicy {
 
     fn overhead_bits(&self, config: &CacheConfig) -> u64 {
         dispatch!(self, p => p.overhead_bits(config))
-    }
-
-    fn uses_line_snapshots(&self) -> bool {
-        dispatch!(self, p => p.uses_line_snapshots())
     }
 }
 

@@ -9,7 +9,7 @@
 //! access stream is invariant across LLC policies, replaying the same
 //! workload with this policy is exact.
 
-use cache_sim::{Access, CacheConfig, LineSnapshot, LlcTrace, ReplacementPolicy};
+use cache_sim::{Access, CacheConfig, LlcTrace, ReplacementPolicy};
 
 /// Belady's optimal policy (OPT/MIN).
 ///
@@ -60,9 +60,9 @@ impl ReplacementPolicy for Belady {
         "Belady".to_owned()
     }
 
-    fn select_victim(&mut self, set: u32, lines: &[LineSnapshot], _access: &Access) -> u16 {
+    fn select_victim(&mut self, set: u32, _access: &Access) -> u16 {
         let base = set as usize * self.ways as usize;
-        (0..lines.len())
+        (0..usize::from(self.ways))
             .max_by_key(|&w| (self.line_next[base + w], std::cmp::Reverse(w)))
             .expect("non-empty set") as u16
     }

@@ -12,7 +12,7 @@
 //! implementation also exhibits on prefetch-heavy workloads since EVA does
 //! not model non-demand accesses.
 
-use cache_sim::{Access, CacheConfig, LineSnapshot, ReplacementPolicy};
+use cache_sim::{Access, CacheConfig, ReplacementPolicy};
 
 /// Number of coarse age buckets.
 const AGE_BUCKETS: usize = 64;
@@ -113,10 +113,6 @@ impl Eva {
 }
 
 impl ReplacementPolicy for Eva {
-    fn uses_line_snapshots(&self) -> bool {
-        false // victim choice reads only internal (set, way) metadata
-    }
-
     fn name(&self) -> String {
         "EVA".to_owned()
     }
@@ -125,7 +121,7 @@ impl ReplacementPolicy for Eva {
         self.set_clock[set as usize] += 1;
     }
 
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> u16 {
+    fn select_victim(&mut self, set: u32, _access: &Access) -> u16 {
         let mut victim = 0u16;
         let mut worst = f64::INFINITY;
         for w in 0..self.ways {
@@ -177,10 +173,6 @@ mod tests {
         Access { pc: 0, addr, kind: AccessKind::Load, core: 0, seq: 0 }
     }
 
-    fn lines() -> Vec<LineSnapshot> {
-        vec![LineSnapshot { valid: true, line: 0, dirty: false, core: 0 }; 4]
-    }
-
     #[test]
     fn untrained_eva_behaves_like_lru() {
         let mut p = Eva::new(&cfg());
@@ -193,7 +185,7 @@ mod tests {
                 p.on_hit(0, w, &access(u64::from(w) * 64));
             }
         }
-        let victim = p.select_victim(0, &lines(), &access(999 * 64));
+        let victim = p.select_victim(0, &access(999 * 64));
         assert_eq!(victim, 0, "oldest line evicted before training");
     }
 

@@ -1,6 +1,6 @@
 //! First-in first-out replacement.
 
-use cache_sim::{Access, CacheConfig, LineSnapshot, ReplacementPolicy};
+use cache_sim::{Access, CacheConfig, ReplacementPolicy};
 
 /// FIFO replacement: evicts the line that has been resident longest,
 /// ignoring hits entirely.
@@ -23,15 +23,11 @@ impl Fifo {
 }
 
 impl ReplacementPolicy for Fifo {
-    fn uses_line_snapshots(&self) -> bool {
-        false // victim choice reads only internal (set, way) metadata
-    }
-
     fn name(&self) -> String {
         "FIFO".to_owned()
     }
 
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> u16 {
+    fn select_victim(&mut self, set: u32, _access: &Access) -> u16 {
         let base = set as usize * self.ways as usize;
         (0..self.ways)
             .min_by_key(|&w| self.stamps[base + w as usize])
@@ -67,8 +63,7 @@ mod tests {
             fifo.on_fill(0, way, &access(u64::from(way) * 64));
         }
         fifo.on_hit(0, 0, &access(0)); // should be irrelevant
-        let lines = [LineSnapshot { valid: true, line: 0, dirty: false, core: 0 }; 3];
-        let victim = fifo.select_victim(0, &lines, &access(999));
+        let victim = fifo.select_victim(0, &access(999));
         assert_eq!(victim, 0, "oldest insertion wins despite the hit");
     }
 }

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use cache_sim::{Access, AccessKind, CacheConfig, LineSnapshot, ReplacementPolicy};
+use cache_sim::{Access, AccessKind, CacheConfig, ReplacementPolicy};
 
 use crate::pc_signature;
 
@@ -154,15 +154,11 @@ impl Hawkeye {
 }
 
 impl ReplacementPolicy for Hawkeye {
-    fn uses_line_snapshots(&self) -> bool {
-        false // victim choice reads only internal (set, way) metadata
-    }
-
     fn name(&self) -> String {
         "Hawkeye".to_owned()
     }
 
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> u16 {
+    fn select_victim(&mut self, set: u32, _access: &Access) -> u16 {
         let base = set as usize * self.ways as usize;
         // Prefer a cache-averse line.
         for w in 0..self.ways as usize {
@@ -226,8 +222,7 @@ mod tests {
         h.on_fill(1, 0, &access(0x400, 128));
         h.on_fill(1, 1, &access(0x400, 192));
         h.on_fill(1, 3, &access(0x400, 256));
-        let lines = [LineSnapshot { valid: true, line: 0, dirty: false, core: 0 }; 4];
-        let victim = h.select_victim(1, &lines, &access(0x1, 320));
+        let victim = h.select_victim(1, &access(0x1, 320));
         assert_eq!(victim, 2, "the averse line must go first");
     }
 
@@ -269,8 +264,7 @@ mod tests {
         for w in 0..4 {
             h.on_fill(2, w, &access(pc, u64::from(w) * 64));
         }
-        let lines = [LineSnapshot { valid: true, line: 0, dirty: false, core: 0 }; 4];
-        let _ = h.select_victim(2, &lines, &access(0x1, 999 * 64));
+        let _ = h.select_victim(2, &access(0x1, 999 * 64));
         assert!(h.predictor[sig] < PRED_MAX, "forced eviction of a friendly line detrains");
     }
 

@@ -7,7 +7,7 @@
 //! distant RRPV, and prefetch re-references promote only part-way, limiting
 //! LLC pollution from the prefetcher.
 
-use cache_sim::{Access, AccessKind, CacheConfig, LineSnapshot, ReplacementPolicy};
+use cache_sim::{Access, AccessKind, CacheConfig, ReplacementPolicy};
 
 use crate::rrip::{duel_role, DuelRole, RrpvTable, LONG_RRPV, MAX_RRPV};
 
@@ -31,15 +31,11 @@ impl KpcR {
 }
 
 impl ReplacementPolicy for KpcR {
-    fn uses_line_snapshots(&self) -> bool {
-        false // victim choice reads only internal (set, way) metadata
-    }
-
     fn name(&self) -> String {
         "KPC-R".to_owned()
     }
 
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], access: &Access) -> u16 {
+    fn select_victim(&mut self, set: u32, access: &Access) -> u16 {
         if access.kind != AccessKind::Writeback {
             match duel_role(set) {
                 DuelRole::LeaderA => self.psel = (self.psel + 1).min(PSEL_MAX),
@@ -120,9 +116,8 @@ mod tests {
     #[test]
     fn followers_track_the_selector() {
         let mut p = KpcR::new(&cfg());
-        let lines = [LineSnapshot { valid: true, line: 0, dirty: false, core: 0 }; 4];
         for _ in 0..50 {
-            let _ = p.select_victim(0, &lines, &access(AccessKind::Load));
+            let _ = p.select_victim(0, &access(AccessKind::Load));
         }
         assert!(p.psel > 0);
         p.on_fill(7, 0, &access(AccessKind::Load));

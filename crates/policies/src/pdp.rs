@@ -5,7 +5,7 @@
 //! periodically from a reuse-distance histogram by maximizing the expected
 //! hits per unit of cache occupancy.
 
-use cache_sim::{Access, CacheConfig, LineSnapshot, ReplacementPolicy};
+use cache_sim::{Access, CacheConfig, ReplacementPolicy};
 
 /// Largest protecting distance considered (the paper searches below 256).
 const MAX_PD: usize = 256;
@@ -93,10 +93,6 @@ impl Pdp {
 }
 
 impl ReplacementPolicy for Pdp {
-    fn uses_line_snapshots(&self) -> bool {
-        false // victim choice reads only internal (set, way) metadata
-    }
-
     fn name(&self) -> String {
         "PDP".to_owned()
     }
@@ -105,7 +101,7 @@ impl ReplacementPolicy for Pdp {
         self.tick(set);
     }
 
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> u16 {
+    fn select_victim(&mut self, set: u32, _access: &Access) -> u16 {
         let clock = self.set_clock[set as usize];
         let base = self.idx(set, 0);
         let mut unprotected: Option<(u16, u64)> = None;
@@ -159,10 +155,6 @@ mod tests {
         Access { pc: 0, addr, kind: AccessKind::Load, core: 0, seq: 0 }
     }
 
-    fn lines() -> Vec<LineSnapshot> {
-        vec![LineSnapshot { valid: true, line: 0, dirty: false, core: 0 }; 4]
-    }
-
     #[test]
     fn protected_lines_survive_until_pd() {
         let mut p = Pdp::new(&cfg());
@@ -172,7 +164,7 @@ mod tests {
         }
         // Immediately after filling, everything is protected: the policy
         // falls back to the oldest line.
-        assert!(p.select_victim(0, &lines(), &access(999 * 64)) < 4);
+        assert!(p.select_victim(0, &access(999 * 64)) < 4);
     }
 
     #[test]
@@ -188,7 +180,7 @@ mod tests {
                 p.on_hit(0, w, &access(u64::from(w) * 64));
             }
         }
-        assert_eq!(p.select_victim(0, &lines(), &access(999 * 64)), 0);
+        assert_eq!(p.select_victim(0, &access(999 * 64)), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The RRIP family: SRRIP, BRRIP, and set-dueling DRRIP (Jaleel et al.,
 //! ISCA 2010), the paper's strongest non-PC baseline besides KPC-R.
 
-use cache_sim::{Access, AccessKind, CacheConfig, LineSnapshot, ReplacementPolicy};
+use cache_sim::{Access, AccessKind, CacheConfig, ReplacementPolicy};
 
 /// Maximum re-reference prediction value for 2-bit RRPVs ("distant future").
 pub(crate) const MAX_RRPV: u8 = 3;
@@ -66,15 +66,11 @@ impl Srrip {
 }
 
 impl ReplacementPolicy for Srrip {
-    fn uses_line_snapshots(&self) -> bool {
-        false // victim choice reads only internal (set, way) metadata
-    }
-
     fn name(&self) -> String {
         "SRRIP".to_owned()
     }
 
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> u16 {
+    fn select_victim(&mut self, set: u32, _access: &Access) -> u16 {
         self.table.find_victim(set)
     }
 
@@ -119,15 +115,11 @@ impl Brrip {
 }
 
 impl ReplacementPolicy for Brrip {
-    fn uses_line_snapshots(&self) -> bool {
-        false // victim choice reads only internal (set, way) metadata
-    }
-
     fn name(&self) -> String {
         "BRRIP".to_owned()
     }
 
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> u16 {
+    fn select_victim(&mut self, set: u32, _access: &Access) -> u16 {
         self.table.find_victim(set)
     }
 
@@ -193,15 +185,11 @@ impl Drrip {
 }
 
 impl ReplacementPolicy for Drrip {
-    fn uses_line_snapshots(&self) -> bool {
-        false // victim choice reads only internal (set, way) metadata
-    }
-
     fn name(&self) -> String {
         "DRRIP".to_owned()
     }
 
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], access: &Access) -> u16 {
+    fn select_victim(&mut self, set: u32, access: &Access) -> u16 {
         // Leader-set misses steer the selector (writebacks excluded, as in
         // the original proposal's demand-miss accounting).
         if access.kind != AccessKind::Writeback {
@@ -246,10 +234,6 @@ mod tests {
         Access { pc: 0x400, addr, kind: AccessKind::Load, core: 0, seq: 0 }
     }
 
-    fn lines() -> Vec<LineSnapshot> {
-        vec![LineSnapshot { valid: true, line: 0, dirty: false, core: 0 }; 4]
-    }
-
     #[test]
     fn srrip_evicts_distant_line_first() {
         let mut p = Srrip::new(&cfg());
@@ -260,7 +244,7 @@ mod tests {
         p.on_hit(0, 0, &access(0));
         p.on_hit(0, 1, &access(0));
         p.on_hit(0, 3, &access(0));
-        assert_eq!(p.select_victim(0, &lines(), &access(64)), 2);
+        assert_eq!(p.select_victim(0, &access(64)), 2);
     }
 
     #[test]
@@ -271,7 +255,7 @@ mod tests {
             p.on_hit(0, w, &access(0)); // everyone at RRPV 0
         }
         // Victim search must age everyone up to MAX and pick way 0.
-        assert_eq!(p.select_victim(0, &lines(), &access(64)), 0);
+        assert_eq!(p.select_victim(0, &access(64)), 0);
         // After aging, the others sit at MAX too.
         assert_eq!(p.table.get(0, 1), MAX_RRPV);
     }
@@ -295,7 +279,7 @@ mod tests {
         let mut p = Drrip::new(&cfg());
         // Hammer misses into the SRRIP leader set (set 0) to push PSEL up.
         for _ in 0..100 {
-            let _ = p.select_victim(0, &lines(), &access(0));
+            let _ = p.select_victim(0, &access(0));
         }
         assert!(p.psel > 0);
         // Followers now use BRRIP insertion: overwhelmingly distant.
@@ -310,7 +294,7 @@ mod tests {
 
         // Push PSEL the other way via the BRRIP leader set (set 33).
         for _ in 0..300 {
-            let _ = p.select_victim(33, &lines(), &access(0));
+            let _ = p.select_victim(33, &access(0));
         }
         assert!(p.psel < 0);
         p.on_fill(5, 1, &access(0));

@@ -1,6 +1,6 @@
 //! SHiP: Signature-based Hit Predictor (Wu et al., MICRO 2011).
 
-use cache_sim::{Access, CacheConfig, LineSnapshot, ReplacementPolicy};
+use cache_sim::{Access, CacheConfig, ReplacementPolicy};
 
 use crate::pc_signature;
 use crate::rrip::{RrpvTable, LONG_RRPV, MAX_RRPV};
@@ -54,15 +54,11 @@ impl Ship {
 }
 
 impl ReplacementPolicy for Ship {
-    fn uses_line_snapshots(&self) -> bool {
-        false // victim choice reads only internal (set, way) metadata
-    }
-
     fn name(&self) -> String {
         "SHiP".to_owned()
     }
 
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> u16 {
+    fn select_victim(&mut self, set: u32, _access: &Access) -> u16 {
         self.table.find_victim(set)
     }
 

@@ -2,7 +2,7 @@
 //! CRC2 2017), the strongest PC-based baseline in the paper's single-core
 //! results.
 
-use cache_sim::{Access, AccessKind, CacheConfig, LineSnapshot, ReplacementPolicy};
+use cache_sim::{Access, AccessKind, CacheConfig, ReplacementPolicy};
 
 use crate::pc_signature;
 use crate::rrip::{RrpvTable, LONG_RRPV, MAX_RRPV};
@@ -66,15 +66,11 @@ impl ShipPp {
 }
 
 impl ReplacementPolicy for ShipPp {
-    fn uses_line_snapshots(&self) -> bool {
-        false // victim choice reads only internal (set, way) metadata
-    }
-
     fn name(&self) -> String {
         "SHiP++".to_owned()
     }
 
-    fn select_victim(&mut self, set: u32, _lines: &[LineSnapshot], _access: &Access) -> u16 {
+    fn select_victim(&mut self, set: u32, _access: &Access) -> u16 {
         self.table.find_victim(set)
     }
 

@@ -131,7 +131,7 @@ fn pdp_protecting_distance_in_range() {
         Config::with_cases(24),
         |rng| line_tag_seq(rng, 64, 4, 200..2000),
         |seq| {
-            use cache_sim::{LineSnapshot, ReplacementPolicy};
+            use cache_sim::ReplacementPolicy;
             let geometry = CacheConfig { sets: 4, ways: 4, latency: 1 };
             let mut pdp = Pdp::new(&geometry);
             let (sets, ways) = (geometry.sets as usize, geometry.ways as usize);
@@ -154,15 +154,7 @@ fn pdp_protecting_distance_in_range() {
                     let w = if let Some(free) = (0..ways).find(|&w| tags[base + w] == u64::MAX) {
                         free
                     } else {
-                        let snapshot: Vec<LineSnapshot> = (0..ways)
-                            .map(|w| LineSnapshot {
-                                valid: true,
-                                line: tags[base + w],
-                                dirty: false,
-                                core: 0,
-                            })
-                            .collect();
-                        usize::from(pdp.select_victim(set as u32, &snapshot, &access))
+                        usize::from(pdp.select_victim(set as u32, &access))
                     };
                     tags[base + w] = line;
                     pdp.on_fill(set as u32, w as u16, &access);

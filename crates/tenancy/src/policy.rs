@@ -21,7 +21,7 @@
 //!   one of its lines' priorities, with learned levels instead of
 //!   demand-hit ranks.
 
-use cache_sim::{Access, CacheConfig, LineSnapshot, ReplacementPolicy};
+use cache_sim::{Access, CacheConfig, ReplacementPolicy};
 use rlr::{RlrConfig, RlrPolicy};
 
 /// Most tenants one LLC serves: the scan's packed rank path covers 8
@@ -177,11 +177,6 @@ impl ReplacementPolicy for TenantPolicy {
         self.rlr.on_miss(set, access);
     }
 
-    fn uses_line_snapshots(&self) -> bool {
-        // Like RLR, every scan input lives in the policy's own tables.
-        false
-    }
-
     fn fill_mask(&self, access: &Access) -> u32 {
         match &self.mode {
             IsolationMode::WayPartition(masks) => masks[self.tenant_of(access)],
@@ -189,7 +184,7 @@ impl ReplacementPolicy for TenantPolicy {
         }
     }
 
-    fn select_victim(&mut self, set: u32, lines: &[LineSnapshot], access: &Access) -> u16 {
+    fn select_victim(&mut self, set: u32, access: &Access) -> u16 {
         match &self.mode {
             // The masked query can only name a way inside the tenant's
             // slice, and the cache filled every invalid slice way before
@@ -197,7 +192,7 @@ impl ReplacementPolicy for TenantPolicy {
             IsolationMode::WayPartition(masks) => {
                 self.rlr.select_victim_masked(set, masks[self.tenant_of(access)])
             }
-            _ => self.rlr.select_victim(set, lines, access),
+            _ => self.rlr.select_victim(set, access),
         }
     }
 
@@ -280,7 +275,7 @@ mod tests {
             p.on_miss(0, &access((w % 2) as u8, 0));
             p.on_fill(0, w, &access((w % 2) as u8, 0));
         }
-        let w = p.select_victim(0, &[], &access(0, 0));
+        let w = p.select_victim(0, &access(0, 0));
         assert_eq!(w % 2, 1, "rank-0 tenant's line goes first");
     }
 
@@ -294,7 +289,7 @@ mod tests {
             p.on_fill(0, w, &access(t, 0));
         }
         for _ in 0..32 {
-            let w = p.select_victim(0, &[], &access(1, 0));
+            let w = p.select_victim(0, &access(1, 0));
             assert!(w >= 4, "tenant 1 evicted way {w} of tenant 0");
             p.on_miss(0, &access(1, 0));
         }

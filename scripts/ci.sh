@@ -225,6 +225,18 @@ taskset -c 0 "$RLR" replay "$SMOKE_DIR/mcf100k.rlt" --policy RLR \
 diff "$SMOKE_DIR/replay_ahead.txt" "$SMOKE_DIR/replay_inline.txt" || {
     echo "ci.sh: inline and decode-ahead replays differ" >&2; exit 1;
 }
+# MIN with forced allocation maximizes total hits, so Belady's replay of
+# the same container must reach at least LRU's and RLR's hit counts.
+total_hits() {
+    "$RLR" replay "$SMOKE_DIR/mcf100k.rlt" --policy "$1" | awk '/^total hits/ { print $3 }'
+}
+BELADY_HITS="$(total_hits belady)"
+for policy in LRU RLR; do
+    HITS="$(total_hits "$policy")"
+    [ -n "$BELADY_HITS" ] && [ -n "$HITS" ] && [ "$BELADY_HITS" -ge "$HITS" ] || {
+        echo "ci.sh: Belady total hits ($BELADY_HITS) below $policy's ($HITS)" >&2; exit 1;
+    }
+done
 
 echo "==> object-cache CLI smoke test"
 # The serving-tier comparison on a short Zipf + flash-crowd trace: all
