@@ -26,7 +26,7 @@ use experiments::json::Json;
 use experiments::runner::replay_llc_trace;
 use experiments::PolicyKind;
 use rlr::packed::LineMeta;
-use rlr::scan::{self, ScanParams, ScanWays};
+use rlr::scan::{self, ScanParams, SetRows};
 use rlr_bench::harness::{self, Bound};
 
 const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/ci_baseline.json");
@@ -82,12 +82,12 @@ fn seed_over_packed(config: &SystemConfig, trace: &LlcTrace) -> Vec<f64> {
     )
 }
 
-/// The victim-scan ratio: scalar reference against the lane backend over
-/// LLC-shaped sets on deterministic warm-cache data.
+/// The victim-scan ratio: scalar reference against the lane kernel over
+/// LLC-shaped sets of byte rows (ages, metas) on deterministic warm-cache
+/// data, laid out per set as [`rlr::RlrPolicy`] keeps them.
 fn scalar_over_lanes(config: &SystemConfig) -> Vec<f64> {
     let sets = config.llc.sets as usize;
     let ways = usize::from(config.llc.ways);
-    let lines = sets * ways;
     let mut state = 0x243F_6A88_85A3_08D3u64;
     let mut next = move || {
         state ^= state << 13;
@@ -95,40 +95,35 @@ fn scalar_over_lanes(config: &SystemConfig) -> Vec<f64> {
         state ^= state << 17;
         state
     };
-    let now = 1u64 << 20;
-    let clock = 1u64 << 24;
-    let age_stamps: Vec<u64> = (0..lines).map(|_| now - (next() % 8)).collect();
-    let rec_stamps: Vec<u64> = (0..lines).map(|_| clock - (next() % 4096)).collect();
-    let metas: Vec<LineMeta> = (0..lines)
-        .map(|_| {
-            let bits = next();
-            let mut meta = LineMeta::filled(bits & 0x40 != 0, bits & 0x80 != 0);
-            meta.set_hit_count((bits & 0x3) as u8);
-            meta
+    // Per set: the age row, then the meta row.
+    let rows: Vec<u8> = (0..sets)
+        .flat_map(|_| {
+            let ages: Vec<u8> = (0..ways).map(|_| (next() % 4) as u8).collect();
+            let metas: Vec<u8> = (0..ways)
+                .map(|_| {
+                    let bits = next();
+                    let mut meta = LineMeta::filled(bits & 0x40 != 0, bits & 0x80 != 0);
+                    meta.set_hit_count((bits & 0x3) as u8);
+                    meta.bits()
+                })
+                .collect();
+            ages.into_iter().chain(metas)
         })
         .collect();
-    let params = ScanParams {
-        now,
-        clock,
-        rd: 4,
-        max_age: 3,
-        age_weight: 8,
-        use_type: true,
-        use_hit: true,
-        exact_recency: false,
-    };
-    let scan_every_set = |scan_set: fn(&ScanParams, &ScanWays) -> scan::ScanOutcome| {
+    let params =
+        ScanParams { rd: 2, max_staleness: 3, age_weight: 8, use_type: true, use_hit: true };
+    let scan_every_set = |scan_set: fn(&ScanParams, &SetRows) -> u16| {
         let mut acc = 0u64;
-        for set in 0..sets {
-            let range = set * ways..(set + 1) * ways;
-            let scan_ways = ScanWays {
-                age_stamps: &age_stamps[range.clone()],
-                rec_stamps: &rec_stamps[range.clone()],
-                metas: &metas[range],
+        for block in rows.chunks_exact(2 * ways) {
+            let ages = &block[..ways];
+            let set_rows = SetRows {
+                ages,
+                staleness: ages,
+                metas: &block[ways..],
                 cores: &[],
                 core_rank: &[],
             };
-            acc ^= scan_set(&params, &scan_ways).best_key;
+            acc = acc.wrapping_mul(31).wrapping_add(u64::from(scan_set(&params, &set_rows)));
         }
         acc
     };

@@ -93,6 +93,16 @@ pub fn listing() -> String {
     out
 }
 
+/// `--instructions` of `rlr run` and `rlr compare`: a 0-instruction run
+/// has no IPC to report.
+fn positive_instructions(args: &Args) -> Result<u64, ArgError> {
+    let instructions = args.get_num("instructions", 10_000_000u64)?;
+    if instructions == 0 {
+        return Err(ArgError("--instructions must be positive".to_owned()));
+    }
+    Ok(instructions)
+}
+
 /// `rlr run <bench> [--policy P] [--instructions N] [--warmup N]
 ///  [--no-prefetch] [--timing analytic|event]` — one single-core
 /// simulation.
@@ -104,7 +114,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         .ok_or_else(|| ArgError("usage: rlr run <benchmark> [--policy P]".to_owned()))?;
     let workload = workload_by_name(bench)?;
     let kind = online_policy_by_name(args.get_or("policy", "RLR"))?;
-    let instructions = args.get_num("instructions", 10_000_000u64)?;
+    let instructions = positive_instructions(args)?;
     let warmup = args.get_num("warmup", 2_000_000u64)?;
     let timing = timing_by_args(args)?;
     let mut config = SystemConfig::paper_single_core().with_timing(timing);
@@ -138,7 +148,7 @@ pub fn compare(args: &Args) -> Result<(), ArgError> {
         return Err(ArgError("usage: rlr compare <benchmark...> [--policies a,b,c]".to_owned()));
     }
     let kinds = parse_policies(args.get_or("policies", "DRRIP,KPC-R,SHiP,RLR,Hawkeye,SHiP++"))?;
-    let instructions = args.get_num("instructions", 10_000_000u64)?;
+    let instructions = positive_instructions(args)?;
     let warmup = args.get_num("warmup", 2_000_000u64)?;
     let jobs = args.get_num("jobs", 0usize)?;
     let timing = timing_by_args(args)?;
@@ -729,6 +739,9 @@ fn objcache_scenario(args: &Args) -> Result<(ObjectTraffic, ObjCacheConfig, u64)
         ));
     }
     let requests = args.get_num("requests", 200_000u64)?;
+    if requests == 0 {
+        return Err(ArgError("--requests must be positive".to_owned()));
+    }
     Ok((traffic, cfg, requests))
 }
 

@@ -226,3 +226,37 @@ fn train_rejects_zero_epochs_and_zero_records() {
         assert_user_error(&out, flag);
     }
 }
+
+#[test]
+fn run_rejects_zero_instructions() {
+    let out = rlr(&["run", "416.gamess", "--instructions", "0"]);
+    assert_user_error(&out, "--instructions must be positive");
+}
+
+#[test]
+fn compare_rejects_zero_instructions() {
+    let out =
+        rlr(&["compare", "429.mcf", "--policies", "FIFO", "--instructions", "0", "--warmup", "0"]);
+    assert_user_error(&out, "--instructions must be positive");
+}
+
+#[test]
+fn objcache_run_rejects_zero_requests() {
+    let out = rlr(&["objcache", "run", "--requests", "0"]);
+    assert_user_error(&out, "--requests must be positive");
+}
+
+#[test]
+fn objcache_compare_rejects_zero_requests_and_writes_no_csv() {
+    let dir = std::env::temp_dir().join(format!("rlr-objcache-zero-{}", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_rlr"))
+        .args(["objcache", "compare", "--requests", "0"])
+        .env("RLR_RESULTS_DIR", &dir)
+        .env("RLR_CHECKPOINT", "0")
+        .output()
+        .expect("spawn rlr");
+    let wrote = dir.exists();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!wrote, "a rejected sweep writes nothing under the results directory");
+    assert_user_error(&out, "--requests must be positive");
+}

@@ -37,7 +37,8 @@ pub enum RecencyMode {
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RlrConfig {
-    /// Width of the per-line age counter (saturating).
+    /// Width of the per-line age counter (saturating; 1 to 8 bits, since
+    /// the simulator keeps each age in a byte).
     pub age_bits: u32,
     /// What one age tick means.
     pub age_unit: AgeUnit,
@@ -118,10 +119,16 @@ impl RlrConfig {
     ///
     /// # Panics
     ///
-    /// Panics if a window or epoch size is not a positive power of two, or
-    /// if widths are zero.
+    /// Panics if a window or epoch size is not a positive power of two, if
+    /// widths are zero, or if the age counter is wider than the byte that
+    /// holds it.
     pub fn validate(&self) {
-        assert!(self.age_bits > 0 && self.age_bits <= 16, "age counter width out of range");
+        assert!(self.age_bits > 0, "age counter width out of range");
+        assert!(
+            self.age_bits <= 8,
+            "age counter width {} out of range (each age is kept in a byte: at most 8 bits)",
+            self.age_bits
+        );
         assert!(
             self.hit_bits > 0 && self.hit_bits <= crate::packed::LineMeta::MAX_HIT_BITS,
             "hit counter width out of range (packed layout holds at most 6 bits)"
@@ -188,6 +195,14 @@ mod tests {
     fn hit_counter_wider_than_packed_layout_panics() {
         let mut c = RlrConfig::optimized();
         c.hit_bits = 7;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 bits")]
+    fn age_counter_wider_than_a_byte_panics() {
+        let mut c = RlrConfig::unoptimized();
+        c.age_bits = 9;
         c.validate();
     }
 

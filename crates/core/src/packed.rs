@@ -10,14 +10,15 @@
 //!
 //! * [`LineMeta`] is the byte-wide packing the simulator actually uses on
 //!   its hot path — the hit counter and both type flags of a line live in
-//!   a single byte, so [`crate::RlrPolicy`] keeps one `Vec<LineMeta>`
-//!   instead of three parallel arrays (one cache line of policy metadata
-//!   now covers 64 cache lines' worth of state).
+//!   a single byte, one of the byte rows [`crate::RlrPolicy`] keeps per
+//!   set beside the age row (and, when configured, the exact-recency rank
+//!   and core rows).
 //! * [`HwLineState`] and [`EpochPhase`] are the true hardware nibble/3-bit
-//!   encodings. The simulator models ages with absolute epoch stamps (so
-//!   it never has to sweep every line on an epoch rollover), but these
-//!   codecs pin down — and the property tests verify — that the state the
-//!   policy relies on round-trips through the advertised bit budget.
+//!   encodings. The simulator keeps each field in a byte of its own and,
+//!   like the hardware, ages a whole set's row at once on an epoch
+//!   rollover; these codecs pin down — and the property tests verify —
+//!   that the state the policy relies on round-trips through the
+//!   advertised bit budget.
 
 /// Per-line policy metadata packed into one byte.
 ///
@@ -37,11 +38,14 @@ impl LineMeta {
     pub const PREFETCH_BIT: u8 = 1 << 6;
     const DEMAND_BIT: u8 = 1 << 7;
 
-    /// The raw packed byte. `repr(transparent)` guarantees a
-    /// `&[LineMeta]` is byte-for-byte a `&[u8]` of these, which the
-    /// vectorized victim scan relies on to load four metas at once.
+    /// The raw packed byte, as [`crate::RlrPolicy`]'s meta row stores it.
     pub fn bits(self) -> u8 {
         self.0
+    }
+
+    /// The metadata a [`Self::bits`] byte holds.
+    pub fn from_bits(bits: u8) -> Self {
+        Self(bits)
     }
 
     /// Widest hit counter the packed layout can hold.

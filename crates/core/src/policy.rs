@@ -4,7 +4,7 @@ use cache_sim::{Access, AccessKind, CacheConfig, ReplacementPolicy};
 
 use crate::config::{AgeUnit, RecencyMode, RlrConfig};
 use crate::packed::LineMeta;
-use crate::scan::{self, ScanParams, ScanWays};
+use crate::scan::{self, ScanParams, SetRows};
 
 /// Saturation bound of the per-core demand-hit counters (12-bit, §IV-D).
 const CORE_HIT_MAX: u32 = (1 << 12) - 1;
@@ -15,26 +15,40 @@ const CORE_HIT_MAX: u32 = (1 << 12) - 1;
 /// with [`RlrPolicy::optimized`], [`RlrPolicy::unoptimized`],
 /// [`RlrPolicy::multicore`], [`RlrPolicy::with_config`] for ablations, or
 /// [`RlrPolicy::with_core_ranks`] for a fixed `P_core` table.
+///
+/// Per-line state is one byte per field, kept as rows: each set owns a
+/// block of `ways`-byte rows — the age row, the [`LineMeta`] row, then
+/// the exact-recency rank row (only under [`RecencyMode::Exact`]) and the
+/// core row (only when `P_core` is on). A 16-way set's rows fit one
+/// 64-byte host cache line.
 #[derive(Clone, Debug)]
 pub struct RlrPolicy {
     config: RlrConfig,
     ways: u16,
-    /// `log2(misses_per_epoch)` — epochs derive from the per-set miss
-    /// counter with a shift (the width is validated to be a power of
-    /// two); 0 when ages count set accesses.
-    epoch_shift: u32,
-    /// Per-set access clock (unoptimized age unit + exact recency).
-    access_clock: Vec<u64>,
-    /// Per-set miss counter (optimized age unit).
-    miss_count: Vec<u64>,
-    /// Per-line: access-clock stamp at last touch.
-    access_stamp: Vec<u64>,
-    /// Per-line: miss-epoch stamp at last touch.
-    epoch_stamp: Vec<u64>,
-    /// Per-line: hit counter plus both access-type flags, packed into one
-    /// byte ([`LineMeta`]) so the victim scan touches a third of the
-    /// metadata memory the unpacked layout did.
-    meta: Vec<LineMeta>,
+    /// Bytes per set: `ways` times the number of rows kept.
+    stride: usize,
+    /// Offset of the rank row within a set's block; `None` when recency
+    /// is approximated by age.
+    rank_row: Option<usize>,
+    /// Offset of the core row within a set's block; `None` when P_core is
+    /// off.
+    core_row: Option<usize>,
+    /// Every set's rows, `stride` bytes per set:
+    /// * ages: saturating at [`RlrConfig::max_age`], 0 on touch, and +1
+    ///   for the whole row at each set access (`SetAccesses`) or each
+    ///   epoch rollover (`MissEpochs`);
+    /// * metas: [`LineMeta::bits`];
+    /// * ranks: 0 for the most recently touched way; never-touched ways
+    ///   tie at the top rank `ways − 1`;
+    /// * cores: the core that inserted or last touched the line.
+    rows: Vec<u8>,
+    /// Per-set miss count modulo `misses_per_epoch` (the hardware's 3-bit
+    /// counter for the paper's 8); empty when ages count set accesses.
+    miss_phase: Vec<u32>,
+    /// `misses_per_epoch − 1` (validated to be a power of two).
+    phase_mask: u32,
+    /// [`RlrConfig::max_age`] as a byte (validated: `age_bits ≤ 8`).
+    max_age: u8,
     /// Predicted reuse distance (age units).
     rd: u64,
     /// Preuse-distance accumulator over the current demand-hit window.
@@ -43,11 +57,6 @@ pub struct RlrPolicy {
     window_hits: u32,
     /// LLC accesses since the last RD update (stale-RD escape).
     accesses_since_rd_update: u64,
-    /// Per-line: core that inserted or last touched the line, written by
-    /// `on_fill` and `on_hit` and read by the victim scan's `P_core` term
-    /// (the cache keeps no per-line core of its own). Empty when P_core is
-    /// off.
-    line_core: Vec<u8>,
     /// Per-core demand-hit counters (multicore extension).
     core_hits: Vec<u32>,
     /// Per-core priority levels from the last re-ranking.
@@ -78,22 +87,42 @@ impl RlrPolicy {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails [`RlrConfig::validate`].
+    /// Panics if the configuration fails [`RlrConfig::validate`], or if
+    /// the cache has more ways than a byte rank can order.
     pub fn with_config(config: RlrConfig, cache: &CacheConfig) -> Self {
+        Self::build(config, cache, config.core_priority_cores > 0)
+    }
+
+    fn build(config: RlrConfig, cache: &CacheConfig, core_row: bool) -> Self {
         config.validate();
-        let lines = cache.lines() as usize;
+        let ways = usize::from(cache.ways);
+        assert!(ways <= scan::MAX_SCAN_WAYS, "at most {} ways per set", scan::MAX_SCAN_WAYS);
+        let exact = config.recency == RecencyMode::Exact;
+        let rank_row = exact.then_some(2 * ways);
+        let core_row = core_row.then_some((2 + usize::from(exact)) * ways);
+        let stride = (2 + usize::from(exact) + usize::from(core_row.is_some())) * ways;
+        let mut rows = vec![0; stride * cache.sets as usize];
+        if let Some(at) = rank_row {
+            for block in rows.chunks_exact_mut(stride) {
+                block[at..at + ways].fill((ways - 1) as u8);
+            }
+        }
+        let (miss_phase, phase_mask) = match config.age_unit {
+            AgeUnit::SetAccesses => (Vec::new(), 0),
+            AgeUnit::MissEpochs { misses_per_epoch } => {
+                (vec![0; cache.sets as usize], misses_per_epoch - 1)
+            }
+        };
         let cores = usize::from(config.core_priority_cores);
         Self {
             ways: cache.ways,
-            epoch_shift: match config.age_unit {
-                AgeUnit::SetAccesses => 0,
-                AgeUnit::MissEpochs { misses_per_epoch } => misses_per_epoch.trailing_zeros(),
-            },
-            access_clock: vec![0; cache.sets as usize],
-            miss_count: vec![0; cache.sets as usize],
-            access_stamp: vec![0; lines],
-            epoch_stamp: vec![0; lines],
-            meta: vec![LineMeta::default(); lines],
+            stride,
+            rank_row,
+            core_row,
+            rows,
+            miss_phase,
+            phase_mask,
+            max_age: config.max_age() as u8,
             // Start fully protective: until the estimator has observed real
             // preuse distances, every line stays inside RD and victim
             // selection falls to the (anti-thrash) recency tie-break.
@@ -101,7 +130,6 @@ impl RlrPolicy {
             preuse_accum: 0,
             window_hits: 0,
             accesses_since_rd_update: 0,
-            line_core: if cores > 0 { vec![0; lines] } else { Vec::new() },
             core_hits: vec![0; cores],
             core_priority: vec![0; cores],
             until_rerank: config.core_update_period,
@@ -122,10 +150,7 @@ impl RlrPolicy {
         let top = u64::from(core_ranks.iter().copied().max().unwrap_or(0));
         let fits = u64::from(config.age_weight) + 2 + top <= 1023;
         assert!(fits, "maximum line priority must fit the victim key's 10-bit field");
-        let mut policy = Self::with_config(config, cache);
-        if !core_ranks.is_empty() {
-            policy.line_core = vec![0; cache.lines() as usize];
-        }
+        let mut policy = Self::build(config, cache, !core_ranks.is_empty());
         policy.core_priority = core_ranks;
         policy
     }
@@ -140,34 +165,42 @@ impl RlrPolicy {
         self.rd
     }
 
-    fn idx(&self, set: u32, way: u16) -> usize {
-        set as usize * self.ways as usize + way as usize
+    /// The byte offset of `set`'s block in `rows`.
+    fn block(&self, set: u32) -> usize {
+        set as usize * self.stride
     }
 
-    fn current_epoch(&self, set: u32) -> u64 {
-        match self.config.age_unit {
-            AgeUnit::SetAccesses => 0,
-            AgeUnit::MissEpochs { .. } => self.miss_count[set as usize] >> self.epoch_shift,
-        }
+    fn ways(&self) -> usize {
+        usize::from(self.ways)
     }
 
     /// The line's age in the configured unit, saturated to the counter
     /// width.
     fn age(&self, set: u32, way: u16) -> u64 {
-        let i = self.idx(set, way);
-        let raw = match self.config.age_unit {
-            AgeUnit::SetAccesses => self.access_clock[set as usize] - self.access_stamp[i],
-            AgeUnit::MissEpochs { .. } => self.current_epoch(set) - self.epoch_stamp[i],
-        };
-        raw.min(self.config.max_age())
+        u64::from(self.rows[self.block(set) + usize::from(way)])
     }
 
-    /// Stamps a line as just-touched.
+    /// Ages every line of `set` by one, saturating at the counter width.
+    fn age_set(&mut self, set: u32) {
+        let (at, ways, max) = (self.block(set), self.ways(), self.max_age);
+        for age in &mut self.rows[at..at + ways] {
+            *age += u8::from(*age < max);
+        }
+    }
+
+    /// Marks a line as just touched: age 0 and, under exact recency, the
+    /// most recent rank, every more recent way moving down one.
     fn touch(&mut self, set: u32, way: u16) {
-        let epoch = self.current_epoch(set);
-        let i = self.idx(set, way);
-        self.access_stamp[i] = self.access_clock[set as usize];
-        self.epoch_stamp[i] = epoch;
+        let (at, way) = (self.block(set), usize::from(way));
+        self.rows[at + way] = 0;
+        if let Some(row) = self.rank_row {
+            let ranks = &mut self.rows[at + row..at + row + usize::from(self.ways)];
+            let old = ranks[way];
+            for rank in ranks.iter_mut() {
+                *rank += u8::from(*rank < old);
+            }
+            ranks[way] = 0;
+        }
     }
 
     /// LLC accesses tolerated without an RD update before the estimate is
@@ -216,45 +249,50 @@ impl RlrPolicy {
 
     /// The victim of `set`, over every way or only the ways in `mask`.
     fn victim(&self, set: u32, mask: Option<u32>) -> u16 {
-        // The victim scan is the policy's hot loop: every set-wide value
-        // (clock/epoch, RD, the configuration knobs, the slice bases) is
-        // hoisted here, and the per-way argmin over the packed
-        // `(priority | staleness | way)` key runs in the lane-parallel
-        // [`crate::scan`] kernel, bit-identical to its scalar reference
-        // (see the module docs for the key layout and the
-        // order-insensitivity argument).
-        let ways = usize::from(self.ways);
-        let base = self.idx(set, 0);
-        let unit = self.config.age_unit;
+        // The per-way argmin over the packed `(priority | staleness | way)`
+        // key runs in the lane-parallel [`crate::scan`] kernel over the
+        // set's rows, bit-identical to its scalar reference (see the
+        // module docs for the key layout and the order-insensitivity
+        // argument).
+        let ways = self.ways();
+        let block = &self.rows[self.block(set)..self.block(set) + self.stride];
+        let ages = &block[..ways];
         let params = ScanParams {
-            now: match unit {
-                AgeUnit::SetAccesses => self.access_clock[set as usize],
-                AgeUnit::MissEpochs { .. } => self.current_epoch(set),
-            },
-            clock: self.access_clock[set as usize],
-            rd: self.rd,
-            max_age: self.config.max_age(),
+            rd: self.rd.min(255) as u8,
+            max_staleness: if self.rank_row.is_some() { (ways - 1) as u8 } else { self.max_age },
             age_weight: self.config.age_weight,
             use_type: self.config.use_type_priority,
             use_hit: self.config.use_hit_priority,
-            exact_recency: self.config.recency == RecencyMode::Exact,
         };
-        let access_stamps = &self.access_stamp[base..base + ways];
-        let scan_ways = ScanWays {
-            age_stamps: match unit {
-                AgeUnit::SetAccesses => access_stamps,
-                AgeUnit::MissEpochs { .. } => &self.epoch_stamp[base..base + ways],
-            },
-            rec_stamps: access_stamps,
-            metas: &self.meta[base..base + ways],
-            cores: if self.line_core.is_empty() { &[] } else { &self.line_core[base..base + ways] },
+        let rows = SetRows {
+            ages,
+            staleness: self.rank_row.map_or(ages, |at| &block[at..at + ways]),
+            metas: &block[ways..2 * ways],
+            cores: self.core_row.map_or(&[], |at| &block[at..at + ways]),
             core_rank: &self.core_priority,
         };
-        let outcome = match mask {
-            None => scan::scan_lanes(&params, &scan_ways),
-            Some(mask) => scan::scan_masked_lanes(&params, &scan_ways, mask),
-        };
-        outcome.victim()
+        match mask {
+            None => scan::scan_lanes(&params, &rows),
+            Some(mask) => scan::scan_masked_lanes(&params, &rows, mask),
+        }
+    }
+
+    /// The line's packed metadata.
+    fn meta(&self, set: u32, way: u16) -> LineMeta {
+        LineMeta::from_bits(self.rows[self.block(set) + self.ways() + usize::from(way)])
+    }
+
+    fn set_meta(&mut self, set: u32, way: u16, meta: LineMeta) {
+        let at = self.block(set) + self.ways() + usize::from(way);
+        self.rows[at] = meta.bits();
+    }
+
+    /// Records the core of a line's latest touch, when P_core reads it.
+    fn set_core(&mut self, set: u32, way: u16, core: u8) {
+        if let Some(row) = self.core_row {
+            let at = self.block(set) + row + usize::from(way);
+            self.rows[at] = core;
+        }
     }
 }
 
@@ -269,8 +307,16 @@ impl ReplacementPolicy for RlrPolicy {
     }
 
     fn on_miss(&mut self, set: u32, _access: &Access) {
-        self.access_clock[set as usize] += 1;
-        self.miss_count[set as usize] += 1;
+        match self.config.age_unit {
+            AgeUnit::SetAccesses => self.age_set(set),
+            AgeUnit::MissEpochs { .. } => {
+                let phase = &mut self.miss_phase[set as usize];
+                *phase = (*phase + 1) & self.phase_mask;
+                if *phase == 0 {
+                    self.age_set(set);
+                }
+            }
+        }
         self.record_access();
     }
 
@@ -282,16 +328,17 @@ impl ReplacementPolicy for RlrPolicy {
         // The line's age at the moment of the hit is its preuse distance
         // (the hit itself does not count toward it).
         let preuse = self.age(set, way);
-        self.access_clock[set as usize] += 1;
+        if self.config.age_unit == AgeUnit::SetAccesses {
+            self.age_set(set);
+        }
         self.record_access();
 
         // On a demand hit, feed the RD estimator (Fig. 9's accumulator) —
         // unless the line's previous touch was a prefetch or writeback, in
         // which case `preuse` measures prefetch timeliness or an L2
         // round-trip, not reuse.
-        let i = self.idx(set, way);
-        let counts_for_rd =
-            !self.config.rd_ignores_non_demand_preuse || self.meta[i].last_demand();
+        let mut meta = self.meta(set, way);
+        let counts_for_rd = !self.config.rd_ignores_non_demand_preuse || meta.last_demand();
         if access.kind.is_demand() {
             if counts_for_rd {
                 self.preuse_accum += preuse;
@@ -315,24 +362,19 @@ impl ReplacementPolicy for RlrPolicy {
         }
 
         let hit_max = (1u32 << self.config.hit_bits) - 1;
-        let meta = &mut self.meta[i];
         meta.set_hit_count((u32::from(meta.hit_count()) + 1).min(hit_max) as u8);
         meta.set_access_type(access.kind == AccessKind::Prefetch, access.kind.is_demand());
+        self.set_meta(set, way, meta);
         // The line's core follows its latest touch, on hits as on fills
         // (the seed oracle's P_core reads the same rule).
-        if let Some(core) = self.line_core.get_mut(i) {
-            *core = access.core;
-        }
+        self.set_core(set, way, access.core);
         self.touch(set, way);
     }
 
     fn on_fill(&mut self, set: u32, way: u16, access: &Access) {
-        let i = self.idx(set, way);
-        self.meta[i] =
-            LineMeta::filled(access.kind == AccessKind::Prefetch, access.kind.is_demand());
-        if let Some(core) = self.line_core.get_mut(i) {
-            *core = access.core;
-        }
+        let meta = LineMeta::filled(access.kind == AccessKind::Prefetch, access.kind.is_demand());
+        self.set_meta(set, way, meta);
+        self.set_core(set, way, access.core);
         self.touch(set, way);
     }
 
@@ -552,7 +594,7 @@ mod tests {
                 p.on_fill(0, w, &access(AccessKind::Load, core));
             }
         }
-        assert!(ranked.line_core.is_empty());
+        assert!(ranked.core_row.is_none());
         assert_eq!(victim(&mut ranked, 0), victim(&mut plain, 0));
     }
 

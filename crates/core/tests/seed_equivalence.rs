@@ -4,11 +4,10 @@
 //! recomputation). Both ride the same [`ReferenceCache`], so any
 //! divergence is the policy's — not the cache's. Each variant runs on a
 //! small 4-way geometry and on the paper's 16-way associativity, whose
-//! packed scan takes four full lane stripes (and, on AVX-512 hosts, the
-//! vector kernel with its packed core-rank table for RLR-MC).
+//! byte-row scan takes two full lane stripes.
 
-use cache_sim::{Access, AccessKind, CacheConfig, ReferenceCache};
-use rlr::{RlrConfig, RlrPolicy, SeedRlrPolicy};
+use cache_sim::{Access, AccessKind, CacheConfig, ReferenceCache, SetAssocCache};
+use rlr::{RecencyMode, RlrConfig, RlrPolicy, SeedRlrPolicy};
 use simrng::prop::{check, Config};
 use simrng::{prop_assert_eq, Rng, SimRng};
 
@@ -40,11 +39,14 @@ fn stream(cfg: &CacheConfig, seed: u64, len: usize) -> Vec<Access> {
         .collect()
 }
 
-fn variants() -> [(&'static str, RlrConfig); 3] {
+fn variants() -> [(&'static str, RlrConfig); 4] {
     [
         ("optimized", RlrConfig::optimized()),
         ("unoptimized", RlrConfig::unoptimized()),
         ("multicore", RlrConfig::multicore(4)),
+        // The widest age a byte row holds: ages saturate at 255 and RD can
+        // pass it.
+        ("unoptimized 8-bit age", RlrConfig { age_bits: 8, ..RlrConfig::unoptimized() }),
     ]
 }
 
@@ -107,4 +109,40 @@ fn packed_policy_matches_seed_policy_on_random_short_streams() {
             Ok(())
         },
     );
+}
+
+/// Lines that stay resident, untouched, for longer than the widest age
+/// counter holds. Each round hits three pinned lines once, then scans
+/// 2100 fresh lines through their set: the scan outlasts the stale-RD
+/// escape, so RD returns to full protection, the pinned lines keep
+/// `P_hit` and outlive every scan line, and their next hits read ages
+/// saturated at 255 as preuse distances. A byte age that wrapped or
+/// saturated early would move RD.
+#[test]
+fn saturated_byte_ages_match_the_seed_stamps() {
+    let cfg = CacheConfig { sets: 2, ways: 4, latency: 20 };
+    for recency in [RecencyMode::Exact, RecencyMode::AgeApprox] {
+        let rlr_cfg = RlrConfig { age_bits: 8, recency, ..RlrConfig::unoptimized() };
+        let mut seed = SetAssocCache::new("seed", cfg, SeedRlrPolicy::with_config(rlr_cfg, &cfg));
+        let mut packed = SetAssocCache::new("packed", cfg, RlrPolicy::with_config(rlr_cfg, &cfg));
+        let (mut seq, mut scan_line, mut top_rd) = (0u64, 1u64 << 20, 0);
+        for round in 0..40 {
+            // Even lines map to set 0.
+            let pinned: Vec<u64> = (0..3).map(|l| 2 * l).collect();
+            let scan: Vec<u64> = (0..2100).map(|i| 2 * (scan_line + i)).collect();
+            scan_line += 2100;
+            for lines in [pinned, scan] {
+                for line in lines {
+                    let access =
+                        Access { pc: 0x400, addr: line << 6, kind: AccessKind::Load, core: 0, seq };
+                    seq += 1;
+                    assert_eq!(seed.access(&access), packed.access(&access), "{recency:?} at {seq}");
+                }
+                let rd = seed.policy().predicted_reuse_distance();
+                assert_eq!(rd, packed.policy().predicted_reuse_distance(), "{recency:?} round {round}");
+                top_rd = top_rd.max(rd);
+            }
+        }
+        assert_eq!(top_rd, 510, "{recency:?}: a window of saturated preuse distances sets RD");
+    }
 }

@@ -89,6 +89,7 @@ impl Hawkeye {
     pub fn new(config: &CacheConfig) -> Self {
         let sampled = (config.sets as usize).div_ceil(SAMPLE_PERIOD as usize);
         let window = 8 * config.ways as usize;
+        assert!(config.ways <= 32, "the victim search keeps one bit per way in a u32");
         Self {
             ways: config.ways,
             rrpv: vec![MAX_RRPV; config.lines() as usize],
@@ -139,17 +140,43 @@ impl Hawkeye {
             if is_fill {
                 // Age the other friendly lines, as in the original design.
                 let base = set as usize * self.ways as usize;
-                for w in 0..self.ways as usize {
-                    let j = base + w;
-                    if j != i && self.rrpv[j] < MAX_RRPV - 1 {
-                        self.rrpv[j] += 1;
-                    }
-                }
+                age_friendly_fill(&mut self.rrpv[base..base + self.ways as usize], way);
             }
             self.rrpv[i] = 0;
         } else {
             self.rrpv[i] = MAX_RRPV;
         }
+    }
+}
+
+/// Ages every way of the row except `me` by one, stopping at
+/// `MAX_RRPV − 1` so a friendly line never turns averse: one branch-free
+/// pass whose sum only adds where the rule allows.
+fn age_friendly_fill(row: &mut [u8], me: u16) {
+    for (w, r) in row.iter_mut().enumerate() {
+        *r += u8::from(w != usize::from(me) && *r < MAX_RRPV - 1);
+    }
+}
+
+/// Hawkeye's victim in one set's RRPV row, and whether it is averse.
+///
+/// One pass takes the row's maximum `m` and a bitmask of the ways holding
+/// it. A cache-averse line holds `MAX_RRPV`, so the ways at `m` are the
+/// averse ways exactly when `m == MAX_RRPV`, and then the lowest of them
+/// wins (the first averse way in way order). Otherwise no way is averse
+/// and the victim is the highest way at `m`: the oldest friendly line,
+/// with ties going to the last maximum as `Iterator::max_by_key` does.
+fn row_victim(row: &[u8]) -> (u16, bool) {
+    debug_assert!(!row.is_empty() && row.len() <= 32, "one bit per way in a u32");
+    let m = row.iter().fold(0, |m, &r| m.max(r));
+    let mut at_max = 0u32;
+    for (w, &r) in row.iter().enumerate() {
+        at_max |= u32::from(r == m) << w;
+    }
+    if m == MAX_RRPV {
+        (at_max.trailing_zeros() as u16, true)
+    } else {
+        ((31 - at_max.leading_zeros()) as u16, false)
     }
 }
 
@@ -159,20 +186,15 @@ impl ReplacementPolicy for Hawkeye {
     }
 
     fn select_victim(&mut self, set: u32, _access: &Access) -> u16 {
+        // Prefer a cache-averse line; with none, evict the oldest friendly
+        // line and detrain its PC.
         let base = set as usize * self.ways as usize;
-        // Prefer a cache-averse line.
-        for w in 0..self.ways as usize {
-            if self.rrpv[base + w] == MAX_RRPV {
-                return w as u16;
-            }
+        let (victim, averse) = row_victim(&self.rrpv[base..base + self.ways as usize]);
+        if !averse {
+            let sig = self.line_sig[base + usize::from(victim)];
+            self.train(sig, false);
         }
-        // No averse line: evict the oldest friendly line and detrain its PC.
-        let victim = (0..self.ways as usize)
-            .max_by_key(|&w| self.rrpv[base + w])
-            .expect("at least one way");
-        let sig = self.line_sig[base + victim];
-        self.train(sig, false);
-        victim as u16
+        victim
     }
 
     fn on_hit(&mut self, set: u32, way: u16, access: &Access) {
@@ -266,6 +288,85 @@ mod tests {
         }
         let _ = h.select_victim(2, &access(0x1, 999 * 64));
         assert!(h.predictor[sig] < PRED_MAX, "forced eviction of a friendly line detrains");
+    }
+
+    /// The search [`row_victim`] replaces: the first averse way, else the
+    /// last way holding the maximum RRPV.
+    fn early_exit_victim(row: &[u8]) -> (u16, bool) {
+        if let Some(w) = row.iter().position(|&r| r == MAX_RRPV) {
+            return (w as u16, true);
+        }
+        let w = (0..row.len()).max_by_key(|&w| row[w]).expect("at least one way");
+        (w as u16, false)
+    }
+
+    /// The fill aging [`age_friendly_fill`] replaces.
+    fn branchy_fill_aging(row: &mut [u8], me: u16) {
+        for (w, r) in row.iter_mut().enumerate() {
+            if w != usize::from(me) && *r < MAX_RRPV - 1 {
+                *r += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn victim_search_matches_the_early_exit_scan() {
+        simrng::prop::check(
+            "victim_search_matches_the_early_exit_scan",
+            simrng::prop::Config::with_cases(2048),
+            |rng| crate::gen_rrpv_row(rng, MAX_RRPV),
+            |row| {
+                simrng::prop_assert_eq!(row_victim(row), early_exit_victim(row), "row {:?}", row);
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn fill_aging_matches_the_branchy_loop() {
+        simrng::prop::check(
+            "fill_aging_matches_the_branchy_loop",
+            simrng::prop::Config::with_cases(2048),
+            |rng| crate::gen_rrpv_row(rng, MAX_RRPV),
+            |row| {
+                for me in 0..row.len() as u16 {
+                    let (mut fast, mut slow) = (row.clone(), row.clone());
+                    age_friendly_fill(&mut fast, me);
+                    branchy_fill_aging(&mut slow, me);
+                    simrng::prop_assert_eq!(fast, slow, "row {:?} filling way {}", row, me);
+                }
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn select_victim_detrains_only_friendly_victims() {
+        // Through the policy: the row, the victim and the predictor all
+        // match the early-exit scan with its detraining rule.
+        simrng::prop::check(
+            "select_victim_detrains_only_friendly_victims",
+            simrng::prop::Config::with_cases(512),
+            |rng| crate::gen_rrpv_row(rng, MAX_RRPV),
+            |row| {
+                let ways = row.len() as u16;
+                let mut h = Hawkeye::new(&CacheConfig { sets: 2, ways, latency: 1 });
+                h.rrpv[ways as usize..].copy_from_slice(row);
+                for w in 0..ways {
+                    h.line_sig[(ways + w) as usize] = w;
+                }
+                let (expected, averse) = early_exit_victim(row);
+                let before = h.predictor.clone();
+                simrng::prop_assert_eq!(h.select_victim(1, &access(0x1, 64)), expected);
+                simrng::prop_assert_eq!(&h.rrpv[ways as usize..], &row[..], "the row is read only");
+                let mut trained = before;
+                if !averse {
+                    trained[usize::from(expected)] -= 1;
+                }
+                simrng::prop_assert_eq!(h.predictor, trained, "detraining of row {:?}", row);
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -57,6 +57,20 @@ pub(crate) fn pc_signature(pc: u64, bits: u32) -> u64 {
     h & ((1 << bits) - 1)
 }
 
+/// A row of 1..=32 ways for the victim-search properties, its values drawn
+/// from a random subset of `0..=max`, so small subsets pile many ways onto
+/// one value.
+#[cfg(test)]
+pub(crate) fn gen_rrpv_row(rng: &mut simrng::SimRng, max: u8) -> Vec<u8> {
+    use simrng::Rng;
+    let ways = rng.gen_range(1..=32usize);
+    let mut values: Vec<u8> = (0..=max).filter(|_| rng.gen_range(0..2u64) == 1).collect();
+    if values.is_empty() {
+        values.push(rng.gen_range(0..=max));
+    }
+    (0..ways).map(|_| values[rng.gen_range(0..values.len())]).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,6 +17,7 @@ pub(crate) struct RrpvTable {
 
 impl RrpvTable {
     pub(crate) fn new(config: &CacheConfig) -> Self {
+        assert!(config.ways <= 32, "the victim search keeps one bit per way in a u32");
         Self { ways: config.ways, rrpv: vec![MAX_RRPV; config.lines() as usize] }
     }
 
@@ -30,25 +31,38 @@ impl RrpvTable {
     }
 
     /// Standard RRIP victim search: the leftmost way at `MAX_RRPV`, aging
-    /// the whole set until one exists.
+    /// the whole set until one exists. See [`age_to_victim`].
     pub(crate) fn find_victim(&mut self, set: u32) -> u16 {
-        let base = set as usize * self.ways as usize;
-        loop {
-            for w in 0..self.ways as usize {
-                if self.rrpv[base + w] == MAX_RRPV {
-                    return w as u16;
-                }
-            }
-            for w in 0..self.ways as usize {
-                self.rrpv[base + w] += 1;
-            }
-        }
+        let ways = usize::from(self.ways);
+        let base = set as usize * ways;
+        age_to_victim(&mut self.rrpv[base..base + ways])
     }
 
     /// Metadata cost: 2 bits per line.
     pub(crate) fn overhead_bits(config: &CacheConfig) -> u64 {
         config.lines() * 2
     }
+}
+
+/// RRIP's victim search over one set's RRPV row, in closed form.
+///
+/// The textbook search ages the whole row by one until some way reaches
+/// `MAX_RRPV`, then takes the leftmost such way. That loop runs exactly
+/// `MAX_RRPV − m` times for the row's maximum `m`, and the first way to
+/// reach `MAX_RRPV` is the lowest way that held `m`. So one pass takes the
+/// maximum, one pass adds `MAX_RRPV − m` to every way while collecting
+/// the ways that held `m` into a bitmask, and the victim is its lowest
+/// bit: the same row and the same way, with no data-dependent loop.
+pub(crate) fn age_to_victim(row: &mut [u8]) -> u16 {
+    debug_assert!(!row.is_empty() && row.len() <= 32, "one bit per way in a u32");
+    let m = row.iter().fold(0, |m, &r| m.max(r));
+    let bump = MAX_RRPV - m;
+    let mut at_max = 0u32;
+    for (w, r) in row.iter_mut().enumerate() {
+        at_max |= u32::from(*r == m) << w;
+        *r += bump;
+    }
+    at_max.trailing_zeros() as u16
 }
 
 /// Static RRIP: insert at "long" (RRPV 2), promote to 0 on hit, evict at
@@ -299,6 +313,48 @@ mod tests {
         assert!(p.psel < 0);
         p.on_fill(5, 1, &access(0));
         assert_eq!(p.table.get(5, 1), LONG_RRPV, "followers now insert like SRRIP");
+    }
+
+    /// The textbook search [`age_to_victim`] replaces: age the row until
+    /// some way reaches `MAX_RRPV`, then take the leftmost such way.
+    fn aging_loop_victim(row: &mut [u8]) -> u16 {
+        loop {
+            if let Some(w) = row.iter().position(|&r| r == MAX_RRPV) {
+                return w as u16;
+            }
+            for r in row.iter_mut() {
+                *r += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_search_matches_the_aging_loop() {
+        simrng::prop::check(
+            "closed_form_search_matches_the_aging_loop",
+            simrng::prop::Config::with_cases(2048),
+            |rng| crate::gen_rrpv_row(rng, MAX_RRPV),
+            |row| {
+                let (mut fast, mut slow) = (row.clone(), row.clone());
+                let (victim, expected) = (age_to_victim(&mut fast), aging_loop_victim(&mut slow));
+                simrng::prop_assert_eq!(victim, expected, "victim of {:?}", row);
+                simrng::prop_assert_eq!(fast, slow, "row after the search of {:?}", row);
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn closed_form_search_matches_the_aging_loop_on_every_small_row() {
+        // Every row of up to 5 ways over every RRPV value, exhaustively.
+        for ways in 1..=5u32 {
+            for code in 0..4u32.pow(ways) {
+                let row: Vec<u8> = (0..ways).map(|w| (code >> (2 * w) & 3) as u8).collect();
+                let (mut fast, mut slow) = (row.clone(), row.clone());
+                assert_eq!(age_to_victim(&mut fast), aging_loop_victim(&mut slow), "{row:?}");
+                assert_eq!(fast, slow, "{row:?}");
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! way-partitioned tenancy rests on.
 //!
 //! 1. The masked victim scan ([`rlr::scan::scan_masked_lanes`]) agrees with the
-//!    one-accumulator scalar reference bit-for-bit on arbitrary sets and
+//!    one-accumulator scalar reference bit-for-bit on arbitrary byte rows and
 //!    masks, never names a victim outside the mask, and degenerates to
 //!    the unmasked scan when the mask covers every way.
 //! 2. Under [`IsolationMode::WayPartition`], no tenant's lines ever
@@ -15,21 +15,19 @@
 
 use cache_sim::{Access, AccessKind, AccessOutcome, CacheConfig, SetAssocCache, SystemConfig};
 use rlr::packed::LineMeta;
-use rlr::scan::{self, ScanParams, ScanWays};
+use rlr::scan::{self, ScanParams, SetRows};
 use simrng::prop::{check, Config};
 use simrng::{prop_assert, prop_assert_eq, Rng, SimRng};
 use tenancy::{partition_by_weight, IsolationMode, MultiTenantLlc, TenantPolicy};
 
-/// One way's generated inputs: `(age_stamp, rec_stamp, meta_bits, core)`.
-type WayInput = (u64, u64, u8, u8);
+/// One way's generated inputs: `(age, rank, meta_bits, core)`.
+type WayInput = (u8, u8, u8, u8);
 
 /// Scan-wide knobs; ride along the shrunk way vector unchanged.
 #[derive(Clone, Debug)]
 struct Knobs {
-    now: u64,
-    clock: u64,
-    rd: u64,
-    max_age: u64,
+    rd: u8,
+    max_staleness: u8,
     age_weight: u32,
     use_type: bool,
     use_hit: bool,
@@ -40,33 +38,33 @@ struct Knobs {
 
 type Case = (Vec<WayInput>, Knobs);
 
-fn meta_of(bits: u8) -> LineMeta {
+fn meta_of(bits: u8) -> u8 {
     let mut meta = LineMeta::filled(bits & 0x40 != 0, bits & 0x80 != 0);
     meta.set_hit_count(bits & 0x3F);
-    meta
+    meta.bits()
 }
 
 fn gen_case(rng: &mut SimRng) -> Case {
     let ways = rng.gen_range(1..=32usize);
-    let spread = 1u64 << rng.gen_range(0..40u32);
-    let now = rng.gen_range(0..1u64 << 40);
-    let clock = now + rng.gen_range(0..64u64);
+    let spread = 1u64 << rng.gen_range(0..=8u32);
+    let max_age = [3u64, 31, 255][rng.gen_range(0..3usize)];
     let inputs = (0..ways)
         .map(|_| {
-            let age_stamp = now - rng.gen_range(0..spread.min(now + 1));
-            let rec_stamp = clock - rng.gen_range(0..spread.min(clock + 1));
-            (age_stamp, rec_stamp, rng.gen_range(0..=255u64) as u8, rng.gen_range(0..8u64) as u8)
+            let age = rng.gen_range(0..spread).min(max_age) as u8;
+            let rank = rng.gen_range(0..spread) as u8;
+            (age, rank, rng.gen_range(0..=255u64) as u8, rng.gen_range(0..8u64) as u8)
         })
         .collect();
+    let exact_recency = rng.gen_range(0..2u64) == 1;
     let knobs = Knobs {
-        now,
-        clock,
-        rd: rng.gen_range(0..64u64),
-        max_age: [3, 31, rng.gen_range(1..1u64 << 38)][rng.gen_range(0..3u64) as usize],
+        rd: rng.gen_range(0..=255u64) as u8,
+        // The staleness row's bound: ranks stay below the spread, ages
+        // also at the counter's maximum.
+        max_staleness: if exact_recency { spread - 1 } else { (spread - 1).min(max_age) } as u8,
         age_weight: rng.gen_range(0..=256u32),
         use_type: rng.gen_range(0..2u64) == 1,
         use_hit: rng.gen_range(0..2u64) == 1,
-        exact_recency: rng.gen_range(0..2u64) == 1,
+        exact_recency,
         core_rank: if rng.gen_range(0..2u64) == 1 {
             (0..4).map(|_| rng.gen_range(0..4u64) as u32).collect()
         } else {
@@ -80,23 +78,20 @@ fn gen_case(rng: &mut SimRng) -> Case {
 }
 
 fn run_masked_case((inputs, knobs): &Case) -> Result<(), String> {
-    let age_stamps: Vec<u64> = inputs.iter().map(|w| w.0).collect();
-    let rec_stamps: Vec<u64> = inputs.iter().map(|w| w.1).collect();
-    let metas: Vec<LineMeta> = inputs.iter().map(|w| meta_of(w.2)).collect();
+    let ages: Vec<u8> = inputs.iter().map(|w| w.0).collect();
+    let ranks: Vec<u8> = inputs.iter().map(|w| w.1).collect();
+    let metas: Vec<u8> = inputs.iter().map(|w| meta_of(w.2)).collect();
     let cores: Vec<u8> = inputs.iter().map(|w| w.3).collect();
     let params = ScanParams {
-        now: knobs.now,
-        clock: knobs.clock,
         rd: knobs.rd,
-        max_age: knobs.max_age,
+        max_staleness: knobs.max_staleness,
         age_weight: knobs.age_weight,
         use_type: knobs.use_type,
         use_hit: knobs.use_hit,
-        exact_recency: knobs.exact_recency,
     };
-    let ways = ScanWays {
-        age_stamps: &age_stamps,
-        rec_stamps: &rec_stamps,
+    let rows = SetRows {
+        ages: &ages,
+        staleness: if knobs.exact_recency { &ranks } else { &ages },
         metas: &metas,
         cores: &cores,
         core_rank: &knobs.core_rank,
@@ -105,20 +100,18 @@ fn run_masked_case((inputs, knobs): &Case) -> Result<(), String> {
     let set_bits = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
     let mask = if knobs.mask & set_bits == 0 { 1 } else { knobs.mask & set_bits };
 
-    let scalar = scan::scan_masked_scalar(&params, &ways, mask);
-    let lanes = scan::scan_masked_lanes(&params, &ways, mask);
-    let dispatch = scan::scan_masked_lanes(&params, &ways, mask);
+    let scalar = scan::scan_masked_scalar(&params, &rows, mask);
+    let lanes = scan::scan_masked_lanes(&params, &rows, mask);
     prop_assert_eq!(scalar, lanes);
-    prop_assert_eq!(scalar, dispatch);
     prop_assert!(
-        mask >> scalar.victim() & 1 == 1,
+        mask >> scalar & 1 == 1,
         "victim way {} escapes mask {mask:#010b}",
-        scalar.victim()
+        scalar
     );
     // A full mask is the unmasked scan.
     prop_assert_eq!(
-        scan::scan_masked_scalar(&params, &ways, set_bits),
-        scan::scan_lanes(&params, &ways)
+        scan::scan_masked_scalar(&params, &rows, set_bits),
+        scan::scan_lanes(&params, &rows)
     );
     Ok(())
 }
